@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .abgroup import FpAbelianGroup
 
 Combo = dict[str, int]
+_NO_TERMS: Combo = {}  # shared read-only stand-in for a missing product
 
 
 class ChowRingPresentation:
@@ -23,9 +24,21 @@ class ChowRingPresentation:
     ``basis[k]`` lists the symbols spanning codimension ``k`` for
     ``0 <= k <= dim``; codimension 0 must be spanned by a single unit symbol.
     ``products`` maps symbol pairs to integer combinations in the sum
-    codimension: omitted pairs multiply to zero, the unit row is filled in
-    automatically, and commutativity plus associativity over all basis
-    triples are checked at construction.
+    codimension: omitted pairs multiply to zero and the unit row is filled in
+    automatically.  The table is keyed by sorted pairs, so the ring is
+    commutative by construction, and associativity is checked at
+    construction on exactly the basis triples where it can fail:
+
+    * triples containing the unit are skipped, since the unit row is filled
+      in here and ``1 * x = x`` makes both bracketings agree;
+    * each multiset ``{a, b, c}`` is checked once, by comparing all three
+      bracketings ``(ab)c = (bc)a = (ca)b``; by commutativity every other
+      ordering and bracketing equals one of these;
+    * only codimensions ``1 <= i <= j <= k`` with ``i + j + k <= dim`` are
+      walked: beyond ``dim`` both sides are zero, because the constructor
+      rejects any product landing past ``dim``;
+    * the check reads the structure table directly rather than through
+      :meth:`pair_product`, which copies its result for the caller.
 
     ``hyperplane`` is the coefficient vector (over ``basis[1]``) of the
     hyperplane section of the chosen projective embedding, and
@@ -166,24 +179,34 @@ class ChowRingPresentation:
 
     # -- validation ------------------------------------------------------
 
+    def _entry(self, a: str, b: str) -> Combo:
+        """The stored product of two symbols, shared with the table: do not mutate."""
+        return self._table.get((a, b) if a <= b else (b, a), _NO_TERMS)
+
     def _expand(self, combo: Combo, sym: str) -> Combo:
         acc: Combo = {}
         for s, c in combo.items():
-            for out, k in self.pair_product(s, sym).items():
+            for out, k in self._entry(s, sym).items():
                 acc[out] = acc.get(out, 0) + c * k
         return {s: c for s, c in acc.items() if c}
 
     def _check_associativity(self) -> None:
-        symbols = list(self._codim)
-        for a in symbols:
-            for b in symbols:
-                for c in symbols:
-                    left = self._expand(self.pair_product(a, b), c)
-                    right = self._expand(self.pair_product(b, c), a)
-                    if left != right:
-                        raise ValueError(
-                            f"structure constants are not associative at ({a!r}, {b!r}, {c!r})"
-                        )
+        levels, dim = self.basis, self.dim
+        for i in range(1, dim // 3 + 1):
+            for j in range(i, (dim - i) // 2 + 1):
+                for k in range(j, dim - i - j + 1):
+                    # within one level, take symbols in basis order so that
+                    # each multiset {a, b, c} comes up once
+                    for ia, a in enumerate(levels[i]):
+                        for ib in range(ia if j == i else 0, len(levels[j])):
+                            b = levels[j][ib]
+                            ab = self._entry(a, b)
+                            for c in levels[k][ib if k == j else 0 :]:
+                                bc, ca = self._entry(b, c), self._entry(c, a)
+                                if not self._expand(ab, c) == self._expand(bc, a) == self._expand(ca, b):
+                                    raise ValueError(
+                                        f"structure constants are not associative at ({a!r}, {b!r}, {c!r})"
+                                    )
 
     # -- equality --------------------------------------------------------
 

@@ -9,7 +9,7 @@ The geometric content of a computation lives in the incidence patterns
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,9 @@ class ModelTag:
 
     ``kind`` is one of ``generic``, ``isolated_vertex`` or ``product``;
     products remember the base tag and the fiber dimension.  The tag records
-    how the descriptor was built and is carried through transforms unchanged.
+    how the descriptor was built and is carried through transforms unchanged;
+    no computation reads it, so it takes no part in :class:`Stratification`
+    equality.
     """
 
     kind: str
@@ -53,7 +55,7 @@ class Stratification:
 
     ambient_dim: int
     strata: tuple[StratumSpec, ...]
-    model: ModelTag = GENERIC
+    model: ModelTag = field(default=GENERIC, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "strata", tuple(self.strata))

@@ -1,6 +1,11 @@
+import ast
 import itertools
+import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pervchow.chow import (
     ChowRingPresentation,
@@ -156,9 +161,10 @@ class TestKunnethMatchesQuadric:
 
 class TestValidation:
     def test_non_associative_rejected(self):
-        products = {("a", "a"): {"b": 1}, ("a", "b"): {"c": 1}, ("b", "b"): {"c": 1}}
-        with pytest.raises(ValueError):
-            ChowRingPresentation("bad", 3, [["1"], ["a"], ["b"], ["c"]], products, [1], [1])
+        # (aa)x = bx = 0 but (ax)a = ba = c
+        products = {("a", "a"): {"b": 1}, ("a", "b"): {"c": 1}, ("a", "x"): {"b": 1}}
+        with pytest.raises(ValueError, match=NOT_ASSOCIATIVE):
+            ChowRingPresentation("bad", 3, [["1"], ["a", "x"], ["b"], ["c"]], products, [1, 0], [1])
 
     def test_wrong_codim_target_rejected(self):
         with pytest.raises(ValueError):
@@ -192,3 +198,123 @@ class TestJson:
 
     def test_parse_builtin_name(self):
         assert parse_ring("quadric_surface") == quadric_surface()
+
+
+# -- associativity check against the brute-force reference -----------------
+
+NOT_ASSOCIATIVE = r"structure constants are not associative at \((.*)\)"
+
+
+class UncheckedRing(ChowRingPresentation):
+    """A presentation built without the associativity check, for the reference."""
+
+    def _check_associativity(self):
+        pass
+
+
+def reference_expand(ring, combo, sym):
+    acc = {}
+    for s, c in combo.items():
+        for out, k in ring.pair_product(s, sym).items():
+            acc[out] = acc.get(out, 0) + c * k
+    return {s: c for s, c in acc.items() if c}
+
+
+def violates(ring, a, b, c):
+    """Whether (ab)c differs from (bc)a."""
+    left = reference_expand(ring, ring.pair_product(a, b), c)
+    return left != reference_expand(ring, ring.pair_product(b, c), a)
+
+
+def reference_violation(ring):
+    """Brute force: the first ordered basis triple with (ab)c != (bc)a, or None."""
+    symbols = [sym for level in ring.basis for sym in level]
+    for triple in itertools.product(symbols, repeat=3):
+        if violates(ring, *triple):
+            return triple
+    return None
+
+
+def random_graded_table(rng):
+    """Dim 1-4, 1-3 symbols per level, coefficients in [-1, 2].
+
+    Names are shuffled so that sorted-pair order disagrees with basis order,
+    and small coefficients make many tables non-associative.
+    """
+    dim = rng.randint(1, 4)
+    names = [f"g{m}" for m in range(12)]
+    rng.shuffle(names)
+    basis = [[rng.choice(["1", "u"])]]
+    for _ in range(dim):
+        size = rng.randint(1, 3)
+        basis.append(names[:size])
+        names = names[size:]
+    codim = {sym: k for k, level in enumerate(basis) for sym in level}
+    products = {}
+    for a, b in itertools.combinations_with_replacement(list(codim)[1:], 2):
+        total = codim[a] + codim[b]
+        if total <= dim:
+            products[(a, b)] = {sym: rng.randint(-1, 2) for sym in basis[total]}
+    return dim, basis, products
+
+
+def assert_check_matches_reference(dim, basis, products):
+    """The constructor accepts exactly when the reference finds no violation,
+    and a rejection names a triple that violates under some ordering.
+    Returns whether the table was accepted."""
+    args = ("t", dim, basis, products, [0] * len(basis[1]), [1] * len(basis[dim]))
+    unchecked = UncheckedRing(*args)
+    expected = reference_violation(unchecked)
+    try:
+        ChowRingPresentation(*args)
+    except ValueError as exc:
+        match = re.fullmatch(NOT_ASSOCIATIVE, str(exc))
+        assert match, str(exc)
+        assert expected is not None
+        named = ast.literal_eval(f"({match.group(1)})")
+        assert any(violates(unchecked, *order) for order in itertools.permutations(named))
+        return False
+    assert expected is None
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_associativity_check_matches_reference(rng):
+    assert_check_matches_reference(*random_graded_table(rng))
+
+
+def test_associativity_check_matches_reference_seeded_batch():
+    rng = random.Random(20131)
+    verdicts = [assert_check_matches_reference(*random_graded_table(rng)) for _ in range(300)]
+    # the batch exercises both outcomes
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+class TestAssociativityEdgeCases:
+    """Tables whose only violation sits where a pruned walk could skip it."""
+
+    @pytest.mark.parametrize(
+        "products, named",
+        [
+            # (aa)b = t but (ab)a = 0: only the multiset {a, a, b} fails
+            ({("a", "a"): {"p": 1}, ("a", "b"): {"q": 1}, ("b", "p"): {"t": 1}}, "'a', 'a', 'b'"),
+            # (bb)a = t but (ab)b = 0: only the multiset {a, b, b} fails
+            ({("b", "b"): {"p": 1}, ("a", "b"): {"q": 1}, ("a", "p"): {"t": 1}}, "'a', 'b', 'b'"),
+        ],
+    )
+    def test_repeated_symbol_triple(self, products, named):
+        basis = [["1"], ["a", "b"], ["p", "q"], ["t"]]
+        with pytest.raises(ValueError, match=re.escape(f"at ({named})")):
+            ChowRingPresentation("rep", 3, basis, products, [1, 1], [1])
+        assert assert_check_matches_reference(3, basis, products) is False
+
+    @pytest.mark.parametrize("nonzero", [("ab", "c"), ("bc", "a"), ("ca", "b")])
+    def test_three_symbols_of_one_codimension(self, nonzero):
+        # exactly one of (ab)c, (bc)a, (ca)b is the point class
+        products = {("a", "b"): {"ab": 1}, ("b", "c"): {"bc": 1}, ("a", "c"): {"ca": 1}}
+        products[nonzero] = {"t": 1}
+        basis = [["1"], ["a", "b", "c"], ["ab", "bc", "ca"], ["t"]]
+        with pytest.raises(ValueError, match=re.escape("at ('a', 'b', 'c')")):
+            ChowRingPresentation("three", 3, basis, products, [1, 1, 1], [1])
+        assert assert_check_matches_reference(3, basis, products) is False

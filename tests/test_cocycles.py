@@ -16,6 +16,7 @@ from pervchow.cocycles import (
 )
 from pervchow.cycles import CyclePattern, check_perversity, check_star
 from pervchow.perversity import GeneralizedBound, Perversity, add, leq, zero
+from pervchow.serialize import parse_stratification, stratification_to_json
 from pervchow.strata import isolated_vertex
 
 V3 = isolated_vertex(3)
@@ -78,6 +79,15 @@ class TestJoin:
         assert out.t == 2
         assert out.target_dim == 3
         assert out.excess == {1: 0, 2: 1, 3: 2}
+
+    def test_model_tag_does_not_block_join(self):
+        # the same strata documented with another construction tag
+        doc = dict(stratification_to_json(V3), model="generic")
+        generic = parse_stratification(doc)
+        assert generic.model != V3.model
+        a = profile(V3, [0, 0, 1], t=1, target=1)
+        b = profile(generic, [0, 1, 1], t=1, target=1)
+        assert join(a, b).excess == {1: 0, 2: 1, 3: 2}
 
     def test_honest_cocycles_join_to_honest(self):
         a = profile(V3, [0, 0, 0], t=2, target=2)

@@ -97,11 +97,14 @@ class TestProductAndSuspend:
 class TestJson:
     def test_round_trip_vertex(self):
         s = isolated_vertex(3)
-        assert parse_stratification(stratification_to_json(s)) == s
+        parsed = parse_stratification(stratification_to_json(s))
+        # the tag takes no part in equality, so compare it on its own
+        assert parsed == s and parsed.model == s.model
 
     def test_round_trip_product(self):
         s = product_with_fiber(isolated_vertex(2), 2)
-        assert parse_stratification(stratification_to_json(s)) == s
+        parsed = parse_stratification(stratification_to_json(s))
+        assert parsed == s and parsed.model == s.model
 
     def test_vertex_shorthand(self):
         assert parse_stratification("vertex3") == isolated_vertex(3)
