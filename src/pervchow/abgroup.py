@@ -7,8 +7,9 @@ cokernel: ``Z^rank`` modulo the row span of its relations matrix.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from operator import mul
 
 Matrix = list[list[int]]
 
@@ -18,9 +19,7 @@ def identity(n: int) -> Matrix:
 
 
 def transpose(m: Sequence[Sequence[int]]) -> Matrix:
-    if not m:
-        return []
-    return [[m[i][j] for i in range(len(m))] for j in range(len(m[0]))]
+    return [list(col) for col in zip(*m)]
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
@@ -29,22 +28,18 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     rows, inner = len(a), len(a[0])
     if len(b) != inner:
         raise ValueError(f"shape mismatch: {rows}x{inner} times {len(b)}x?")
-    cols = len(b[0]) if b else 0
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
-    return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def vec_mat(v: Sequence[int], a: Sequence[Sequence[int]]) -> list[int]:
     if len(a) != len(v):
         raise ValueError(f"shape mismatch: 1x{len(v)} times {len(a)}x?")
-    cols = len(a[0]) if a else 0
-    return [sum(v[k] * a[k][j] for k in range(len(v))) for j in range(cols)]
+    return [sum(map(mul, v, col)) for col in zip(*a)]
 
 
 def det(m: Sequence[Sequence[int]]) -> int:
@@ -91,35 +86,74 @@ class SmithForm:
         return sum(1 for d in self.diagonal() if d != 0)
 
 
-def _swap_rows(m: Matrix, i: int, j: int) -> None:
-    m[i], m[j] = m[j], m[i]
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """``(g, x, y)`` with ``g = gcd(a, b) = x*a + y*b`` and ``g >= 0``."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1, y0, y1 = x1, x0 - q * x1, y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
 
 
-def _swap_cols(m: Matrix, i: int, j: int) -> None:
-    for row in m:
-        row[i], row[j] = row[j], row[i]
+def _mix(p: list[int], r: list[int], x: int, y: int, s: int, k: int) -> tuple[list[int], list[int]]:
+    """The rows ``x*p + y*r`` and ``s*r - k*p``; unimodular when ``x*s + y*k = 1``."""
+    return [x * e + y * f for e, f in zip(p, r)], [s * f - k * e for e, f in zip(p, r)]
 
 
-def _add_row(m: Matrix, dst: int, src: int, k: int) -> None:
-    m[dst] = [a + k * b for a, b in zip(m[dst], m[src])]
+def _hnf(a: Matrix, t: Matrix) -> tuple[Matrix, Matrix]:
+    """Fully reduced row Hermite form ``H = W * A`` with ``W`` unimodular, and ``W * T``.
 
-
-def _add_col(m: Matrix, dst: int, src: int, k: int) -> None:
-    for row in m:
-        row[dst] += k * row[src]
-
-
-def _scale_row(m: Matrix, i: int, k: int) -> None:
-    m[i] = [k * x for x in m[i]]
+    Rows of ``[A | T]`` enter one at a time and are cleared against the
+    pivot rows so far by subtractions and 2x2 extended-gcd steps; after each
+    row, every entry above a pivot is reduced into ``[0, pivot)``.  Pivots
+    are positive and zero rows come last.
+    """
+    n = len(a[0]) if a else 0
+    pivots: dict[int, list[int]] = {}  # pivot column -> row of [H | W * T]
+    zero: Matrix = []
+    for row, trow in zip(a, t):
+        r = row + trow
+        for c in range(n):
+            b = r[c]
+            if not b:
+                continue
+            p = pivots.get(c)
+            if p is None:
+                pivots[c] = r if b > 0 else [-x for x in r]
+                break
+            if b % p[c]:
+                g, x, y = _xgcd(p[c], b)
+                pivots[c], r = _mix(p, r, x, y, p[c] // g, b // g)
+            else:
+                q = b // p[c]
+                r = [f - q * e for e, f in zip(p, r)]
+        else:
+            zero.append(r)
+        cols = sorted(pivots)
+        for j, c in enumerate(cols):
+            p = pivots[c]
+            for above in cols[:j]:
+                q = pivots[above][c] // p[c]
+                if q:
+                    pivots[above] = [f - q * e for e, f in zip(p, pivots[above])]
+    rows = [pivots[c] for c in sorted(pivots)] + zero
+    return [r[:n] for r in rows], [r[n:] for r in rows]
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]], ncols: int | None = None) -> SmithForm:
     """Diagonalize an integer matrix with unimodular row/column transforms.
 
-    Euclidean reduction with smallest-pivot selection.  ``ncols``
-    disambiguates the width of a matrix with no rows; empty matrices are
-    fine.  The returned form is verified against its own contract before
-    being handed back.
+    Alternating Hermite forms (Kannan & Bachem 1979): a row HNF
+    ``H = U * M``, then column and row HNFs of ``H`` until it is diagonal
+    (each pass clears the first unsettled row and column or shrinks its
+    entry to a proper divisor), then gcd/lcm steps on pairs of diagonal
+    entries for the divisibility chain.  Each HNF keeps its entries reduced
+    modulo its pivots after every input row, so the entries of ``U`` and
+    ``V`` stay within a small multiple of the size of the largest minors
+    of ``M``; Euclidean elimination lets them grow with every step.
+    ``ncols`` disambiguates the width of a matrix with no rows; empty
+    matrices are fine.  The returned form is verified against its own
+    contract before being handed back.
     """
     a = [[int(x) for x in row] for row in matrix]
     m = len(a)
@@ -127,68 +161,33 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], ncols: int | None = None)
     if any(len(row) != n for row in a):
         raise ValueError("ragged or mis-sized matrix")
 
-    u = identity(m)
-    v = identity(n)
-    t = 0
-    while t < min(m, n):
-        # Smallest nonzero entry of the trailing submatrix becomes the pivot.
-        best: tuple[int, int] | None = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        if best[0] != t:
-            _swap_rows(a, t, best[0])
-            _swap_rows(u, t, best[0])
-        if best[1] != t:
-            _swap_cols(a, t, best[1])
-            _swap_cols(v, t, best[1])
-        while True:
-            for i in range(t + 1, m):
-                while a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        _add_row(a, i, t, -q)
-                        _add_row(u, i, t, -q)
-                    if a[i][t]:
-                        # remainder became the smaller value; promote it
-                        _swap_rows(a, t, i)
-                        _swap_rows(u, t, i)
-            for j in range(t + 1, n):
-                while a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        _add_col(a, j, t, -q)
-                        _add_col(v, j, t, -q)
-                    if a[t][j]:
-                        _swap_cols(a, t, j)
-                        _swap_cols(v, t, j)
-            if any(a[i][t] for i in range(t + 1, m)):
-                continue  # row clearing disturbed the column
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            # pull a non-divisible row up so the next pass shrinks the pivot
-            _add_row(a, t, offender, 1)
-            _add_row(u, t, offender, 1)
-        if a[t][t] < 0:
-            _scale_row(a, t, -1)
-            _scale_row(u, t, -1)
-        t += 1
+    h, u = _hnf(a, identity(m))
+    vt = identity(n)  # V transposed: column passes act on its rows
+    row_pass = False
+    while any(x for i, row in enumerate(h) for j, x in enumerate(row) if i != j):
+        if row_pass:
+            h, u = _hnf(h, u)
+        else:
+            g, vt = _hnf(transpose(h), vt)
+            h = transpose(g)
+        row_pass = not row_pass
+    rank = sum(1 for i in range(min(m, n)) if h[i][i])
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            d, e = h[i][i], h[j][j]
+            if e % d:
+                # rows [[x, y], [-e/g, d/g]] and columns [[1, -y*e/g], [1, x*d/g]]
+                # turn diag(d, e) into diag(g, d*e/g)
+                g, x, y = _xgcd(d, e)
+                s, k = d // g, e // g
+                h[i][i], h[j][j] = g, s * e
+                u[i], u[j] = _mix(u[i], u[j], x, y, s, k)
+                vt[i], vt[j] = _mix(vt[i], vt[j], 1, 1, x * s, y * k)
 
     form = SmithForm(
         U=tuple(tuple(row) for row in u),
-        S=tuple(tuple(row) for row in a),
-        V=tuple(tuple(row) for row in v),
+        S=tuple(tuple(row) for row in h),
+        V=tuple(zip(*vt)),
     )
     _verify_smith(matrix, n, form)
     return form
@@ -196,13 +195,11 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], ncols: int | None = None)
 
 def _verify_smith(matrix: Sequence[Sequence[int]], n: int, form: SmithForm) -> None:
     m = len(matrix)
-    u = [list(r) for r in form.U]
     s = [list(r) for r in form.S]
-    v = [list(r) for r in form.V]
     original = [[int(x) for x in row] for row in matrix]
-    if mat_mul(mat_mul(u, original), v) != s:
+    if mat_mul(mat_mul(form.U, original), form.V) != s:
         raise RuntimeError("Smith form does not reproduce the input matrix")
-    if abs(det(u)) != 1 or abs(det(v)) != 1:
+    if abs(det(form.U)) != 1 or abs(det(form.V)) != 1:
         raise RuntimeError("Smith transforms are not unimodular")
     for i in range(m):
         for j in range(n):
@@ -218,35 +215,46 @@ def _verify_smith(matrix: Sequence[Sequence[int]], n: int, form: SmithForm) -> N
             raise RuntimeError("Smith diagonal violates the divisibility chain")
 
 
+def _lattice_solver(
+    generators: Sequence[Sequence[int]], n: int
+) -> Callable[[Sequence[int]], list[int] | None]:
+    """``lattice_solve`` for many targets of length ``n``, over one Smith form of the generators."""
+    gens = [[int(x) for x in g] for g in generators]
+    if any(len(g) != n for g in gens):
+        raise ValueError("generator length mismatch")
+    form = smith_normal_form(gens) if gens else None
+
+    def solve(target: Sequence[int]) -> list[int] | None:
+        x = [int(val) for val in target]
+        if len(x) != n:
+            raise ValueError("generator length mismatch")
+        if form is None:
+            return [] if not any(x) else None
+        b = vec_mat(x, form.V)
+        a = [0] * len(gens)
+        for j in range(n):
+            s = form.S[j][j] if j < len(gens) else 0
+            if s:
+                if b[j] % s:
+                    return None
+                a[j] = b[j] // s
+            elif b[j]:
+                return None
+        coeffs = vec_mat(a, form.U)
+        if vec_mat(coeffs, gens) != x:
+            raise RuntimeError("lattice witness failed verification")
+        return coeffs
+
+    return solve
+
+
 def lattice_solve(generators: Sequence[Sequence[int]], target: Sequence[int]) -> list[int] | None:
     """Integer coefficients expressing ``target`` over the generator rows.
 
     Returns ``None`` when ``target`` is outside the generated lattice; a
     returned witness always satisfies ``witness . generators == target``.
     """
-    gens = [[int(x) for x in g] for g in generators]
-    x = [int(val) for val in target]
-    n = len(x)
-    if any(len(g) != n for g in gens):
-        raise ValueError("generator length mismatch")
-    if not gens:
-        return [] if all(val == 0 for val in x) else None
-    form = smith_normal_form(gens)
-    m = len(gens)
-    b = vec_mat(x, [list(r) for r in form.V])
-    a = [0] * m
-    for j in range(n):
-        s = form.S[j][j] if j < m else 0
-        if s:
-            if b[j] % s:
-                return None
-            a[j] = b[j] // s
-        elif b[j]:
-            return None
-    coeffs = vec_mat(a, [list(r) for r in form.U])
-    if vec_mat(coeffs, gens) != x:
-        raise RuntimeError("lattice witness failed verification")
-    return coeffs
+    return _lattice_solver(generators, len(target))(target)
 
 
 def lattice_contains(generators: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
@@ -255,7 +263,10 @@ def lattice_contains(generators: Sequence[Sequence[int]], target: Sequence[int])
 
 def lattice_subset(inner: Sequence[Sequence[int]], outer: Sequence[Sequence[int]]) -> bool:
     """Every generator of ``inner`` lies in the lattice spanned by ``outer``."""
-    return all(lattice_contains(outer, g) for g in inner)
+    if not inner:
+        return True
+    solve = _lattice_solver(outer, len(inner[0]))
+    return all(solve(g) is not None for g in inner)
 
 
 def kernel_basis(matrix: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
@@ -301,7 +312,7 @@ def invariant_factors(group: FpAbelianGroup) -> tuple[int, tuple[int, ...]]:
     """Free rank and torsion coefficients ``n_1 | n_2 | ...`` (each > 1)."""
     if not group.relations:
         return group.rank, ()
-    form = smith_normal_form([list(r) for r in group.relations], ncols=group.rank)
+    form = smith_normal_form(group.relations, ncols=group.rank)
     nonzero = [d for d in form.diagonal() if d != 0]
     return group.rank - len(nonzero), tuple(d for d in nonzero if d > 1)
 
@@ -343,9 +354,11 @@ class GroupMap:
                 raise ValueError(
                     f"matrix row {list(row)} has length {len(row)}, expected source rank {self.source.rank}"
                 )
+        if not self.source.relations:
+            return
+        solve = _lattice_solver(self.target.relations, self.target.rank)
         for rel in self.source.relations:
-            image = mat_vec(rows, rel)
-            if not lattice_contains(self.target.relations, image):
+            if solve(mat_vec(rows, rel)) is None:
                 raise ValueError(
                     f"matrix does not send relation {list(rel)} into the target relations"
                 )
@@ -354,25 +367,20 @@ class GroupMap:
 def compose(second: GroupMap, first: GroupMap) -> GroupMap:
     if first.target != second.source:
         raise ValueError("maps are not composable")
-    product = mat_mul([list(r) for r in second.matrix], [list(r) for r in first.matrix])
+    product = mat_mul(second.matrix, first.matrix)
     return GroupMap(first.source, second.target, tuple(tuple(r) for r in product))
 
 
 def _image_generators(f: GroupMap) -> list[list[int]]:
-    cols = transpose([list(r) for r in f.matrix])
-    return cols + [list(r) for r in f.target.relations]
+    return transpose(f.matrix) + [list(r) for r in f.target.relations]
 
 
 def _kernel_generators(g: GroupMap) -> list[list[int]]:
     # x is in the kernel iff g(x) lies in the relation lattice of the target,
     # i.e. (x, y) solves [matrix | relations^T] (x, y) = 0 for some y.
     b = g.source.rank
-    rel_t = transpose([list(r) for r in g.target.relations])
-    stacked = []
-    for i in range(g.target.rank):
-        row = list(g.matrix[i])
-        row.extend(rel_t[i] if rel_t else [])
-        stacked.append(row)
+    rel_t = transpose(g.target.relations) or [[] for _ in g.matrix]
+    stacked = [list(row) + rel for row, rel in zip(g.matrix, rel_t)]
     width = b + len(g.target.relations)
     full = kernel_basis(stacked, width) if stacked else identity(width)
     return [vec[:b] for vec in full]

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -16,7 +17,11 @@ from pervchow.abgroup import (
     kernel_basis,
     lattice_contains,
     lattice_solve,
+    mat_mul,
+    mat_vec,
     smith_normal_form,
+    transpose,
+    vec_mat,
 )
 
 # --- independent oracle helpers (deliberately not the library code paths) ---
@@ -85,6 +90,26 @@ def brute_member(gens, target, coeff_bound):
     return False
 
 
+# --- matrix helpers ------------------------------------------------------------
+
+
+def test_products_match_reference():
+    rng = random.Random(404)
+    for _ in range(200):
+        rows, inner, cols = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        a = [[rng.randint(-9, 9) for _ in range(inner)] for _ in range(rows)]
+        b = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(inner)]
+        v = [rng.randint(-9, 9) for _ in range(inner)]
+        assert mat_mul(a, b) == mul(a, b)
+        assert transpose(a) == [[a[i][j] for i in range(rows)] for j in range(inner)]
+        assert mat_vec(a, v) == [row[0] for row in mul(a, [[x] for x in v])]
+        assert vec_mat(v, b) == mul([v], b)[0]
+    with pytest.raises(ValueError):
+        mat_mul([[1, 2]], [[1, 2]])
+    with pytest.raises(ValueError):
+        vec_mat([1, 2], [[1, 2]])
+
+
 # --- Smith normal form ------------------------------------------------------
 
 
@@ -145,12 +170,162 @@ def test_snf_contract_random(matrix):
     assert_snf_contract(matrix, smith_normal_form(matrix))
 
 
+def unimodular(rng, n, steps):
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        u[i] = [a + k * b for a, b in zip(u[i], u[j])]
+    return u
+
+
+def udv(rng, m, n, diag):
+    """``U * D * V`` with random unimodular ``U``, ``V``; returns the matrix and ``V``."""
+    d = [[diag[i] if i == j and i < len(diag) else 0 for j in range(n)] for i in range(m)]
+    v = unimodular(rng, n, 2 * n)
+    return mul(mul(unimodular(rng, m, 2 * m), d), v), v
+
+
+def large_inputs():
+    """Seeded inputs past the small batch: ``(matrix, rank, outside)``.
+
+    ``outside`` is a vector known not to lie in the row lattice, or ``None``.
+    The U*D*V inputs get theirs from the construction: row ``j`` of ``V``
+    with ``diag[j] != 1``.
+    """
+    rng = random.Random(20211)
+    out = []
+    for rows, cols in ((16, 16), (24, 24), (12, 20), (20, 12)):
+        matrix = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        out.append((matrix, rational_rank(matrix), None))
+    for size, diag in ((10, [1] * 7), (8, [1, 1, 1, 1, 2, 2, 6, 12])):
+        matrix, v = udv(rng, size, size, diag)
+        out.append((matrix, sum(1 for d in diag if d), v[7]))  # diag[7] is 0 or 12
+    return out
+
+
+def rref(m):
+    """Reduced row echelon form over the rationals, and its pivot columns."""
+    a = [[Fraction(x) for x in row] for row in m]
+    pivots = []
+    for col in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        a[r] = [x / a[r][col] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col]:
+                a[i] = [x - a[i][col] * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    return a, pivots
+
+
+def rational_rank(m):
+    return len(rref(m)[1])
+
+
+def in_row_lattice(m, x):
+    """Whether ``x`` is an integer combination of the rows of ``m``, which must be independent."""
+    a, pivots = rref([list(col) + [t] for col, t in zip(zip(*m), x)])
+    if len(m) in pivots:
+        return False  # off the rational row span
+    return all(a[i][-1].denominator == 1 for i in range(len(m)))
+
+
 def test_snf_contract_seeded_batch():
     rng = random.Random(20210)
     for _ in range(500):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         matrix = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         assert_snf_contract(matrix, smith_normal_form(matrix))
+    for matrix, rank, outside in large_inputs():
+        form = smith_normal_form(matrix)
+        assert_snf_contract(matrix, form)
+        assert form.rank == rank
+        ncols = len(matrix[0])
+        kernel = kernel_basis(matrix, ncols)
+        assert len(kernel) == ncols - rank
+        assert all(mul(matrix, [[x] for x in vec]) == [[0]] * len(matrix) for vec in kernel)
+        if kernel:
+            assert rational_rank(kernel) == len(kernel)
+        y = [rng.randint(-3, 3) for _ in matrix]
+        target = mul([y], matrix)[0]
+        witness = lattice_solve(matrix, target)
+        assert witness is not None and mul([witness], matrix)[0] == target
+        if outside is not None:
+            assert lattice_solve(matrix, outside) is None
+        if rank == len(matrix):
+            for probe in ([1] + [0] * (ncols - 1), [rng.randint(-3, 3) for _ in range(ncols)]):
+                assert (lattice_solve(matrix, probe) is not None) == in_row_lattice(matrix, probe)
+
+
+def test_snf_transform_growth_stays_small():
+    # Euclidean elimination grew U and V to 14k-30k bits on these inputs.
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        matrix = [[rng.randint(-9, 9) for _ in range(24)] for _ in range(24)]
+        form = smith_normal_form(matrix)
+        bits = max(abs(x).bit_length() for t in (form.U, form.V) for row in t for x in row)
+        assert bits < 1000
+
+
+# --- independent oracles for the invariant factors ---------------------------
+
+
+def int_det(m):
+    """Leibniz expansion: an integer determinant sharing no code with the library."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(1 for i, j in itertools.combinations(range(len(perm)), 2) if perm[i] > perm[j])
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def determinantal_invariants(m):
+    """Invariant factors ``d_k / d_(k-1)``, with ``d_k`` the gcd of the k x k minors."""
+    rows, cols = len(m), len(m[0])
+    out, prev = [], 1
+    for k in range(1, min(rows, cols) + 1):
+        g = 0
+        for rs in itertools.combinations(range(rows), k):
+            for cs in itertools.combinations(range(cols), k):
+                g = math.gcd(g, int_det([[m[i][j] for j in cs] for i in rs]))
+        if g == 0:
+            break
+        out.append(g // prev)
+        prev = g
+    return out + [0] * (min(rows, cols) - len(out))
+
+
+def oracle_inputs():
+    rng = random.Random(5151)
+    out = []
+    for _ in range(80):
+        rows, cols, bound = rng.randint(1, 5), rng.randint(1, 5), rng.choice((2, 9))
+        out.append([[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)])
+    out.append(udv(rng, 5, 5, [1, 2, 2, 6, 0])[0])
+    out.append(udv(rng, 4, 5, [3, 3, 9])[0])
+    return out
+
+
+def test_invariants_match_determinantal_divisors():
+    for matrix in oracle_inputs():
+        assert list(smith_normal_form(matrix).diagonal()) == determinantal_invariants(matrix)
+
+
+def test_invariants_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    for matrix in oracle_inputs() + [m for m, _, _ in large_inputs()]:
+        s = sympy_snf(sympy.Matrix(matrix), domain=sympy.ZZ)
+        want = [abs(int(s[i, i])) for i in range(min(s.shape))]
+        assert list(smith_normal_form(matrix).diagonal()) == want
 
 
 # --- invariant factors -------------------------------------------------------

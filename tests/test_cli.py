@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -137,6 +138,15 @@ class TestGroupsCompareSnfExact:
         prod = [[sum(u[i][k] * m[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
         prod = [[sum(prod[i][k] * v[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
         assert prod == s
+
+    def test_snf_24x24_report_is_json(self, capsys):
+        # Euclidean transforms once reached thousands of digits here, past
+        # the int-to-str limit, so rendering raised and the CLI exited 1.
+        for seed in (1, 2, 3):
+            rng = random.Random(seed)
+            matrix = [[rng.randint(-9, 9) for _ in range(24)] for _ in range(24)]
+            assert main(["snf", "--matrix", json.dumps(matrix)]) == 0
+            assert json.loads(capsys.readouterr().out)["schema"] == 1
 
     def test_exact_true(self):
         f = json.dumps(
