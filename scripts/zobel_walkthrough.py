@@ -55,8 +55,9 @@ def main() -> None:
     print(f"  sliced once more: degree {chow.degree(hh)}")
 
     print("\nthe pair with no product (both at the top bound, r+s-d = 0):")
+    a, b = cat.expected_pairings["top(r=2)*top(r=1)"]["operands"]
     try:
-        pc.intersect(cone.cls(2, 2, [1, 0]), cone.cls(1, 2, [1]))
+        pc.intersect(a, b)
     except pc.ConeProductError as exc:
         print(f"  rejected: {exc}")
 

@@ -158,6 +158,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], ncols: int | None = None)
     a = [[int(x) for x in row] for row in matrix]
     m = len(a)
     n = int(ncols) if ncols is not None else (len(a[0]) if a else 0)
+    if n < 0:
+        raise ValueError(f"ncols must be nonnegative, got {n}")
     if any(len(row) != n for row in a):
         raise ValueError("ragged or mis-sized matrix")
 

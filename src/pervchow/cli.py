@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from . import abgroup, cocycles, cones, cycles, serialize
 from .perversity import GeneralizedBound
@@ -35,6 +35,7 @@ class Report:
     verdicts: list[Verdict] = field(default_factory=list)
     values: dict[str, Any] = field(default_factory=dict)
     error: str | None = None
+    pretty: bool = False
 
     @property
     def ok(self) -> bool:
@@ -79,7 +80,7 @@ def _load(text: str) -> Any:
     if s.startswith(("{", "[")):
         try:
             return json.loads(s)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InputError(f"invalid JSON: {exc}") from exc
     path = Path(s)
     if path.suffix == ".json" or path.is_file():
@@ -87,7 +88,7 @@ def _load(text: str) -> Any:
             return json.loads(path.read_text())
         except OSError as exc:
             raise InputError(f"cannot read {s!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InputError(f"invalid JSON in {s!r}: {exc}") from exc
     return s
 
@@ -104,42 +105,29 @@ def _bound(text: str, *, perversity: bool = False) -> GeneralizedBound:
 
 
 def _cmd_validate(args: argparse.Namespace, report: Report) -> None:
-    provided = False
-    checks: list[tuple[str, Any]] = [
-        ("perversity", lambda: serialize.parse_bound(_load(args.perversity), perversity=True)),
-        ("bound", lambda: serialize.parse_bound(_load(args.bound))),
-        ("strata", lambda: serialize.parse_stratification(_load(args.strata))),
-        ("ring", lambda: serialize.parse_ring(_load(args.ring))),
-    ]
-    for name, thunk in checks:
-        if getattr(args, name.replace("-", "_")) is None:
-            continue
-        provided = True
-        try:
-            thunk()
-            report.verdicts.append(Verdict(f"valid-{name}", True, f"{name} document is valid"))
-        except InputError as exc:
-            report.verdicts.append(Verdict(f"valid-{name}", False, str(exc)))
-    if args.pattern is not None or args.cocycle is not None or args.joint is not None:
+    strata = None
+    if any(getattr(args, name) is not None for name in ("pattern", "cocycle", "joint")):
         if args.strata is None:
             raise InputError("--strata is required to validate patterns")
         strata = _strata(args)
-        for name, parser in (
-            ("pattern", serialize.parse_pattern),
-            ("cocycle", serialize.parse_cocycle),
-            ("joint", serialize.parse_joint),
-        ):
-            raw = getattr(args, name)
-            if raw is None:
-                continue
-            provided = True
-            try:
-                parser(_load(raw), strata)
-                report.verdicts.append(Verdict(f"valid-{name}", True, f"{name} document is valid"))
-            except InputError as exc:
-                report.verdicts.append(Verdict(f"valid-{name}", False, str(exc)))
+    parsers: list[tuple[str, Callable[[Any], Any]]] = [
+        ("perversity", lambda doc: serialize.parse_bound(doc, perversity=True)),
+        ("bound", serialize.parse_bound),
+        ("strata", serialize.parse_stratification),
+        ("ring", serialize.parse_ring),
+        ("pattern", lambda doc: serialize.parse_pattern(doc, strata)),
+        ("cocycle", lambda doc: serialize.parse_cocycle(doc, strata)),
+        ("joint", lambda doc: serialize.parse_joint(doc, strata)),
+    ]
+    provided = [(name, parse) for name, parse in parsers if getattr(args, name) is not None]
     if not provided:
         raise InputError("nothing to validate; pass at least one document")
+    for name, parse in provided:
+        try:
+            parse(_load(getattr(args, name)))
+            report.verdicts.append(Verdict(f"valid-{name}", True, f"{name} document is valid"))
+        except InputError as exc:
+            report.verdicts.append(Verdict(f"valid-{name}", False, str(exc)))
 
 
 def _summarize(rows: list[tuple], passed: bool) -> str:
@@ -299,20 +287,20 @@ def _cmd_exact(args: argparse.Namespace, report: Report) -> None:
     report.values["exact"] = verdict
 
 
+def _comparison_key(r: int, p_from: int, p_to: int) -> str:
+    return f"r{r}:{p_from}->{p_to}"
+
+
 def _catalog_values(catalog: cones.ZobelCatalog) -> dict[str, Any]:
     values: dict[str, Any] = {"cone": "zobel", "base": catalog.cone.base.name}
     values["groups"] = {
         f"r={r},p={p}": serialize.group_to_json(cones.chow_group(catalog.cone, r, p))
         for (r, p) in sorted(catalog.expected_groups)
     }
-    comparisons = {}
-    for key in sorted(catalog.expected_comparisons):
-        r_part, move = key.split(":")
-        r = int(r_part[1:])
-        p_from, p_to = (int(x) for x in move.split("->"))
-        m = cones.comparison_map(catalog.cone, r, p_from, p_to)
-        comparisons[key] = [list(row) for row in m.matrix]
-    values["comparisons"] = comparisons
+    values["comparisons"] = {
+        _comparison_key(*key): [list(row) for row in cones.comparison_map(catalog.cone, *key).matrix]
+        for key in sorted(catalog.expected_comparisons)
+    }
     values["classes"] = {
         name: serialize.cone_class_to_json(cls) for name, cls in sorted(catalog.classes.items())
     }
@@ -320,10 +308,8 @@ def _catalog_values(catalog: cones.ZobelCatalog) -> dict[str, Any]:
     for key in sorted(catalog.expected_pairings):
         expected = catalog.expected_pairings[key]
         if expected["kind"] == "rejected":
-            a = catalog.cone.cls(2, 2, [1, 0])
-            b = catalog.cone.cls(1, 2, [1])
             try:
-                cones.intersect(a, b)
+                cones.intersect(*expected["operands"])
                 pairings[key] = {"kind": "unexpected-success"}
             except cones.ConeProductError as exc:
                 pairings[key] = {"kind": "rejected", "message": str(exc)}
@@ -354,9 +340,10 @@ def _catalog_verdicts(catalog: cones.ZobelCatalog, values: dict[str, Any]) -> li
             )
         )
     for key, matrix in sorted(catalog.expected_comparisons.items()):
-        got = values["comparisons"][key]
+        name = _comparison_key(*key)
+        got = values["comparisons"][name]
         ok = [list(row) for row in matrix] == got
-        verdicts.append(Verdict(f"comparison[{key}]", ok, f"expected {[list(r) for r in matrix]}, got {got}"))
+        verdicts.append(Verdict(f"comparison[{name}]", ok, f"expected {[list(r) for r in matrix]}, got {got}"))
     for key, expected in sorted(catalog.expected_pairings.items()):
         got = values["pairings"][key]
         if expected["kind"] == "rejected":
@@ -388,186 +375,147 @@ def _cmd_catalog(args: argparse.Namespace, report: Report) -> None:
         report.verdicts.extend(_catalog_verdicts(catalog, values))
 
 
-COMMAND_SCHEMAS: dict[str, dict] = {
-    "validate": {
-        "description": "Validate any provided documents against their schemas.",
-        "inputs": {
-            "--perversity": "integer array [p_1, ..., p_d], p_1 = 0, unit steps",
-            "--bound": "nondecreasing array of nonnegative integers",
-            "--strata": "stratification object {dim, strata: [{i, codim, label}], model} or vertex<d>",
-            "--pattern": "cycle pattern {dim, incidence: {\"1\": int|\"empty\", ...}} (needs --strata)",
-            "--cocycle": "cocycle {t, targetDim, excess: {\"1\": int, ...}} (needs --strata)",
-            "--joint": "joint pattern {a, b, joint, total} (needs --strata)",
-            "--ring": "ring presentation object or built-in name",
-        },
-    },
-    "check-cycle": {
-        "description": "Check a cycle pattern against a perversity-style bound.",
-        "inputs": {
-            "--pattern": "cycle pattern {dim, incidence: {\"1\": int|\"empty\", ...}}",
-            "--perversity": "integer array bound",
-            "--strata": "stratification document or vertex<d>",
-        },
-    },
-    "check-cocycle": {
-        "description": "Check a cocycle excess profile against a bound.",
-        "inputs": {
-            "--cocycle": "cocycle {t, targetDim, excess: {\"1\": int, ...}}",
-            "--perversity": "integer array bound",
-            "--strata": "stratification document or vertex<d>",
-        },
-    },
-    "check-star": {
-        "description": "Check the pairwise intersection condition for two patterns.",
-        "inputs": {
-            "--joint": "joint pattern {a: pattern, b: pattern, joint: {\"1\": int|\"empty\"}, total: int|\"empty\"}",
-            "--c": "integer array shift bound c",
-            "--strata": "stratification document or vertex<d>",
-        },
-    },
-    "push": {
-        "description": "Proper pushforward of a cycle pattern along collapse data.",
-        "inputs": {
-            "--pattern": "cycle pattern",
-            "--c": "collapse perversity [c_1, ..., c_d]",
-            "--strata": "stratification document or vertex<d>",
-        },
-    },
-    "pull": {
-        "description": "Flat pullback of a cycle pattern by relative dimension e.",
-        "inputs": {
-            "--pattern": "cycle pattern",
-            "--e": "relative dimension (nonnegative integer)",
-            "--strata": "stratification document or vertex<d>",
-        },
-    },
-    "suspend": {
-        "description": "Suspend a stratification, and a pattern if provided.",
-        "inputs": {
-            "--strata": "stratification document or vertex<d>",
-            "--pattern": "optional cycle pattern",
-        },
-    },
-    "join": {
-        "description": "Fiberwise join of two projective-space valued cocycles.",
-        "inputs": {
-            "--a": "cocycle with t == targetDim",
-            "--b": "cocycle with t == targetDim",
-            "--strata": "stratification document or vertex<d>",
-        },
-    },
-    "slice": {
-        "description": "Slice a cocycle with t generic hyperplanes into a cycle pattern.",
-        "inputs": {
-            "--cocycle": "cocycle with t == targetDim",
-            "--count": "optional hyperplane count (defaults to t; must equal t)",
-            "--against": "optional cycle pattern; adds a properness joint-pattern certificate",
-            "--strata": "stratification document or vertex<d>",
-        },
-    },
-    "cap": {
-        "description": "Cap product of a cocycle with a cycle pattern.",
-        "inputs": {
-            "--cocycle": "cocycle with t == targetDim",
-            "--pattern": "cycle pattern of dimension >= t",
-            "--strata": "stratification document or vertex<d>",
-        },
-    },
-    "groups": {
-        "description": "Cycle class group of a cone in dimension r at vertex bound p.",
-        "inputs": {
-            "--cone": "'zobel', a built-in base name, or {base: <ring>}",
-            "--r": "cycle dimension",
-            "--p": "vertex excess bound",
-        },
-    },
-    "intersect": {
-        "description": "Three-case intersection product of two cone classes.",
-        "inputs": {
-            "--cone": "'zobel', a built-in base name, or {base: <ring>}",
-            "--a": "cone class {r, p, payload} or mode:r[:p]:(coeffs)",
-            "--b": "cone class {r, p, payload} or mode:r[:p]:(coeffs)",
-        },
-    },
-    "pairing": {
-        "description": "Intersection pairing value (degree when the product has dimension 0).",
-        "inputs": {
-            "--cone": "'zobel', a built-in base name, or {base: <ring>}",
-            "--a": "cone class document or compact spec",
-            "--b": "cone class document or compact spec",
-        },
-    },
-    "compare": {
-        "description": "Canonical comparison map between vertex bounds p-from <= p-to.",
-        "inputs": {
-            "--cone": "'zobel', a built-in base name, or {base: <ring>}",
-            "--r": "cycle dimension",
-            "--p-from": "smaller vertex bound",
-            "--p-to": "larger vertex bound",
-        },
-    },
-    "snf": {
-        "description": "Smith normal form of an integer matrix.",
-        "inputs": {
-            "--matrix": "array of integer rows",
-            "--ncols": "optional column count for matrices with no rows",
-        },
-    },
-    "exact": {
-        "description": "Exactness of A -f-> B -g-> C at the middle group.",
-        "inputs": {
-            "--f": "group map {source: {rank, relations}, target: {...}, matrix}",
-            "--g": "group map {source: {rank, relations}, target: {...}, matrix}",
-        },
-    },
-    "catalog": {
-        "description": "Print the group/comparison/pairing table of a named catalog.",
-        "inputs": {
-            "name": "catalog name (zobel)",
-            "--verify": "also check the table against its frozen expectations",
-        },
-    },
-    "schema": {
-        "description": "Print the input schema for a command.",
-        "inputs": {"name": "command name"},
-    },
-}
-
-
-def emit_schema(command: str) -> dict:
-    """The input schema document for ``command``."""
-    if command not in COMMAND_SCHEMAS:
-        raise InputError(f"unknown command {command!r}")
-    doc = {"schema": SCHEMA_VERSION, "command": command}
-    doc.update(COMMAND_SCHEMAS[command])
-    return doc
-
-
 def _cmd_schema(args: argparse.Namespace, report: Report) -> None:
     report.values["schema_of"] = args.name
     report.values.update(emit_schema(args.name))
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "check-cycle": _cmd_check_cycle,
-    "check-cocycle": _cmd_check_cocycle,
-    "check-star": _cmd_check_star,
-    "push": _cmd_push,
-    "pull": _cmd_pull,
-    "suspend": _cmd_suspend,
-    "join": _cmd_join,
-    "slice": _cmd_slice,
-    "cap": _cmd_cap,
-    "groups": _cmd_groups,
-    "intersect": _cmd_intersect,
-    "pairing": _cmd_pairing,
-    "compare": _cmd_compare,
-    "snf": _cmd_snf,
-    "exact": _cmd_exact,
-    "catalog": _cmd_catalog,
-    "schema": _cmd_schema,
+# -- the command table -----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its handler, what it does, and what it reads.
+
+    ``inputs`` maps each flag or positional name to its schema text and the
+    keywords that declare it to argparse.  The ``schema`` command, the
+    argument parser and dispatch are all derived from :data:`COMMANDS`.
+    """
+
+    handler: Callable[[argparse.Namespace, Report], None]
+    description: str
+    inputs: dict[str, tuple[str, dict[str, Any]]]
+
+
+_PLAIN: dict[str, Any] = {}  # argparse defaults: an optional flag or a required positional
+_REQUIRED = {"required": True}
+_REQUIRED_INT = {"type": int, "required": True}
+_STRATA = ("stratification document or vertex<d>", _REQUIRED)
+_CONE = ("'zobel', a built-in base name, or {base: <ring>}", _REQUIRED)
+_COCYCLE = ("cocycle with t == targetDim", _REQUIRED)
+_CONE_CLASS = ("cone class {r, p, payload} or mode:r[:p]:(coeffs)", _REQUIRED)
+_GROUP_MAP = ("group map {source: {rank, relations}, target: {...}, matrix}", _REQUIRED)
+
+COMMANDS: dict[str, Command] = {
+    "validate": Command(_cmd_validate, "Validate any provided documents against their schemas.", {
+        "--perversity": ("integer array [p_1, ..., p_d], p_1 = 0, unit steps", _PLAIN),
+        "--bound": ("nondecreasing array of nonnegative integers", _PLAIN),
+        "--strata": ("stratification object {dim, strata: [{i, codim, label}], model} or vertex<d>", _PLAIN),
+        "--pattern": ("cycle pattern {dim, incidence: {\"1\": int|\"empty\", ...}} (needs --strata)", _PLAIN),
+        "--cocycle": ("cocycle {t, targetDim, excess: {\"1\": int, ...}} (needs --strata)", _PLAIN),
+        "--joint": ("joint pattern {a, b, joint, total} (needs --strata)", _PLAIN),
+        "--ring": ("ring presentation object or built-in name", _PLAIN),
+    }),
+    "check-cycle": Command(_cmd_check_cycle, "Check a cycle pattern against a perversity-style bound.", {
+        "--pattern": ("cycle pattern {dim, incidence: {\"1\": int|\"empty\", ...}}", _REQUIRED),
+        "--perversity": ("integer array bound", _REQUIRED),
+        "--strata": _STRATA,
+    }),
+    "check-cocycle": Command(_cmd_check_cocycle, "Check a cocycle excess profile against a bound.", {
+        "--cocycle": ("cocycle {t, targetDim, excess: {\"1\": int, ...}}", _REQUIRED),
+        "--perversity": ("integer array bound", _REQUIRED),
+        "--strata": _STRATA,
+    }),
+    "check-star": Command(_cmd_check_star, "Check the pairwise intersection condition for two patterns.", {
+        "--joint": (
+            "joint pattern {a: pattern, b: pattern, joint: {\"1\": int|\"empty\"}, total: int|\"empty\"}",
+            _REQUIRED,
+        ),
+        "--c": ("integer array shift bound c", _REQUIRED),
+        "--strata": _STRATA,
+    }),
+    "push": Command(_cmd_push, "Proper pushforward of a cycle pattern along collapse data.", {
+        "--pattern": ("cycle pattern", _REQUIRED),
+        "--c": ("collapse perversity [c_1, ..., c_d]", _REQUIRED),
+        "--strata": _STRATA,
+    }),
+    "pull": Command(_cmd_pull, "Flat pullback of a cycle pattern by relative dimension e.", {
+        "--pattern": ("cycle pattern", _REQUIRED),
+        "--e": ("relative dimension (nonnegative integer)", _REQUIRED_INT),
+        "--strata": _STRATA,
+    }),
+    "suspend": Command(_cmd_suspend, "Suspend a stratification, and a pattern if provided.", {
+        "--strata": _STRATA,
+        "--pattern": ("optional cycle pattern", _PLAIN),
+    }),
+    "join": Command(_cmd_join, "Fiberwise join of two projective-space valued cocycles.", {
+        "--a": _COCYCLE,
+        "--b": _COCYCLE,
+        "--strata": _STRATA,
+    }),
+    "slice": Command(_cmd_slice, "Slice a cocycle with t generic hyperplanes into a cycle pattern.", {
+        "--cocycle": _COCYCLE,
+        "--count": ("optional hyperplane count (defaults to t; must equal t)", {"type": int}),
+        "--against": ("optional cycle pattern; adds a properness joint-pattern certificate", _PLAIN),
+        "--strata": _STRATA,
+    }),
+    "cap": Command(_cmd_cap, "Cap product of a cocycle with a cycle pattern.", {
+        "--cocycle": _COCYCLE,
+        "--pattern": ("cycle pattern of dimension >= t", _REQUIRED),
+        "--strata": _STRATA,
+    }),
+    "groups": Command(_cmd_groups, "Cycle class group of a cone in dimension r at vertex bound p.", {
+        "--cone": _CONE,
+        "--r": ("cycle dimension", _REQUIRED_INT),
+        "--p": ("vertex excess bound", _REQUIRED_INT),
+    }),
+    "intersect": Command(_cmd_intersect, "Three-case intersection product of two cone classes.", {
+        "--cone": _CONE,
+        "--a": _CONE_CLASS,
+        "--b": _CONE_CLASS,
+    }),
+    "pairing": Command(_cmd_pairing, "Intersection pairing value (degree when the product has dimension 0).", {
+        "--cone": _CONE,
+        "--a": ("cone class document or compact spec", _REQUIRED),
+        "--b": ("cone class document or compact spec", _REQUIRED),
+    }),
+    "compare": Command(_cmd_compare, "Canonical comparison map between vertex bounds p-from <= p-to.", {
+        "--cone": _CONE,
+        "--r": ("cycle dimension", _REQUIRED_INT),
+        "--p-from": ("smaller vertex bound", _REQUIRED_INT),
+        "--p-to": ("larger vertex bound", _REQUIRED_INT),
+    }),
+    "snf": Command(_cmd_snf, "Smith normal form of an integer matrix.", {
+        "--matrix": ("array of integer rows", _REQUIRED),
+        "--ncols": ("optional column count for matrices with no rows", {"type": int}),
+    }),
+    "exact": Command(_cmd_exact, "Exactness of A -f-> B -g-> C at the middle group.", {
+        "--f": _GROUP_MAP,
+        "--g": _GROUP_MAP,
+    }),
+    "catalog": Command(_cmd_catalog, "Print the group/comparison/pairing table of a named catalog.", {
+        "name": ("catalog name (zobel)", _PLAIN),
+        "--verify": ("also check the table against its frozen expectations", {"action": "store_true"}),
+    }),
+    "schema": Command(_cmd_schema, "Print the input schema for a command.", {
+        "name": ("command name", _PLAIN),
+    }),
 }
+
+_HANDLERS = {name: command.handler for name, command in COMMANDS.items()}
+
+
+def emit_schema(name: str) -> dict:
+    """The input schema document for command ``name``."""
+    if name not in COMMANDS:
+        raise InputError(f"unknown command {name!r}")
+    command = COMMANDS[name]
+    return {
+        "schema": SCHEMA_VERSION,
+        "command": name,
+        "description": command.description,
+        "inputs": {flag: text for flag, (text, _) in command.inputs.items()},
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -577,100 +525,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--pretty", action="store_true", help="human-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="validate documents")
-    for flag in ("--perversity", "--bound", "--strata", "--pattern", "--cocycle", "--joint", "--ring"):
-        p.add_argument(flag)
-
-    p = sub.add_parser("check-cycle", help="perversity membership of a cycle pattern")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--perversity", required=True)
-    p.add_argument("--strata", required=True)
-
-    p = sub.add_parser("check-cocycle", help="membership of a cocycle excess profile")
-    p.add_argument("--cocycle", required=True)
-    p.add_argument("--perversity", required=True)
-    p.add_argument("--strata", required=True)
-
-    p = sub.add_parser("check-star", help="pairwise intersection condition")
-    p.add_argument("--joint", required=True)
-    p.add_argument("--c", required=True)
-    p.add_argument("--strata", required=True)
-
-    p = sub.add_parser("push", help="proper pushforward of a pattern")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--c", required=True)
-    p.add_argument("--strata", required=True)
-
-    p = sub.add_parser("pull", help="flat pullback of a pattern")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--strata", required=True)
-
-    p = sub.add_parser("suspend", help="suspend strata (and optionally a pattern)")
-    p.add_argument("--strata", required=True)
-    p.add_argument("--pattern")
-
-    p = sub.add_parser("join", help="fiberwise join of cocycles")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--strata", required=True)
-
-    p = sub.add_parser("slice", help="slice a cocycle into a cycle pattern")
-    p.add_argument("--cocycle", required=True)
-    p.add_argument("--count", type=int)
-    p.add_argument("--against")
-    p.add_argument("--strata", required=True)
-
-    p = sub.add_parser("cap", help="cap product of a cocycle with a pattern")
-    p.add_argument("--cocycle", required=True)
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--strata", required=True)
-
-    p = sub.add_parser("groups", help="cone cycle class group")
-    p.add_argument("--cone", required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-
-    p = sub.add_parser("intersect", help="intersection product of cone classes")
-    p.add_argument("--cone", required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-
-    p = sub.add_parser("pairing", help="intersection pairing value")
-    p.add_argument("--cone", required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-
-    p = sub.add_parser("compare", help="comparison map between vertex bounds")
-    p.add_argument("--cone", required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--p-from", dest="p_from", type=int, required=True)
-    p.add_argument("--p-to", dest="p_to", type=int, required=True)
-
-    p = sub.add_parser("snf", help="Smith normal form of an integer matrix")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--ncols", type=int)
-
-    p = sub.add_parser("exact", help="exactness of a two-step sequence of group maps")
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-
-    p = sub.add_parser("catalog", help="named catalog of groups and pairings")
-    p.add_argument("name")
-    p.add_argument("--verify", action="store_true")
-
-    p = sub.add_parser("schema", help="input schema of a command")
-    p.add_argument("name")
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.description, description=command.description)
+        # SUPPRESS keeps a --pretty given before the command from being reset
+        p.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS, help="human-readable output")
+        for flag, (text, keywords) in command.inputs.items():
+            p.add_argument(flag, help=text, **keywords)
     return parser
 
 
 def run(argv: list[str]) -> Report:
     """Parse arguments, dispatch, and return the report (no printing)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    report = Report(command=args.command)
+    args = build_parser().parse_args(argv)
+    report = Report(command=args.command, pretty=args.pretty)
     try:
         _HANDLERS[args.command](args, report)
     except ValueError as exc:  # covers InputError and precondition violations
@@ -679,12 +546,8 @@ def run(argv: list[str]) -> Report:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else argv
-    pretty = "--pretty" in argv
-    if pretty:
-        argv = [a for a in argv if a != "--pretty"]
-    report = run(argv)
-    sys.stdout.write(report.render(pretty))
+    report = run(sys.argv[1:] if argv is None else argv)
+    sys.stdout.write(report.render(report.pretty))
     return report.exit_code
 
 

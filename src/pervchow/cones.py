@@ -238,13 +238,16 @@ class ZobelCatalog:
     two rulings ``L`` and ``M`` sitting in the smooth locus, the cone line
     ``N`` through the vertex, and ``D``, the cone over a horizontal ruling
     (the same class as ``Ce``).  ``expected_*`` freeze the known group,
-    comparison and pairing tables for verification.
+    comparison and pairing tables for verification: groups are keyed by
+    ``(r, p)``, comparison maps by ``(r, p_from, p_to)``, and pairings by
+    ``"<left>*<right>"`` class names; the rejected pair carries its two
+    operands under ``"operands"``.
     """
 
     cone: ConeVariety
     classes: Mapping[str, ConeClass]
     expected_groups: Mapping[tuple[int, int], tuple[int, tuple[int, ...]]]
-    expected_comparisons: Mapping[str, tuple[tuple[int, ...], ...]]
+    expected_comparisons: Mapping[tuple[int, int, int], tuple[tuple[int, ...], ...]]
     expected_pairings: Mapping[str, Mapping]
 
 
@@ -273,11 +276,12 @@ def zobel() -> ZobelCatalog:
         (3, 0): (1, ()), (3, 1): (1, ()), (3, 2): (1, ()),
     }
     expected_comparisons = {
-        "r2:0->1": ((1,), (1,)),
-        "r2:1->2": ((1, 0), (0, 1)),
-        "r1:0->1": ((1, 0), (0, 1)),
-        "r1:0->2": ((1, 1),),
+        (2, 0, 1): ((1,), (1,)),
+        (2, 1, 2): ((1, 0), (0, 1)),
+        (1, 0, 1): ((1, 0), (0, 1)),
+        (1, 0, 2): ((1, 1),),
     }
+    top2, top1 = cone.cls(2, 2, [1, 0]), cone.cls(1, 2, [1])  # both at the top bound
     expected_pairings = {
         "Ce*Cf": {"kind": "class", "mode": "allowed", "r": 1, "p": 2, "payload": (1,)},
         "Ce*Ce": {"kind": "class", "mode": "allowed", "r": 1, "p": 2, "payload": (0,)},
@@ -288,7 +292,7 @@ def zobel() -> ZobelCatalog:
         "H*N": {"kind": "degree", "value": 1},
         "H*H": {"kind": "class", "mode": "disallowed", "r": 1, "p": 0, "payload": (1, 1)},
         "H*Ce": {"kind": "class", "mode": "disallowed", "r": 1, "p": 1, "payload": (1, 0)},
-        "top(r=2)*top(r=1)": {"kind": "rejected"},
+        "top(r=2)*top(r=1)": {"kind": "rejected", "operands": (top2, top1)},
     }
     return ZobelCatalog(
         cone,

@@ -27,6 +27,13 @@ class InputError(ValueError):
     """A document does not match the expected schema."""
 
 
+def _int(x: Any) -> int:
+    """An integer field: a JSON integer or a digit string, never a bool or float."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise InputError(f"expected an integer, got {x!r}")
+    return int(x)
+
+
 # -- bounds ------------------------------------------------------------
 
 
@@ -42,6 +49,7 @@ def parse_bound(data: Any, *, perversity: bool = False) -> GeneralizedBound:
     else:
         raise InputError(f"a bound must be an integer array, got {type(data).__name__}")
     try:
+        entries = [_int(v) for v in entries]
         return Perversity(entries) if perversity else GeneralizedBound(entries)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
@@ -66,7 +74,7 @@ def _model_from_json(data: Any) -> ModelTag:
     if isinstance(data, Mapping) and data.get("kind") == "product":
         return ModelTag(
             "product",
-            fiber_dim=int(data["fiber_dim"]),
+            fiber_dim=_int(data["fiber_dim"]),
             base=_model_from_json(data.get("base", "generic")),
         )
     raise InputError(f"unknown stratification model {data!r}")
@@ -89,16 +97,16 @@ def parse_stratification(data: Any) -> Stratification:
     if isinstance(data, str):
         m = re.fullmatch(r"vertex(\d+)", data.strip())
         if m:
-            return isolated_vertex(int(m.group(1)))
+            return isolated_vertex(_int(m.group(1)))
         raise InputError(f"unknown stratification shorthand {data!r} (expected vertex<d>)")
     if not isinstance(data, Mapping):
         raise InputError("a stratification must be an object or a shorthand string")
     try:
         strata = tuple(
-            StratumSpec(int(st["i"]), int(st["codim"]), str(st.get("label", "")))
+            StratumSpec(_int(st["i"]), _int(st["codim"]), str(st.get("label", "")))
             for st in data["strata"]
         )
-        return Stratification(int(data["dim"]), strata, _model_from_json(data.get("model")))
+        return Stratification(_int(data["dim"]), strata, _model_from_json(data.get("model")))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad stratification document: {exc}") from exc
 
@@ -116,14 +124,14 @@ def _incidence_from_json(data: Any, what: str) -> dict[int, int | None]:
     table: dict[int, int | None] = {}
     for key, value in data.items():
         try:
-            i = int(key)
+            i = _int(key)
         except (TypeError, ValueError) as exc:
             raise InputError(f"{what} key {key!r} is not a stratum index") from exc
         if value == "empty" or value is None:
             table[i] = None
         else:
             try:
-                table[i] = int(value)
+                table[i] = _int(value)
             except (TypeError, ValueError) as exc:
                 raise InputError(f"{what} value {value!r} is not an integer or 'empty'") from exc
     return table
@@ -144,7 +152,7 @@ def parse_pattern(data: Any, strata: Stratification) -> CyclePattern:
     try:
         return CyclePattern(
             strata,
-            int(data["dim"]),
+            _int(data["dim"]),
             _incidence_from_json(data["incidence"], "incidence"),
             data.get("label"),
         )
@@ -166,7 +174,7 @@ def parse_joint(data: Any, strata: Stratification) -> JointPattern:
         raise InputError("a joint pattern must be an object")
     try:
         total = data["total"]
-        total = None if total in ("empty", None) else int(total)
+        total = None if total in ("empty", None) else _int(total)
         return JointPattern(
             parse_pattern(data["a"], strata),
             parse_pattern(data["b"], strata),
@@ -194,8 +202,8 @@ def parse_cocycle(data: Any, strata: Stratification) -> CocyclePattern:
     if not isinstance(data, Mapping):
         raise InputError("a cocycle pattern must be an object")
     try:
-        excess = {int(k): int(v) for k, v in data["excess"].items()}
-        return CocyclePattern(strata, int(data["t"]), int(data["targetDim"]), excess)
+        excess = {_int(k): _int(v) for k, v in data["excess"].items()}
+        return CocyclePattern(strata, _int(data["t"]), _int(data["targetDim"]), excess)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InputError(f"bad cocycle pattern: {exc}") from exc
 
@@ -238,21 +246,21 @@ def parse_ring(data: Any) -> ChowRingPresentation:
     try:
         products = {
             (str(entry["a"]), str(entry["b"])): {
-                str(s): int(c) for s, c in entry["value"].items()
+                str(s): _int(c) for s, c in entry["value"].items()
             }
             for entry in data.get("products", [])
         }
         relations = {
-            int(k): [list(map(int, row)) for row in rows]
+            _int(k): [list(map(_int, row)) for row in rows]
             for k, rows in data.get("relations", {}).items()
         }
         return ChowRingPresentation(
             str(data.get("name", "user")),
-            int(data["dim"]),
+            _int(data["dim"]),
             data["basis"],
             products,
-            data.get("hyperplane", []),
-            data["degree"],
+            [_int(c) for c in data.get("hyperplane", [])],
+            [_int(c) for c in data["degree"]],
             relations or None,
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -296,12 +304,12 @@ def parse_cone_class(data: Any, cone: ConeVariety) -> ConeClass:
             raise InputError(
                 f"bad class spec {data!r}; expected mode:r[:p]:(coeffs) or a JSON object"
             )
-        mode, r = m.group(1), int(m.group(2))
+        mode, r = m.group(1), _int(m.group(2))
         if m.group(3) is not None:
-            p = int(m.group(3))
+            p = _int(m.group(3))
         else:
             p = max(0, d - r) if mode == "allowed" else 0
-        coeffs = [int(x) for x in m.group(4).split(",") if x.strip()] if m.group(4).strip() else []
+        coeffs = [_int(x) for x in m.group(4).split(",") if x.strip()] if m.group(4).strip() else []
         try:
             cls = cone.cls(r, p, coeffs)
         except ValueError as exc:
@@ -313,7 +321,12 @@ def parse_cone_class(data: Any, cone: ConeVariety) -> ConeClass:
         return cls
     if isinstance(data, Mapping):
         try:
-            cls = cone.cls(int(data["r"]), int(data["p"]), data["payload"])
+            payload = data["payload"]
+            if isinstance(payload, Mapping):
+                payload = {s: _int(c) for s, c in payload.items()}
+            else:
+                payload = [_int(c) for c in payload]
+            cls = cone.cls(_int(data["r"]), _int(data["p"]), payload)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad cone class: {exc}") from exc
         declared = data.get("mode")
@@ -346,8 +359,8 @@ def parse_group(data: Any) -> FpAbelianGroup:
         raise InputError("a group must be an object with rank and relations")
     try:
         return FpAbelianGroup(
-            int(data["rank"]),
-            tuple(tuple(int(x) for x in row) for row in data.get("relations", [])),
+            _int(data["rank"]),
+            tuple(tuple(_int(x) for x in row) for row in data.get("relations", [])),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad group presentation: {exc}") from exc
@@ -370,7 +383,7 @@ def parse_group_map(data: Any) -> GroupMap:
         return GroupMap(
             parse_group(data["source"]),
             parse_group(data["target"]),
-            tuple(tuple(int(x) for x in row) for row in data["matrix"]),
+            tuple(tuple(_int(x) for x in row) for row in data["matrix"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad group map: {exc}") from exc
@@ -380,7 +393,7 @@ def parse_matrix(data: Any) -> list[list[int]]:
     if not isinstance(data, (list, tuple)):
         raise InputError("a matrix must be an array of integer rows")
     try:
-        rows = [[int(x) for x in row] for row in data]
+        rows = [[_int(x) for x in row] for row in data]
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad matrix: {exc}") from exc
     if rows and any(len(r) != len(rows[0]) for r in rows):

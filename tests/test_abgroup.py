@@ -143,6 +143,11 @@ class TestSmithExamples:
         form = smith_normal_form([[], []], ncols=0)
         assert form.S == ((), ())
 
+    def test_negative_ncols_rejected(self):
+        for matrix in ([], [[], []]):
+            with pytest.raises(ValueError, match="ncols"):
+                smith_normal_form(matrix, ncols=-3)
+
     def test_wide_and_tall(self):
         for matrix in ([[4, 6, 10]], [[4], [6], [10]]):
             form = smith_normal_form(matrix)

@@ -304,3 +304,82 @@ class TestCatalog:
         captured = capsys.readouterr()
         assert code == 1
         assert "FAIL" in captured.out
+
+
+class TestCommandContract:
+    """The command surface that scripts and tools rely on."""
+
+    def test_schema_golden_all_commands(self):
+        from pervchow import cli
+
+        golden = json.loads((GOLDEN / "schema_commands.json").read_text())
+        assert sorted(golden) == sorted(cli._HANDLERS)
+        assert len(golden) == 18
+        for command, doc in golden.items():
+            expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            assert machine(run(["schema", command])) == expected, command
+
+    def test_pretty_before_or_after_command(self, capsys):
+        argv = ["check-cycle", "--pattern", N_PATTERN, "--perversity", "[0,0,0]", "--strata", "vertex3"]
+        outputs = []
+        for args in (["--pretty", *argv], [*argv, "--pretty"], [argv[0], "--pretty", *argv[1:]]):
+            assert main(args) == 1
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0].startswith("command: check-cycle\n[FAIL]")
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().out)["ok"] is False
+
+    def test_run_dispatches_through_handlers_at_call_time(self, monkeypatch):
+        from pervchow import cli
+
+        seen = []
+
+        def fake(args, report):
+            seen.append(args.matrix)
+            report.values["fake"] = True
+
+        monkeypatch.setitem(cli._HANDLERS, "snf", fake)
+        report = run(["snf", "--matrix", "[[2]]"])
+        assert seen == ["[[2]]"]
+        assert report.values == {"fake": True}
+
+
+class TestHostileInput:
+    """Malformed numbers and pathological JSON exit 2 with a report."""
+
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        for source in (str(path), "[" * 100000):
+            assert main(["snf", "--matrix", source]) == 2
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["schema"] == 1 and "JSON" in doc["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-cycle", "--pattern", L_PATTERN, "--perversity", "[0,0.9,1.5]", "--strata", "vertex3"],
+            ["check-cycle", "--pattern", L_PATTERN, "--perversity", "[0,false,true]", "--strata", "vertex3"],
+            ["check-cycle", "--pattern", L_PATTERN, "--perversity", "[0,null,1]", "--strata", "vertex3"],
+            ["snf", "--matrix", "[[1.5]]"],
+            ["snf", "--matrix", "[[true]]"],
+            ["intersect", "--cone", "zobel", "--a", '{"r":2.5,"p":1,"payload":[1.9,0]}', "--b", "allowed:2:(0,1)"],
+            ["intersect", "--cone", "zobel", "--a", '{"r":2,"p":1,"payload":[1.9,0]}', "--b", "allowed:2:(0,1)"],
+            ["groups", "--cone", '{"base":{"dim":1,"basis":[["1"],["h"]],"hyperplane":[1],"degree":[1.5]}}', "--r", "1", "--p", "0"],
+            ["pull", "--pattern", '{"dim":1.0,"incidence":{"1":0}}', "--e", "1", "--strata", "vertex1"],
+            ["join", "--a", '{"t":1,"targetDim":1,"excess":{"1":true}}', "--b",
+             '{"t":1,"targetDim":1,"excess":{"1":0}}', "--strata", "vertex1"],
+            ["exact", "--f", '{"source":{"rank":1},"target":{"rank":1.0},"matrix":[[1]]}', "--g",
+             '{"source":{"rank":1},"target":{"rank":0},"matrix":[]}'],
+        ],
+    )
+    def test_non_integer_numbers_exit_2(self, argv):
+        report = run(argv)
+        assert report.exit_code == 2, report.values
+        assert "integer" in report.error
+
+    def test_negative_ncols_exits_2(self):
+        report = run(["snf", "--matrix", "[]", "--ncols", "-3"])
+        assert report.exit_code == 2
+        assert "ncols" in report.error

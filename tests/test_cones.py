@@ -291,10 +291,8 @@ class TestZobelCatalog:
         cat = zobel()
         for (r, p), (free, torsion) in cat.expected_groups.items():
             assert invariant_factors(chow_group(cat.cone, r, p)) == (free, tuple(torsion))
-        for key, matrix in cat.expected_comparisons.items():
-            r_part, move = key.split(":")
-            p_from, p_to = (int(x) for x in move.split("->"))
-            assert comparison_map(cat.cone, int(r_part[1:]), p_from, p_to).matrix == matrix
+        for (r, p_from, p_to), matrix in cat.expected_comparisons.items():
+            assert comparison_map(cat.cone, r, p_from, p_to).matrix == matrix
 
 
 class TestConeOverP2:
