@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NoReturn
 
 from . import abgroup, cocycles, cones, cycles, serialize
 from .perversity import GeneralizedBound
@@ -83,7 +83,11 @@ def _load(text: str) -> Any:
         except (json.JSONDecodeError, RecursionError) as exc:
             raise InputError(f"invalid JSON: {exc}") from exc
     path = Path(s)
-    if path.suffix == ".json" or path.is_file():
+    try:
+        is_file = path.is_file()
+    except OSError:  # a name the file system cannot hold, such as an over-long one
+        is_file = False
+    if path.suffix == ".json" or is_file:
         try:
             return json.loads(path.read_text())
         except OSError as exc:
@@ -130,8 +134,11 @@ def _cmd_validate(args: argparse.Namespace, report: Report) -> None:
             report.verdicts.append(Verdict(f"valid-{name}", False, str(exc)))
 
 
-def _summarize(rows: list[tuple], passed: bool) -> str:
-    return "; ".join(text for *_, text in rows) if rows else ("ok" if passed else "failed")
+def _check(report: Report, rows: list[tuple], **values: Any) -> None:
+    """One verdict over per-stratum ``(key, ok, text)`` rows: it passes iff every row does."""
+    ok = all(row[1] for row in rows)
+    report.verdicts.append(Verdict(report.command, ok, "; ".join(row[2] for row in rows) or "ok"))
+    report.values.update(values)
 
 
 def _cmd_check_cycle(args: argparse.Namespace, report: Report) -> None:
@@ -139,10 +146,7 @@ def _cmd_check_cycle(args: argparse.Namespace, report: Report) -> None:
     pattern = serialize.parse_pattern(_load(args.pattern), strata)
     bound = _bound(args.perversity)
     rows = cycles.perversity_report(pattern, bound)
-    ok = all(r[1] for r in rows)
-    report.verdicts.append(Verdict("check-cycle", ok, _summarize(rows, ok)))
-    report.values["pattern"] = serialize.pattern_to_json(pattern)
-    report.values["perversity"] = serialize.bound_to_json(bound)
+    _check(report, rows, pattern=serialize.pattern_to_json(pattern), perversity=serialize.bound_to_json(bound))
 
 
 def _cmd_check_cocycle(args: argparse.Namespace, report: Report) -> None:
@@ -150,10 +154,7 @@ def _cmd_check_cocycle(args: argparse.Namespace, report: Report) -> None:
     pattern = serialize.parse_cocycle(_load(args.cocycle), strata)
     bound = _bound(args.perversity)
     rows = cocycles.cocycle_report(pattern, bound)
-    ok = all(r[1] for r in rows)
-    report.verdicts.append(Verdict("check-cocycle", ok, _summarize(rows, ok)))
-    report.values["cocycle"] = serialize.cocycle_to_json(pattern)
-    report.values["perversity"] = serialize.bound_to_json(bound)
+    _check(report, rows, cocycle=serialize.cocycle_to_json(pattern), perversity=serialize.bound_to_json(bound))
 
 
 def _cmd_check_star(args: argparse.Namespace, report: Report) -> None:
@@ -161,10 +162,7 @@ def _cmd_check_star(args: argparse.Namespace, report: Report) -> None:
     joint = serialize.parse_joint(_load(args.joint), strata)
     c = _bound(args.c)
     rows = cycles.star_report(joint, c)
-    ok = all(r[1] for r in rows)
-    report.verdicts.append(Verdict("check-star", ok, _summarize(rows, ok)))
-    report.values["joint"] = serialize.joint_to_json(joint)
-    report.values["c"] = serialize.bound_to_json(c)
+    _check(report, rows, joint=serialize.joint_to_json(joint), c=serialize.bound_to_json(c))
 
 
 def _cmd_push(args: argparse.Namespace, report: Report) -> None:
@@ -287,92 +285,58 @@ def _cmd_exact(args: argparse.Namespace, report: Report) -> None:
     report.values["exact"] = verdict
 
 
-def _comparison_key(r: int, p_from: int, p_to: int) -> str:
-    return f"r{r}:{p_from}->{p_to}"
-
-
-def _catalog_values(catalog: cones.ZobelCatalog) -> dict[str, Any]:
-    values: dict[str, Any] = {"cone": "zobel", "base": catalog.cone.base.name}
-    values["groups"] = {
-        f"r={r},p={p}": serialize.group_to_json(cones.chow_group(catalog.cone, r, p))
-        for (r, p) in sorted(catalog.expected_groups)
-    }
-    values["comparisons"] = {
-        _comparison_key(*key): [list(row) for row in cones.comparison_map(catalog.cone, *key).matrix]
-        for key in sorted(catalog.expected_comparisons)
-    }
-    values["classes"] = {
-        name: serialize.cone_class_to_json(cls) for name, cls in sorted(catalog.classes.items())
-    }
-    pairings: dict[str, Any] = {}
-    for key in sorted(catalog.expected_pairings):
-        expected = catalog.expected_pairings[key]
-        if expected["kind"] == "rejected":
-            try:
-                cones.intersect(*expected["operands"])
-                pairings[key] = {"kind": "unexpected-success"}
-            except cones.ConeProductError as exc:
-                pairings[key] = {"kind": "rejected", "message": str(exc)}
-            continue
-        left, right = key.split("*")
-        a, b = catalog.classes[left], catalog.classes[right]
-        if expected["kind"] == "degree":
-            pairings[key] = {"kind": "degree", "value": cones.degree_pairing(a, b)}
-        else:
-            result = cones.intersect(a, b)
-            doc = serialize.cone_class_to_json(result)
-            doc["kind"] = "class"
-            pairings[key] = doc
-    values["pairings"] = pairings
-    return values
-
-
-def _catalog_verdicts(catalog: cones.ZobelCatalog, values: dict[str, Any]) -> list[Verdict]:
-    verdicts = []
-    for (r, p), (free, torsion) in sorted(catalog.expected_groups.items()):
-        got = values["groups"][f"r={r},p={p}"]
-        ok = got["free_rank"] == free and tuple(got["torsion"]) == tuple(torsion)
-        verdicts.append(
-            Verdict(
-                f"group[r={r},p={p}]",
-                ok,
-                f"expected free rank {free}, torsion {list(torsion)}; got {got['name']}",
-            )
-        )
-    for key, matrix in sorted(catalog.expected_comparisons.items()):
-        name = _comparison_key(*key)
-        got = values["comparisons"][name]
-        ok = [list(row) for row in matrix] == got
-        verdicts.append(Verdict(f"comparison[{name}]", ok, f"expected {[list(r) for r in matrix]}, got {got}"))
-    for key, expected in sorted(catalog.expected_pairings.items()):
-        got = values["pairings"][key]
-        if expected["kind"] == "rejected":
-            ok = got["kind"] == "rejected"
-            text = "undefined pairing rejected" if ok else f"expected rejection, got {got}"
-        elif expected["kind"] == "degree":
-            ok = got["kind"] == "degree" and got["value"] == expected["value"]
-            text = f"expected degree {expected['value']}, got {got.get('value')}"
-        else:
-            ok = (
-                got["kind"] == "class"
-                and got["mode"] == expected["mode"]
-                and got["r"] == expected["r"]
-                and got["p"] == expected["p"]
-                and got["payload"] == list(expected["payload"])
-            )
-            text = f"expected {expected['mode']} payload {list(expected['payload'])}, got {got.get('payload')}"
-        verdicts.append(Verdict(f"pairing[{key}]", ok, text))
-    return verdicts
-
-
 def _cmd_catalog(args: argparse.Namespace, report: Report) -> None:
     if args.name != "zobel":
         raise InputError(f"unknown catalog {args.name!r}; available: zobel")
     catalog = cones.zobel()
-    values = _catalog_values(catalog)
-    report.values.update(values)
+    cone = catalog.cone
+    verdicts = []
+    groups: dict[str, Any] = {}
+    for (r, p), (free, torsion) in sorted(catalog.expected_groups.items()):
+        got = groups[f"r={r},p={p}"] = serialize.group_to_json(cones.chow_group(cone, r, p))
+        ok = got["free_rank"] == free and tuple(got["torsion"]) == tuple(torsion)
+        text = f"expected free rank {free}, torsion {list(torsion)}; got {got['name']}"
+        verdicts.append(Verdict(f"group[r={r},p={p}]", ok, text))
+    comparisons: dict[str, Any] = {}
+    for (r, p_from, p_to), matrix in sorted(catalog.expected_comparisons.items()):
+        name = f"r{r}:{p_from}->{p_to}"
+        got = comparisons[name] = [list(row) for row in cones.comparison_map(cone, r, p_from, p_to).matrix]
+        expected = [list(row) for row in matrix]
+        verdicts.append(Verdict(f"comparison[{name}]", expected == got, f"expected {expected}, got {got}"))
+    pairings: dict[str, Any] = {}
+    for key, expected in sorted(catalog.expected_pairings.items()):
+        if expected["kind"] == "rejected":
+            try:
+                cones.intersect(*expected["operands"])
+                got = {"kind": "unexpected-success"}
+            except cones.ConeProductError as exc:
+                got = {"kind": "rejected", "message": str(exc)}
+            ok = got["kind"] == "rejected"
+            text = "undefined pairing rejected" if ok else f"expected rejection, got {got}"
+        else:
+            left, right = key.split("*")
+            a, b = catalog.classes[left], catalog.classes[right]
+            if expected["kind"] == "degree":
+                got = {"kind": "degree", "value": cones.degree_pairing(a, b)}
+                ok = got["value"] == expected["value"]
+                text = f"expected degree {expected['value']}, got {got['value']}"
+            else:
+                got = {**serialize.cone_class_to_json(cones.intersect(a, b)), "kind": "class"}
+                payload = list(expected["payload"])
+                ok = all(got[k] == expected[k] for k in ("mode", "r", "p")) and got["payload"] == payload
+                text = f"expected {expected['mode']} payload {payload}, got {got['payload']}"
+        pairings[key] = got
+        verdicts.append(Verdict(f"pairing[{key}]", ok, text))
+    report.values.update(
+        cone="zobel",
+        base=cone.base.name,
+        groups=groups,
+        comparisons=comparisons,
+        classes={name: serialize.cone_class_to_json(cls) for name, cls in sorted(catalog.classes.items())},
+        pairings=pairings,
+    )
     if args.verify:
-        report.verdicts.extend(_catalog_verdicts(catalog, values))
+        report.verdicts.extend(verdicts)
 
 
 def _cmd_schema(args: argparse.Namespace, report: Report) -> None:
@@ -518,8 +482,22 @@ def emit_schema(name: str) -> dict:
     }
 
 
+class _UsageError(InputError):
+    """Arguments the parser rejects; ``command`` names the (sub)command whose parser rejected them."""
+
+    def __init__(self, command: str, message: str) -> None:
+        super().__init__(message)
+        self.command = command
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        # the default prints usage to stderr and exits; report it like any malformed input
+        raise _UsageError(self.prog.removeprefix("pervchow "), message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pervchow",
         description="Exact checks and products for perversity incidence data on stratified varieties.",
     )
@@ -536,7 +514,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str]) -> Report:
     """Parse arguments, dispatch, and return the report (no printing)."""
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        return Report(command=exc.command, error=str(exc))
     report = Report(command=args.command, pretty=args.pretty)
     try:
         _HANDLERS[args.command](args, report)

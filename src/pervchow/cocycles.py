@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .cycles import CyclePattern, Incidence, JointPattern
+from .cycles import CyclePattern, Incidence, JointPattern, _normalize_incidence, _require_depth, _verdict
 from .perversity import GeneralizedBound
 from .strata import Stratification
 
@@ -36,11 +36,7 @@ class CocyclePattern:
             raise ValueError(
                 f"codimension t={self.t} must lie in 0..target_dim={self.target_dim}"
             )
-        table = {int(i): int(v) for i, v in self.excess.items()}
-        if set(table) != set(self.strata.indices()):
-            raise ValueError(
-                f"excess must declare exactly the stratum indices {list(self.strata.indices())}"
-            )
+        table = _normalize_incidence(self.strata, self.excess, "excess", show_keys=False)
         for i, v in table.items():
             if v < 0:
                 raise ValueError(f"excess at stratum {i} must be nonnegative")
@@ -55,18 +51,12 @@ class CocyclePattern:
 
 
 def cocycle_report(pattern: CocyclePattern, bound: GeneralizedBound) -> list[tuple[int, bool, str]]:
-    if bound.depth != pattern.strata.depth:
-        raise ValueError(
-            f"depth mismatch: bound has {bound.depth} entries, stratification depth is {pattern.strata.depth}"
-        )
-    rows = []
-    for i in pattern.strata.indices():
-        e = pattern.excess[i]
-        ok = e <= bound.at(i)
-        rows.append(
-            (i, ok, f"i={i}: excess {e} <= p_i = {bound.at(i)}: " + ("ok" if ok else "violated"))
-        )
-    return rows
+    """Per-stratum verdicts for the excess inequality excess_i <= p_i."""
+    _require_depth(pattern.strata, bound)
+    return [
+        (i, *_verdict(f"i={i}", pattern.excess[i], bound.at(i), "p_i", what="excess"))
+        for i in pattern.strata.indices()
+    ]
 
 
 def check_cocycle(pattern: CocyclePattern, bound: GeneralizedBound) -> bool:
@@ -116,12 +106,9 @@ def slice_with_hyperplanes(pattern: CocyclePattern, count: int) -> CyclePattern:
         raise ValueError(
             f"slicing a codimension-{t} cocycle on a {d}-fold would land in negative dimension"
         )
-    r = d - t
-    incidence: dict[int, Incidence] = {}
-    for i in pattern.strata.indices():
-        v = d - i + pattern.excess[i] - t
-        incidence[i] = None if v < 0 else min(v, r)
-    return CyclePattern(pattern.strata, r, incidence)
+    # slicing is the cap product with the fundamental class, of incidence d - i
+    fundamental = CyclePattern(pattern.strata, d, {i: d - i for i in pattern.strata.indices()})
+    return cap_pattern(pattern, fundamental)
 
 
 def slice_against(a: CocyclePattern, b: CyclePattern) -> JointPattern:
@@ -135,18 +122,15 @@ def slice_against(a: CocyclePattern, b: CyclePattern) -> JointPattern:
     if a.strata != b.strata:
         raise ValueError("slice certificate needs a shared stratification")
     sliced = slice_with_hyperplanes(a, a.t)
-    t = a.t
-    total: Incidence = b.r - t if b.r >= t else None
-    joint: dict[int, Incidence] = {}
-    for i in a.strata.indices():
-        base = b.incidence[i]
-        cut = sliced.incidence[i]
-        if base is None or cut is None or total is None:
-            joint[i] = None
-            continue
-        raw = base + a.excess[i] - t
-        joint[i] = None if raw < 0 else min(raw, cut, base, total)
-    return JointPattern(sliced, b, joint, total)
+    if b.r < a.t:  # the slice misses a cycle of dimension below its codimension
+        return JointPattern(sliced, b, dict.fromkeys(a.strata.indices()), None)
+    # the slice meets b inside both the slice itself and the cap of a with b
+    capped = cap_pattern(a, b)
+    joint = {
+        i: None if v is None or sliced.incidence[i] is None else min(v, sliced.incidence[i])
+        for i, v in capped.incidence.items()
+    }
+    return JointPattern(sliced, b, joint, capped.r)
 
 
 def cap_pattern(a: CocyclePattern, b: CyclePattern) -> CyclePattern:

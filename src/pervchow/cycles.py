@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .perversity import GeneralizedBound
+from .perversity import GeneralizedBound, collapse_index
 from .strata import Stratification, product_with_fiber
 from .strata import suspend as suspend_strata
 
@@ -24,17 +24,13 @@ Incidence = int | None
 
 
 def _normalize_incidence(
-    strata: Stratification, data: Mapping[int | str, Incidence], what: str
+    strata: Stratification, data: Mapping[int | str, Incidence], what: str, show_keys: bool = True
 ) -> dict[int, Incidence]:
-    table: dict[int, Incidence] = {}
-    for key, value in data.items():
-        i = int(key)
-        table[i] = None if value is None else int(value)
+    """Per-stratum data keyed by exactly the indices of ``strata``."""
+    table = {int(key): (None if value is None else int(value)) for key, value in data.items()}
     if set(table) != set(strata.indices()):
-        raise ValueError(
-            f"{what} must declare exactly the stratum indices {list(strata.indices())}, "
-            f"got {sorted(table)}"
-        )
+        got = f", got {sorted(table)}" if show_keys else ""
+        raise ValueError(f"{what} must declare exactly the stratum indices {list(strata.indices())}{got}")
     return table
 
 
@@ -82,26 +78,34 @@ def _require_depth(strata: Stratification, bound: GeneralizedBound) -> None:
         )
 
 
+def _verdict(
+    label: str,
+    value: Incidence,
+    limit: int,
+    formula: str,
+    what: str = "dim",
+    empty: str = "empty intersection passes",
+) -> tuple[bool, str]:
+    """The inequality ``value <= limit`` (EMPTY passes every limit) and its explanation."""
+    if value is None:
+        return True, f"{label}: {empty}"
+    ok = value <= limit
+    return ok, f"{label}: {what} {value} <= {formula} = {limit}: " + ("ok" if ok else "violated")
+
+
+def _membership(pattern: CyclePattern, i: int, p_i: int) -> tuple[bool, str]:
+    """Verdict for dim(Z cap S_i) <= r - i + p_i."""
+    r = pattern.r
+    formula = f"r-i+p_i = {r}-{i}+{p_i}"
+    return _verdict(
+        f"i={i}", pattern.incidence[i], r - i + p_i, formula, empty="empty intersection passes every bound"
+    )
+
+
 def perversity_report(pattern: CyclePattern, bound: GeneralizedBound) -> list[tuple[int, bool, str]]:
     """Per-stratum verdicts for the membership inequality dim <= r - i + p_i."""
     _require_depth(pattern.strata, bound)
-    rows: list[tuple[int, bool, str]] = []
-    for i in pattern.strata.indices():
-        v = pattern.incidence[i]
-        if v is None:
-            rows.append((i, True, f"i={i}: empty intersection passes every bound"))
-            continue
-        limit = pattern.r - i + bound.at(i)
-        ok = v <= limit
-        rows.append(
-            (
-                i,
-                ok,
-                f"i={i}: dim {v} <= r-i+p_i = {pattern.r}-{i}+{bound.at(i)} = {limit}: "
-                + ("ok" if ok else "violated"),
-            )
-        )
-    return rows
+    return [(i, *_membership(pattern, i, bound.at(i))) for i in pattern.strata.indices()]
 
 
 def check_perversity(pattern: CyclePattern, bound: GeneralizedBound) -> bool:
@@ -129,11 +133,7 @@ def check_incidence_datum(pattern: CyclePattern, bounds: Mapping[int | str, int]
             if not indices:
                 raise ValueError(f"unknown stratum label {key!r}")
             resolved.extend((i, limit) for i in indices)
-    for i, limit in resolved:
-        v = pattern.incidence[i]
-        if v is not None and v > pattern.r - i + limit:
-            return False
-    return True
+    return all(_membership(pattern, i, limit)[0] for i, limit in resolved)
 
 
 @dataclass(frozen=True)
@@ -180,34 +180,11 @@ def star_report(joint: JointPattern, c: GeneralizedBound) -> list[tuple[str, boo
     _require_depth(strata, c)
     r, s, d = joint.a.r, joint.b.r, strata.ambient_dim
     expected = r + s - d
-    rows: list[tuple[str, bool, str]] = []
-    if joint.total is None:
-        rows.append(("total", True, "total: empty intersection passes"))
-    else:
-        ok = joint.total <= expected
-        rows.append(
-            (
-                "total",
-                ok,
-                f"total: dim {joint.total} <= r+s-d = {r}+{s}-{d} = {expected}: "
-                + ("ok" if ok else "violated"),
-            )
-        )
+    rows = [("total", *_verdict("total", joint.total, expected, f"r+s-d = {r}+{s}-{d}"))]
     for i in strata.indices():
-        v = joint.joint[i]
-        if v is None:
-            rows.append((f"i={i}", True, f"i={i}: empty intersection passes"))
-            continue
         limit = expected - (i - c.at(i))
-        ok = v <= limit
-        rows.append(
-            (
-                f"i={i}",
-                ok,
-                f"i={i}: dim {v} <= r+s-d-(i-c_i) = {expected}-({i}-{c.at(i)}) = {limit}: "
-                + ("ok" if ok else "violated"),
-            )
-        )
+        formula = f"r+s-d-(i-c_i) = {expected}-({i}-{c.at(i)})"
+        rows.append((f"i={i}", *_verdict(f"i={i}", joint.joint[i], limit, formula)))
     return rows
 
 
@@ -216,15 +193,17 @@ def check_star(joint: JointPattern, c: GeneralizedBound) -> bool:
     return all(ok for _, ok, _ in star_report(joint, c))
 
 
+def _shifted(pattern: CyclePattern, strata: Stratification, e: int) -> CyclePattern:
+    """``pattern`` carried to ``strata`` with its dimension and every incidence raised by ``e``."""
+    incidence = {i: (None if v is None else v + e) for i, v in pattern.incidence.items()}
+    return CyclePattern(strata, pattern.r + e, incidence, pattern.label)
+
+
 def flat_pullback(pattern: CyclePattern, e: int) -> CyclePattern:
     """Pull back along a flat stratified map of relative dimension ``e``."""
     if e < 0:
         raise ValueError("relative dimension must be nonnegative")
-    new_strata = product_with_fiber(pattern.strata, e)
-    incidence = {
-        i: (None if v is None else v + e) for i, v in pattern.incidence.items()
-    }
-    return CyclePattern(new_strata, pattern.r + e, incidence, pattern.label)
+    return _shifted(pattern, product_with_fiber(pattern.strata, e), e)
 
 
 def proper_pushforward(pattern: CyclePattern, c: GeneralizedBound) -> CyclePattern:
@@ -236,21 +215,13 @@ def proper_pushforward(pattern: CyclePattern, c: GeneralizedBound) -> CyclePatte
     of ``p`` by ``c`` (see :func:`pervchow.perversity.star_compose`).
     """
     _require_depth(pattern.strata, c)
-    incidence: dict[int, Incidence] = {}
-    for i in pattern.strata.indices():
-        j = i - c.at(i)
-        if j < 1:
-            raise ValueError(f"collapse entry c_{i}={c.at(i)} exceeds {i - 1}")
-        incidence[i] = pattern.incidence[j]
+    incidence = {i: pattern.incidence[collapse_index(c, i)] for i in pattern.strata.indices()}
     return CyclePattern(pattern.strata, pattern.r, incidence, pattern.label)
 
 
 def suspend_pattern(pattern: CyclePattern) -> CyclePattern:
     """Suspension: the cycle and all its incidences gain one dimension."""
-    incidence = {
-        i: (None if v is None else v + 1) for i, v in pattern.incidence.items()
-    }
-    return CyclePattern(suspend_strata(pattern.strata), pattern.r + 1, incidence, pattern.label)
+    return _shifted(pattern, suspend_strata(pattern.strata), 1)
 
 
 def sum_patterns(a: CyclePattern, b: CyclePattern) -> CyclePattern:
@@ -290,13 +261,15 @@ class FamilyCertificate:
         labels = [t for t, _ in fibers]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate fiber parameter labels")
-        everything = [self.generic_fiber, *(p for _, p in fibers), *self.endpoints]
-        if self.effective_variant is not None:
-            everything.append(self.effective_variant)
         strata, r = self.generic_fiber.strata, self.generic_fiber.r
-        for pat in everything:
+        for pat in self.patterns():
             if pat.strata != strata or pat.r != r:
                 raise ValueError("all certificate patterns must share stratification and dimension")
+
+    def patterns(self) -> list[CyclePattern]:
+        """Every pattern the certificate declares, each of which must lie in the bound."""
+        variant = [] if self.effective_variant is None else [self.effective_variant]
+        return [self.generic_fiber, *(p for _, p in self.special_fibers), *self.endpoints, *variant]
 
 
 def check_family_certificate(cert: FamilyCertificate, bound: GeneralizedBound) -> bool:
@@ -311,10 +284,7 @@ def check_family_certificate(cert: FamilyCertificate, bound: GeneralizedBound) -
             raise ValueError(f"missing endpoint fiber at parameter {label}")
     if not cert.flat_over_line:
         return False
-    to_check = [cert.generic_fiber, *fibers.values(), *cert.endpoints]
-    if cert.effective_variant is not None:
-        to_check.append(cert.effective_variant)
-    if not all(check_perversity(pat, bound) for pat in to_check):
+    if not all(check_perversity(pat, bound) for pat in cert.patterns()):
         return False
     w0, w1 = cert.endpoints
     if cert.effective_variant is not None:

@@ -99,6 +99,14 @@ def add(a: GeneralizedBound, b: GeneralizedBound) -> GeneralizedBound:
     return GeneralizedBound(x + y for x, y in zip(a, b))
 
 
+def collapse_index(c: GeneralizedBound, i: int) -> int:
+    """Index ``i - c_i`` of the stratum that collapse data ``c`` sends onto stratum ``i``."""
+    j = i - c.at(i)
+    if j < 1:
+        raise ValueError(f"collapse entry c_{i}={c.at(i)} exceeds {i - 1}")
+    return j
+
+
 def star_compose(p: GeneralizedBound, c: GeneralizedBound) -> GeneralizedBound:
     """Pushforward transform of ``p`` along collapse data ``c``.
 
@@ -106,13 +114,7 @@ def star_compose(p: GeneralizedBound, c: GeneralizedBound) -> GeneralizedBound:
     must stay in range, which every perversity ``c`` guarantees.
     """
     _require_same_depth(p, c)
-    shifted = []
-    for i in range(1, p.depth + 1):
-        j = i - c.at(i)
-        if j < 1:
-            raise ValueError(f"collapse entry c_{i}={c.at(i)} exceeds {i - 1}")
-        shifted.append(p.at(j) + c.at(i))
-    return GeneralizedBound(shifted)
+    return GeneralizedBound(p.at(collapse_index(c, i)) + c.at(i) for i in range(1, p.depth + 1))
 
 
 def leq(a: GeneralizedBound, b: GeneralizedBound) -> bool:

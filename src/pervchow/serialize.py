@@ -42,14 +42,10 @@ def bound_to_json(bound: GeneralizedBound) -> list[int]:
 
 
 def parse_bound(data: Any, *, perversity: bool = False) -> GeneralizedBound:
-    if isinstance(data, GeneralizedBound):
-        entries: Any = list(data.entries)
-    elif isinstance(data, (list, tuple)):
-        entries = data
-    else:
+    if not isinstance(data, (list, tuple)):
         raise InputError(f"a bound must be an integer array, got {type(data).__name__}")
     try:
-        entries = [_int(v) for v in entries]
+        entries = [_int(v) for v in data]
         return Perversity(entries) if perversity else GeneralizedBound(entries)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
@@ -92,8 +88,6 @@ def stratification_to_json(s: Stratification) -> dict:
 
 
 def parse_stratification(data: Any) -> Stratification:
-    if isinstance(data, Stratification):
-        return data
     if isinstance(data, str):
         m = re.fullmatch(r"vertex(\d+)", data.strip())
         if m:
@@ -145,8 +139,6 @@ def pattern_to_json(p: CyclePattern) -> dict:
 
 
 def parse_pattern(data: Any, strata: Stratification) -> CyclePattern:
-    if isinstance(data, CyclePattern):
-        return data
     if not isinstance(data, Mapping):
         raise InputError("a cycle pattern must be an object")
     try:
@@ -197,8 +189,6 @@ def cocycle_to_json(c: CocyclePattern) -> dict:
 
 
 def parse_cocycle(data: Any, strata: Stratification) -> CocyclePattern:
-    if isinstance(data, CocyclePattern):
-        return data
     if not isinstance(data, Mapping):
         raise InputError("a cocycle pattern must be an object")
     try:
@@ -234,8 +224,6 @@ def ring_to_json(ring: ChowRingPresentation) -> dict:
 
 
 def parse_ring(data: Any) -> ChowRingPresentation:
-    if isinstance(data, ChowRingPresentation):
-        return data
     if isinstance(data, str):
         try:
             return builtin(data)
@@ -268,8 +256,6 @@ def parse_ring(data: Any) -> ChowRingPresentation:
 
 
 def parse_cone(data: Any) -> ConeVariety:
-    if isinstance(data, ConeVariety):
-        return data
     if isinstance(data, str) and data.strip() == "zobel":
         return zobel().cone
     if isinstance(data, Mapping) and "base" in data:
@@ -295,8 +281,6 @@ def cone_class_to_json(c: ConeClass) -> dict:
 
 def parse_cone_class(data: Any, cone: ConeVariety) -> ConeClass:
     """Parse ``{"r", "p", "payload"}`` or compact ``mode:r[:p]:(c1,c2)``."""
-    if isinstance(data, ConeClass):
-        return data
     d = cone.cone_dim
     if isinstance(data, str):
         m = _CLASS_RE.fullmatch(data.strip())
@@ -353,8 +337,6 @@ def group_to_json(group: FpAbelianGroup) -> dict:
 
 
 def parse_group(data: Any) -> FpAbelianGroup:
-    if isinstance(data, FpAbelianGroup):
-        return data
     if not isinstance(data, Mapping):
         raise InputError("a group must be an object with rank and relations")
     try:
@@ -375,8 +357,6 @@ def map_to_json(m: GroupMap) -> dict:
 
 
 def parse_group_map(data: Any) -> GroupMap:
-    if isinstance(data, GroupMap):
-        return data
     if not isinstance(data, Mapping):
         raise InputError("a group map must be an object")
     try:

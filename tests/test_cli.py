@@ -344,6 +344,17 @@ class TestCommandContract:
         assert seen == ["[[2]]"]
         assert report.values == {"fake": True}
 
+    @pytest.mark.parametrize(
+        "case",
+        json.loads((GOLDEN / "calculus_cli.json").read_text()),
+        ids=lambda case: next(arg for arg in case["argv"] if arg != "--pretty"),
+    )
+    def test_calculus_golden(self, case, capsys):
+        # seeded cases over the nine incidence-calculus commands: passing,
+        # failed checks, violated preconditions, and --pretty on either side
+        assert main(case["argv"]) == case["exit"]
+        assert capsys.readouterr().out == case["stdout"]
+
 
 class TestHostileInput:
     """Malformed numbers and pathological JSON exit 2 with a report."""
@@ -378,6 +389,37 @@ class TestHostileInput:
         report = run(argv)
         assert report.exit_code == 2, report.values
         assert "integer" in report.error
+
+    def test_over_long_argument_exits_2(self, capsys):
+        # too long for a file name, so it is read as a shorthand, not a path
+        for argv in (["snf", "--matrix", "a" * 5000], ["suspend", "--strata", "v" * 5000]):
+            assert main(argv) == 2
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["schema"] == 1 and doc["ok"] is False and doc["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "argv, command, needle",
+        [
+            (["check-cycle", "--pattern", "x"], "check-cycle", "the following arguments are required"),
+            (["nosuch"], "pervchow", "invalid choice: 'nosuch'"),
+            (["groups", "--cone", "zobel", "--r", "x", "--p", "0"], "groups", "invalid int value: 'x'"),
+        ],
+        ids=["missing-flags", "unknown-command", "bad-integer"],
+    )
+    def test_usage_errors_are_reports(self, argv, command, needle, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert doc["schema"] == 1 and doc["ok"] is False and doc["command"] == command
+        assert needle in doc["error"]["message"]
+        assert captured.err == ""
+
+    def test_help_still_exits_0(self, capsys):
+        for argv in (["--help"], ["check-cycle", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.startswith("usage: pervchow")
 
     def test_negative_ncols_exits_2(self):
         report = run(["snf", "--matrix", "[]", "--ncols", "-3"])

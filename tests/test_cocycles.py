@@ -278,16 +278,22 @@ class TestCap:
                     assert check_perversity(out, q)
 
     def test_fundamental_class_cap_is_duality(self):
-        # capping with [X] reproduces the slice of the cocycle itself
-        for t in (1, 2):
-            for a in all_profiles(V3, t, t, 2):
-                fundamental = CyclePattern(V3, 3, {i: 3 - i for i in V3.indices()})
-                via_cap = cap_pattern(a, fundamental)
-                via_slice = slice_with_hyperplanes(a, t)
-                assert via_cap == via_slice
-                for p in all_bounds(3, 2):
-                    if check_cocycle(a, p):
-                        assert check_perversity(via_cap, p)
+        # capping with [X] reproduces the slice of the cocycle itself, whose
+        # incidence with stratum i is d - i + excess(i) - t (EMPTY below 0)
+        for d in (2, 3, 4, 5):
+            strata = isolated_vertex(d)
+            fundamental = CyclePattern(strata, d, {i: d - i for i in strata.indices()})
+            for t in range(1, d + 1):
+                for a in all_profiles(strata, t, t, 2):
+                    via_cap = cap_pattern(a, fundamental)
+                    via_slice = slice_with_hyperplanes(a, t)
+                    assert via_cap == via_slice
+                    for i in strata.indices():
+                        v = d - i + a.excess[i] - t
+                        assert via_slice.incidence[i] == (None if v < 0 else min(v, d - t))
+                    for p in all_bounds(d, 2):
+                        if check_cocycle(a, p):
+                            assert check_perversity(via_cap, p)
 
     def test_excess_adds(self):
         a = CocyclePattern(V3, 2, 2, {1: 0, 2: 0, 3: 1})
