@@ -9,13 +9,18 @@ defining equations.
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 
 from .abgroup import FpAbelianGroup
 
 Combo = dict[str, int]
 _NO_TERMS: Combo = {}  # shared read-only stand-in for a missing product
+
+# Largest basis, counted over all codimensions, that a built-in name or a ring
+# document may ask for.  Construction is about N^3 (the associativity check):
+# P127 builds in about 0.4 s on a 2-vCPU VM, P2000 would take about half an hour.
+MAX_RING_BASIS = 128
 
 
 class ChowRingPresentation:
@@ -397,22 +402,42 @@ def _split_product_args(body: str) -> tuple[str, str]:
     raise ValueError(f"cannot split product arguments in {body!r}")
 
 
+def check_basis_size(size: int, name: str) -> None:
+    """Reject a ring of ``size`` basis symbols above :data:`MAX_RING_BASIS`."""
+    if size > MAX_RING_BASIS:
+        raise ValueError(
+            f"ring {name!r} has {size} basis symbols; the limit is {MAX_RING_BASIS}"
+        )
+
+
+def _parse_builtin(name: str) -> tuple[int, Callable[[], ChowRingPresentation]]:
+    """The basis size a built-in name implies, and a function that builds it; nothing is built."""
+    s = name.strip()
+    if s == "point":
+        return 1, point
+    if s in ("quadric", "quadric_surface"):
+        return 4, quadric_surface
+    m = re.fullmatch(r"P(\d+)", s)
+    if m:
+        n = int(m.group(1))
+        return n + 1, lambda: projective_space(n)
+    m = re.fullmatch(r"product\((.+)\)", s)
+    if m:
+        (left_size, left), (right_size, right) = map(_parse_builtin, _split_product_args(m.group(1)))
+        return left_size * right_size, lambda: product_presentation(left(), right())
+    raise ValueError(f"unknown built-in presentation {name!r}")
+
+
 def builtin(name: str) -> ChowRingPresentation:
     """Look up a built-in presentation by name.
 
     Accepts ``point``, ``P<n>`` (projective space), ``quadric_surface`` (or
-    ``quadric``) and ``product(<name>,<name>)``.
+    ``quadric``) and ``product(<name>,<name>)``.  The basis size the name
+    implies is checked against :data:`MAX_RING_BASIS` before anything is built.
     """
-    s = name.strip()
-    if s == "point":
-        return point()
-    if s in ("quadric", "quadric_surface"):
-        return quadric_surface()
-    m = re.fullmatch(r"P(\d+)", s)
-    if m:
-        return projective_space(int(m.group(1)))
-    m = re.fullmatch(r"product\((.+)\)", s)
-    if m:
-        left, right = _split_product_args(m.group(1))
-        return product_presentation(builtin(left), builtin(right))
-    raise ValueError(f"unknown built-in presentation {name!r}")
+    try:
+        size, build = _parse_builtin(name)
+        check_basis_size(size, name.strip())
+        return build()
+    except RecursionError:  # products of points nest without growing the basis
+        raise ValueError("built-in presentation nested too deeply") from None

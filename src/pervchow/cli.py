@@ -13,13 +13,17 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, NoReturn
+from typing import TYPE_CHECKING, Any, Callable, NoReturn
 
-from . import abgroup, cocycles, cones, cycles, serialize
-from .perversity import GeneralizedBound
+# Each handler imports the layer modules it calls, so a command compiles and
+# loads only those: ``snf`` never loads the cone model, ``schema`` no layer.
+from . import serialize
 from .serialize import SCHEMA_VERSION, InputError
-from .strata import Stratification
-from .strata import suspend as suspend_strata
+
+if TYPE_CHECKING:
+    from .cones import ConeClass
+    from .perversity import GeneralizedBound
+    from .strata import Stratification
 
 
 @dataclass
@@ -142,6 +146,8 @@ def _check(report: Report, rows: list[tuple], **values: Any) -> None:
 
 
 def _cmd_check_cycle(args: argparse.Namespace, report: Report) -> None:
+    from . import cycles
+
     strata = _strata(args)
     pattern = serialize.parse_pattern(_load(args.pattern), strata)
     bound = _bound(args.perversity)
@@ -150,6 +156,8 @@ def _cmd_check_cycle(args: argparse.Namespace, report: Report) -> None:
 
 
 def _cmd_check_cocycle(args: argparse.Namespace, report: Report) -> None:
+    from . import cocycles
+
     strata = _strata(args)
     pattern = serialize.parse_cocycle(_load(args.cocycle), strata)
     bound = _bound(args.perversity)
@@ -158,6 +166,8 @@ def _cmd_check_cocycle(args: argparse.Namespace, report: Report) -> None:
 
 
 def _cmd_check_star(args: argparse.Namespace, report: Report) -> None:
+    from . import cycles
+
     strata = _strata(args)
     joint = serialize.parse_joint(_load(args.joint), strata)
     c = _bound(args.c)
@@ -166,6 +176,8 @@ def _cmd_check_star(args: argparse.Namespace, report: Report) -> None:
 
 
 def _cmd_push(args: argparse.Namespace, report: Report) -> None:
+    from . import cycles
+
     strata = _strata(args)
     pattern = serialize.parse_pattern(_load(args.pattern), strata)
     c = _bound(args.c, perversity=True)
@@ -175,6 +187,8 @@ def _cmd_push(args: argparse.Namespace, report: Report) -> None:
 
 
 def _cmd_pull(args: argparse.Namespace, report: Report) -> None:
+    from . import cycles
+
     strata = _strata(args)
     pattern = serialize.parse_pattern(_load(args.pattern), strata)
     out = cycles.flat_pullback(pattern, args.e)
@@ -183,6 +197,9 @@ def _cmd_pull(args: argparse.Namespace, report: Report) -> None:
 
 
 def _cmd_suspend(args: argparse.Namespace, report: Report) -> None:
+    from . import cycles
+    from .strata import suspend as suspend_strata
+
     strata = _strata(args)
     if args.pattern is not None:
         out = cycles.suspend_pattern(serialize.parse_pattern(_load(args.pattern), strata))
@@ -193,6 +210,8 @@ def _cmd_suspend(args: argparse.Namespace, report: Report) -> None:
 
 
 def _cmd_join(args: argparse.Namespace, report: Report) -> None:
+    from . import cocycles
+
     strata = _strata(args)
     a = serialize.parse_cocycle(_load(args.a), strata)
     b = serialize.parse_cocycle(_load(args.b), strata)
@@ -201,6 +220,8 @@ def _cmd_join(args: argparse.Namespace, report: Report) -> None:
 
 
 def _cmd_slice(args: argparse.Namespace, report: Report) -> None:
+    from . import cocycles
+
     strata = _strata(args)
     pattern = serialize.parse_cocycle(_load(args.cocycle), strata)
     count = args.count if args.count is not None else pattern.t
@@ -212,6 +233,8 @@ def _cmd_slice(args: argparse.Namespace, report: Report) -> None:
 
 
 def _cmd_cap(args: argparse.Namespace, report: Report) -> None:
+    from . import cocycles
+
     strata = _strata(args)
     a = serialize.parse_cocycle(_load(args.cocycle), strata)
     b = serialize.parse_pattern(_load(args.pattern), strata)
@@ -220,44 +243,50 @@ def _cmd_cap(args: argparse.Namespace, report: Report) -> None:
 
 
 def _cmd_groups(args: argparse.Namespace, report: Report) -> None:
+    from . import cones
+
     cone = serialize.parse_cone(_load(args.cone))
     group = cones.chow_group(cone, args.r, args.p)
     report.values["group"] = serialize.group_to_json(group)
 
 
-def _cmd_intersect(args: argparse.Namespace, report: Report) -> None:
+def _cone_product(args: argparse.Namespace) -> ConeClass:
+    """The three-case product of the classes ``--a`` and ``--b`` on ``--cone``."""
+    from . import cones
+
     cone = serialize.parse_cone(_load(args.cone))
     a = serialize.parse_cone_class(_load(args.a), cone)
     b = serialize.parse_cone_class(_load(args.b), cone)
-    out = cones.intersect(a, b)
-    report.values["class"] = serialize.cone_class_to_json(out)
+    return cones.intersect(a, b)
 
 
-def _pairing_value(result: cones.ConeClass) -> Any:
-    from . import chow
-
-    if result.r == 0:
-        return chow.degree(result.payload)
-    coeffs = list(result.payload.coeffs)
-    return coeffs[0] if len(coeffs) == 1 else coeffs
+def _cmd_intersect(args: argparse.Namespace, report: Report) -> None:
+    report.values["class"] = serialize.cone_class_to_json(_cone_product(args))
 
 
 def _cmd_pairing(args: argparse.Namespace, report: Report) -> None:
-    cone = serialize.parse_cone(_load(args.cone))
-    a = serialize.parse_cone_class(_load(args.a), cone)
-    b = serialize.parse_cone_class(_load(args.b), cone)
-    result = cones.intersect(a, b)
+    from . import chow
+
+    result = _cone_product(args)
     report.values["class"] = serialize.cone_class_to_json(result)
-    report.values["value"] = _pairing_value(result)
+    if result.r == 0:
+        report.values["value"] = chow.degree(result.payload)
+    else:
+        coeffs = list(result.payload.coeffs)
+        report.values["value"] = coeffs[0] if len(coeffs) == 1 else coeffs
 
 
 def _cmd_compare(args: argparse.Namespace, report: Report) -> None:
+    from . import cones
+
     cone = serialize.parse_cone(_load(args.cone))
     m = cones.comparison_map(cone, args.r, args.p_from, args.p_to)
     report.values["map"] = serialize.map_to_json(m)
 
 
 def _cmd_snf(args: argparse.Namespace, report: Report) -> None:
+    from . import abgroup
+
     matrix = serialize.parse_matrix(_load(args.matrix))
     form = abgroup.smith_normal_form(matrix, ncols=args.ncols)
     report.verdicts.append(
@@ -267,6 +296,8 @@ def _cmd_snf(args: argparse.Namespace, report: Report) -> None:
 
 
 def _cmd_exact(args: argparse.Namespace, report: Report) -> None:
+    from . import abgroup
+
     f = serialize.parse_group_map(_load(args.f))
     g = serialize.parse_group_map(_load(args.g))
     try:
@@ -286,6 +317,8 @@ def _cmd_exact(args: argparse.Namespace, report: Report) -> None:
 
 
 def _cmd_catalog(args: argparse.Namespace, report: Report) -> None:
+    from . import cones
+
     if args.name != "zobel":
         raise InputError(f"unknown catalog {args.name!r}; available: zobel")
     catalog = cones.zobel()

@@ -23,6 +23,11 @@ EMPTY = None
 Incidence = int | None
 
 
+def _show(value: Incidence) -> int | str:
+    """An incidence value in messages, spelled as documents spell it."""
+    return "empty" if value is None else value
+
+
 def _normalize_incidence(
     strata: Stratification, data: Mapping[int | str, Incidence], what: str, show_keys: bool = True
 ) -> dict[int, Incidence]:
@@ -163,12 +168,12 @@ class JointPattern:
             if v < 0:
                 raise ValueError(f"joint dimension at stratum {i} must be nonnegative or EMPTY")
             if total is None or v > total:
-                raise ValueError(f"joint({i})={v} exceeds the declared total {total}")
+                raise ValueError(f"joint({i})={v} exceeds the declared total {_show(total)}")
             for side in (self.a, self.b):
                 cap = side.incidence[i]
                 if cap is None or v > cap:
                     raise ValueError(
-                        f"joint({i})={v} exceeds a factor's incidence {cap} at stratum {i}"
+                        f"joint({i})={v} exceeds a factor's incidence {_show(cap)} at stratum {i}"
                     )
         object.__setattr__(self, "joint", table)
         object.__setattr__(self, "total", total)

@@ -10,15 +10,19 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .abgroup import FpAbelianGroup, GroupMap, SmithForm, describe, invariant_factors
-from .chow import ChowRingPresentation, builtin
-from .cocycles import CocyclePattern
-from .cones import ConeClass, ConeVariety, zobel
-from .cycles import CyclePattern, JointPattern
 from .perversity import GeneralizedBound, Perversity
 from .strata import GENERIC, ISOLATED_VERTEX, ModelTag, Stratification, StratumSpec, isolated_vertex
+
+# The other layers are imported by the functions that build their values, so
+# that reading a matrix does not load the cone model.
+if TYPE_CHECKING:
+    from .abgroup import FpAbelianGroup, GroupMap, SmithForm
+    from .chow import ChowRingPresentation
+    from .cocycles import CocyclePattern
+    from .cones import ConeClass, ConeVariety
+    from .cycles import CyclePattern, JointPattern
 
 SCHEMA_VERSION = 1
 
@@ -139,6 +143,8 @@ def pattern_to_json(p: CyclePattern) -> dict:
 
 
 def parse_pattern(data: Any, strata: Stratification) -> CyclePattern:
+    from .cycles import CyclePattern
+
     if not isinstance(data, Mapping):
         raise InputError("a cycle pattern must be an object")
     try:
@@ -162,6 +168,8 @@ def joint_to_json(j: JointPattern) -> dict:
 
 
 def parse_joint(data: Any, strata: Stratification) -> JointPattern:
+    from .cycles import JointPattern
+
     if not isinstance(data, Mapping):
         raise InputError("a joint pattern must be an object")
     try:
@@ -189,6 +197,8 @@ def cocycle_to_json(c: CocyclePattern) -> dict:
 
 
 def parse_cocycle(data: Any, strata: Stratification) -> CocyclePattern:
+    from .cocycles import CocyclePattern
+
     if not isinstance(data, Mapping):
         raise InputError("a cocycle pattern must be an object")
     try:
@@ -224,6 +234,8 @@ def ring_to_json(ring: ChowRingPresentation) -> dict:
 
 
 def parse_ring(data: Any) -> ChowRingPresentation:
+    from .chow import ChowRingPresentation, builtin, check_basis_size
+
     if isinstance(data, str):
         try:
             return builtin(data)
@@ -232,6 +244,8 @@ def parse_ring(data: Any) -> ChowRingPresentation:
     if not isinstance(data, Mapping):
         raise InputError("a ring must be a built-in name or a presentation object")
     try:
+        name = str(data.get("name", "user"))
+        check_basis_size(sum(len(level) for level in data.get("basis", ())), name)
         products = {
             (str(entry["a"]), str(entry["b"])): {
                 str(s): _int(c) for s, c in entry["value"].items()
@@ -243,7 +257,7 @@ def parse_ring(data: Any) -> ChowRingPresentation:
             for k, rows in data.get("relations", {}).items()
         }
         return ChowRingPresentation(
-            str(data.get("name", "user")),
+            name,
             _int(data["dim"]),
             data["basis"],
             products,
@@ -256,6 +270,8 @@ def parse_ring(data: Any) -> ChowRingPresentation:
 
 
 def parse_cone(data: Any) -> ConeVariety:
+    from .cones import ConeVariety, zobel
+
     if isinstance(data, str) and data.strip() == "zobel":
         return zobel().cone
     if isinstance(data, Mapping) and "base" in data:
@@ -326,6 +342,8 @@ def parse_cone_class(data: Any, cone: ConeVariety) -> ConeClass:
 
 
 def group_to_json(group: FpAbelianGroup) -> dict:
+    from .abgroup import describe, invariant_factors
+
     free, torsion = invariant_factors(group)
     return {
         "rank": group.rank,
@@ -337,6 +355,8 @@ def group_to_json(group: FpAbelianGroup) -> dict:
 
 
 def parse_group(data: Any) -> FpAbelianGroup:
+    from .abgroup import FpAbelianGroup
+
     if not isinstance(data, Mapping):
         raise InputError("a group must be an object with rank and relations")
     try:
@@ -357,6 +377,8 @@ def map_to_json(m: GroupMap) -> dict:
 
 
 def parse_group_map(data: Any) -> GroupMap:
+    from .abgroup import GroupMap
+
     if not isinstance(data, Mapping):
         raise InputError("a group map must be an object")
     try:

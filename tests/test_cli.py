@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -425,3 +426,41 @@ class TestHostileInput:
         report = run(["snf", "--matrix", "[]", "--ncols", "-3"])
         assert report.exit_code == 2
         assert "ncols" in report.error
+
+    # a dim-2000 document ring: one symbol per codimension and no products,
+    # whose associativity walk alone would visit about 10^8 triples
+    LONG_RING = json.dumps({
+        "dim": 2000,
+        "basis": [["1"]] + [[f"h{k}"] for k in range(1, 2001)],
+        "hyperplane": [1],
+        "degree": [1],
+    })
+
+    @pytest.mark.parametrize(
+        "cone, needle",
+        [
+            ("P2000", "2001 basis symbols; the limit is 128"),
+            ("product(P100,P100)", "10201 basis symbols; the limit is 128"),
+            ("P128", "129 basis symbols; the limit is 128"),
+            (json.dumps({"base": json.loads(LONG_RING)}), "2001 basis symbols; the limit is 128"),
+            ("product(point," * 3000 + "P1" + ")" * 3000, "nested too deeply"),
+        ],
+        ids=["P2000", "product-P100-P100", "P128", "document", "deep-nesting"],
+    )
+    def test_oversized_ring_exits_2_before_building(self, cone, needle, capsys):
+        start = time.perf_counter()
+        assert main(["groups", "--cone", cone, "--r", "1", "--p", "0"]) == 2
+        assert time.perf_counter() - start < 1.0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["schema"] == 1 and doc["ok"] is False
+        assert needle in doc["error"]["message"]
+
+    def test_oversized_document_ring_fails_validation(self):
+        report = run(["validate", "--ring", self.LONG_RING])
+        assert report.exit_code == 1
+        assert "the limit is 128" in report.verdicts[0].explanation
+
+    def test_ring_limit_admits_the_rings_in_use(self):
+        # the largest built-ins the tests and the benchmark construct
+        for name in ("P40", "product(P5,P5)", "product(quadric,P8)", "product(product(P2,P2),P3)"):
+            assert run(["groups", "--cone", name, "--r", "1", "--p", "0"]).exit_code == 0

@@ -199,6 +199,12 @@ class TestStar:
         with pytest.raises(ValueError):
             JointPattern(a, b, {1: 1, 2: 0, 3: 0}, 0)
 
+    def test_errors_spell_empty_as_documents_do(self):
+        with pytest.raises(ValueError, match=r"exceeds the declared total empty$"):
+            JointPattern(vertex_pattern(2, 1), vertex_pattern(2, 1), {1: 0, 2: 0, 3: 0}, EMPTY)
+        with pytest.raises(ValueError, match=r"exceeds a factor's incidence empty at stratum 1$"):
+            JointPattern(vertex_pattern(2, EMPTY), vertex_pattern(1, 0), {1: 0, 2: 0, 3: 0}, 0)
+
 
 class TestTransforms:
     def test_pullback_identity(self):

@@ -1,0 +1,99 @@
+"""Each command loads only the layer modules it runs; the package exports stay the same.
+
+The footprint is read in a fresh child process, because this one has long
+since imported every module.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import pervchow
+
+SRC = Path(pervchow.__file__).resolve().parent.parent
+
+# runs one command through the CLI, then prints its exit code and the pervchow modules loaded
+CHILD = """
+import json, sys
+from pervchow import cli
+report = cli.run(sys.argv[1:])
+report.render(False)
+loaded = sorted(name.split(".")[1] for name in sys.modules if name.startswith("pervchow."))
+print(json.dumps({"exit": report.exit_code, "loaded": loaded}))
+"""
+
+LAYERS = {"perversity", "strata", "abgroup", "chow", "cycles", "cocycles", "cones"}
+
+# what ``pervchow/__init__.py`` imported eagerly before it became lazy
+EXPORTS = {
+    "perversity": ["GeneralizedBound", "Perversity", "add", "leq", "make_perversity", "star_compose", "top", "zero"],
+    "strata": ["ModelTag", "Stratification", "StratumSpec", "isolated_vertex", "product_with_fiber", "suspend"],
+    "abgroup": [
+        "FpAbelianGroup", "GroupMap", "SmithForm", "describe", "invariant_factors", "is_exact_at_middle",
+        "smith_normal_form",
+    ],
+    "chow": [
+        "ChowClass", "ChowRingPresentation", "builtin", "degree", "mul", "point", "product_presentation",
+        "projective_space", "quadric_surface",
+    ],
+    "cycles": [
+        "EMPTY", "CyclePattern", "FamilyCertificate", "JointPattern", "check_family_certificate",
+        "check_incidence_datum", "check_perversity", "check_star", "empty_pattern", "flat_pullback",
+        "proper_pushforward", "sum_patterns", "suspend_pattern",
+    ],
+    "cocycles": [
+        "CocyclePattern", "RankProfile", "cap_pattern", "check_cocycle", "join", "morphism_fiber_pattern",
+        "push_closed_immersion", "rank_to_incidence", "slice_against", "slice_with_hyperplanes",
+    ],
+    "cones": [
+        "ConeClass", "ConeProductError", "ConeVariety", "Mode", "cartier_coherence_check", "chow_group",
+        "class_to_pattern", "comparison_map", "degree_pairing", "intersect", "vertex_bound", "zobel",
+    ],
+}
+
+
+def loaded_by(argv):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, *argv], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    result = json.loads(proc.stdout)
+    assert result["exit"] == 0, result
+    return set(result["loaded"])
+
+
+@pytest.mark.parametrize(
+    "argv, needed, absent",
+    [
+        (["snf", "--matrix", "[[2,4],[6,8]]"], {"abgroup"}, {"chow", "cones", "cycles", "cocycles"}),
+        (
+            ["check-cycle", "--pattern", '{"dim":1,"incidence":{"1":"empty"}}', "--perversity", "[0]",
+             "--strata", "vertex1"],
+            {"cycles"},
+            {"abgroup", "chow", "cones"},
+        ),
+        (["schema", "snf"], set(), LAYERS - {"perversity", "strata"}),
+    ],
+    ids=["snf", "check-cycle", "schema"],
+)
+def test_command_loads_only_its_layers(argv, needed, absent):
+    loaded = loaded_by(argv)
+    assert needed <= loaded
+    assert not loaded & absent, f"{argv[0]} loaded {sorted(loaded & absent)}"
+
+
+def test_exports_resolve_to_their_modules():
+    import importlib
+
+    for module_name, names in EXPORTS.items():
+        module = importlib.import_module(f"pervchow.{module_name}")
+        assert getattr(pervchow, module_name) is module
+        for name in names:
+            assert getattr(pervchow, name) is getattr(module, name), name
+    assert sorted(pervchow.__all__) == sorted(name for names in EXPORTS.values() for name in names)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pervchow.no_such_name
