@@ -8,6 +8,8 @@ defining equations.
 
 from __future__ import annotations
 
+import bisect
+import math
 import re
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
@@ -18,9 +20,37 @@ Combo = dict[str, int]
 _NO_TERMS: Combo = {}  # shared read-only stand-in for a missing product
 
 # Largest basis, counted over all codimensions, that a built-in name or a ring
-# document may ask for.  Construction is about N^3 (the associativity check):
-# P127 builds in about 0.4 s on a 2-vCPU VM, P2000 would take about half an hour.
+# document may ask for.  The associativity check costs about |G|*N^2 table
+# lookups for |G| generators (one for P<n>, two for a product of two projective
+# spaces): on a 2-vCPU VM P127 builds in about 0.03 s and P500 in 0.3 s, but a
+# dense document costs about k^5 for k symbols per codimension (42 per level
+# take seconds), so the limit stays.
 MAX_RING_BASIS = 128
+
+_PROJECTIVE = re.compile(r"P(\d+)")
+
+
+def _echelon_insert(pivots: dict[int, list[int]], row: list[int]) -> None:
+    """Reduce ``row`` against ``pivots`` (leading column -> row, all of one
+    width) and keep what is left, if anything, as a new pivot row.
+
+    Elimination is fraction-free: the row is scaled by the pivot's leading
+    entry, over their gcd, and then divided by the gcd of its entries.
+    """
+    for lead in range(len(row)):
+        c = row[lead]
+        if not c:
+            continue
+        pivot = pivots.get(lead)
+        if pivot is None:
+            pivots[lead] = row
+            return
+        g = math.gcd(pivot[lead], c)
+        p, r = pivot[lead] // g, c // g
+        row = [p * x - r * y for x, y in zip(row, pivot)]
+        content = math.gcd(*row)
+        if content > 1:
+            row = [x // content for x in row]
 
 
 class ChowRingPresentation:
@@ -32,16 +62,26 @@ class ChowRingPresentation:
     codimension: omitted pairs multiply to zero and the unit row is filled in
     automatically.  The table is keyed by sorted pairs, so the ring is
     commutative by construction, and associativity is checked at
-    construction on exactly the basis triples where it can fail:
+    construction through a generating set (Light's associativity test):
 
-    * triples containing the unit are skipped, since the unit row is filled
-      in here and ``1 * x = x`` makes both bracketings agree;
-    * each multiset ``{a, b, c}`` is checked once, by comparing all three
-      bracketings ``(ab)c = (bc)a = (ca)b``; by commutativity every other
-      ordering and bracketing equals one of these;
-    * only codimensions ``1 <= i <= j <= k`` with ``i + j + k <= dim`` are
-      walked: beyond ``dim`` both sides are zero, because the constructor
-      rejects any product landing past ``dim``;
+    * the set ``T`` of classes ``t`` with ``(xt)y = x(ty)`` for all
+      ``x, y`` is a subalgebra: it is a subspace holding the unit, and for
+      ``s, t`` in ``T`` each step of
+      ``(x(st))y = ((xs)t)y = (xs)(ty) = x(s(ty)) = x((st)y)`` uses ``s`` or
+      ``t``.  So the ring is associative once every generator ``g`` of it is in
+      ``T``, and by commutativity and linearity that asks ``(gx)y = (gy)x``
+      for basis symbols ``x, y``.  Integer tables are associative exactly
+      when they are over Q, so :meth:`_generators` need only generate over Q;
+    * the unit is skipped as ``x`` or ``y``, since ``1 * x = x`` makes both
+      sides agree, and so are triples beyond ``dim``, where both sides are
+      zero because the constructor rejects any product landing past ``dim``;
+    * each multiset ``{g, x, y}`` holding a generator is checked once, under
+      its first generator ``g`` (pairs holding an earlier generator are
+      skipped): ``(gx)y = (gy)x`` is ``g``'s condition, and if the multiset
+      holds a second generator other than ``g``, ``(xy)g`` is compared too,
+      which is that generator's condition.  ``{g, x, x}`` with ``x`` no
+      generator needs nothing, so no multiset costs more expansions than
+      comparing its three bracketings;
     * the check reads the structure table directly rather than through
       :meth:`pair_product`, which copies its result for the caller.
 
@@ -195,23 +235,74 @@ class ChowRingPresentation:
                 acc[out] = acc.get(out, 0) + c * k
         return {s: c for s, c in acc.items() if c}
 
+    def _generators(self) -> list[str]:
+        """Basis symbols that generate the ring over Q, in basis order."""
+        return [sym for k in range(1, self.dim + 1) for sym in self._level_generators(k)]
+
+    def _level_generators(self, k: int) -> list[str]:
+        """The generators in codimension ``k >= 1``, in basis order.
+
+        The rows are the products ``a*b`` with ``codim a + codim b = k`` and
+        ``1 <= codim a <= k/2``.  They are put in echelon form over Q
+        (fraction-free, each row divided by the gcd of its entries) until
+        their rank reaches the level's width; the symbols in columns without
+        a pivot are the generators.  Those symbols and the product rows span
+        the level, so by induction on ``k`` the generators of codimensions
+        ``1..k`` and the unit generate every class up to codimension ``k``.
+        """
+        levels = self.basis
+        column = {sym: n for n, sym in enumerate(levels[k])}
+        products = (
+            self._entry(a, b)
+            for i in range(1, k // 2 + 1)
+            for ia, a in enumerate(levels[i])
+            for b in levels[k - i][ia if 2 * i == k else 0 :]
+        )
+        pivots: dict[int, list[int]] = {}  # leading column -> row
+        for combo in products:
+            if len(pivots) == len(column):
+                break
+            if combo:
+                row = [0] * len(column)
+                for sym, c in combo.items():
+                    row[column[sym]] = c
+                _echelon_insert(pivots, row)
+        return [sym for n, sym in enumerate(levels[k]) if n not in pivots]
+
     def _check_associativity(self) -> None:
-        levels, dim = self.basis, self.dim
-        for i in range(1, dim // 3 + 1):
-            for j in range(i, (dim - i) // 2 + 1):
-                for k in range(j, dim - i - j + 1):
-                    # within one level, take symbols in basis order so that
-                    # each multiset {a, b, c} comes up once
-                    for ia, a in enumerate(levels[i]):
-                        for ib in range(ia if j == i else 0, len(levels[j])):
-                            b = levels[j][ib]
-                            ab = self._entry(a, b)
-                            for c in levels[k][ib if k == j else 0 :]:
-                                bc, ca = self._entry(b, c), self._entry(c, a)
-                                if not self._expand(ab, c) == self._expand(bc, a) == self._expand(ca, b):
-                                    raise ValueError(
-                                        f"structure constants are not associative at ({a!r}, {b!r}, {c!r})"
-                                    )
+        codim = self._codim
+        symbols = [sym for level in self.basis[1:] for sym in level]
+        position = {sym: n for n, sym in enumerate(symbols)}
+        # a generator above codimension dim - 2 leaves no room for two
+        # non-unit partners, so its condition is empty and it is not sought
+        generators = [g for k in range(1, self.dim - 1) for g in self._level_generators(k)]
+        is_generator = set(generators)
+        earlier: set[str] = set()
+        for g in generators:
+            # non-unit symbols in basis order, hence by codimension, that are
+            # not earlier generators and leave room for a third factor
+            free = self.dim - codim[g]
+            partners = [s for s in symbols if codim[s] < free and s not in earlier]
+            for ix, x in enumerate(partners):
+                gx = self._entry(g, x)
+                for y in partners[ix:]:
+                    if codim[x] + codim[y] > free:
+                        break
+                    if x == y:
+                        if x not in is_generator or x == g:
+                            continue  # {g, x, x}: (gx)x = (gx)x
+                        ok = self._expand(self._entry(x, x), g) == self._expand(gx, x)
+                    else:
+                        out_y = self._expand(gx, y)
+                        ok = out_y == self._expand(self._entry(g, y), x)
+                        if ok and g != x and g != y and (x in is_generator or y in is_generator):
+                            ok = out_y == self._expand(self._entry(x, y), g)
+                    if not ok:
+                        a, b, c = sorted((g, x, y), key=position.__getitem__)
+                        raise ValueError(
+                            f"structure constants are not associative at ({a!r}, {b!r}, {c!r})"
+                        )
+            earlier.add(g)
 
     # -- equality --------------------------------------------------------
 
@@ -358,18 +449,18 @@ def product_presentation(r1: ChowRingPresentation, r2: ChowRingPresentation) -> 
         pairs_at[k] = level
         basis.append([tensor(a, b) for a, b in level])
 
-    all_pairs = [pair for level in pairs_at.values() for pair in level]
+    # non-unit pairs in basis order, hence by codimension; the unit row is
+    # filled in by the constructor
+    pairs = [(k, a, b) for k, level in pairs_at.items() for a, b in level][1:]
     products: dict[tuple[str, str], Combo] = {}
-    for a1, b1 in all_pairs:
-        for a2, b2 in all_pairs:
-            total = r1.codim_of(a1) + r1.codim_of(a2) + r2.codim_of(b1) + r2.codim_of(b2)
-            if total > dim:
-                continue
-            left = r1.pair_product(a1, a2)
-            right = r2.pair_product(b1, b2)
+    for n, (k1, a1, b1) in enumerate(pairs):
+        for k2, a2, b2 in pairs[n:]:
+            if k1 + k2 > dim:
+                break
+            right = r2._entry(b1, b2)
             value = {
                 tensor(sa, sb): ca * cb
-                for sa, ca in left.items()
+                for sa, ca in r1._entry(a1, a2).items()
                 for sb, cb in right.items()
             }
             if value:
@@ -390,18 +481,6 @@ def product_presentation(r1: ChowRingPresentation, r2: ChowRingPresentation) -> 
     return ChowRingPresentation(name, dim, basis, products, hyper, deg)
 
 
-def _split_product_args(body: str) -> tuple[str, str]:
-    depth = 0
-    for pos, ch in enumerate(body):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            return body[:pos], body[pos + 1 :]
-    raise ValueError(f"cannot split product arguments in {body!r}")
-
-
 def check_basis_size(size: int, name: str) -> None:
     """Reject a ring of ``size`` basis symbols above :data:`MAX_RING_BASIS`."""
     if size > MAX_RING_BASIS:
@@ -411,21 +490,61 @@ def check_basis_size(size: int, name: str) -> None:
 
 
 def _parse_builtin(name: str) -> tuple[int, Callable[[], ChowRingPresentation]]:
-    """The basis size a built-in name implies, and a function that builds it; nothing is built."""
-    s = name.strip()
-    if s == "point":
-        return 1, point
-    if s in ("quadric", "quadric_surface"):
-        return 4, quadric_surface
-    m = re.fullmatch(r"P(\d+)", s)
-    if m:
-        n = int(m.group(1))
-        return n + 1, lambda: projective_space(n)
-    m = re.fullmatch(r"product\((.+)\)", s)
-    if m:
-        (left_size, left), (right_size, right) = map(_parse_builtin, _split_product_args(m.group(1)))
-        return left_size * right_size, lambda: product_presentation(left(), right())
-    raise ValueError(f"unknown built-in presentation {name!r}")
+    """The basis size a built-in name implies, and a function that builds it; nothing is built.
+
+    One pass over ``name`` files each comma under its parenthesis depth, so a
+    ``product(<left>,<right>)`` splits at the first comma of its body at the
+    body's own depth without rescanning ``<left>``; spans are index ranges
+    and only error messages copy text.
+    """
+    commas: dict[int, list[int]] = {}
+    newlines: list[int] = []
+    depth = 0
+    for pos, ch in enumerate(name):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == ",":
+            commas.setdefault(depth, []).append(pos)
+        elif ch == "\n":
+            newlines.append(pos)
+
+    def parse(lo: int, hi: int, depth: int) -> tuple[int, Callable[[], ChowRingPresentation]]:
+        start, end = lo, hi
+        while start < end and name[start].isspace():
+            start += 1
+        while end > start and name[end - 1].isspace():
+            end -= 1
+        if end - start <= len("quadric_surface"):
+            word = name[start:end]
+            if word == "point":
+                return 1, point
+            if word in ("quadric", "quadric_surface"):
+                return 4, quadric_surface
+        m = _PROJECTIVE.fullmatch(name, start, end)
+        if m:
+            n = int(m.group(1))
+            return n + 1, lambda: projective_space(n)
+        # "product(", a body of at least one character without a newline, ")"
+        body, stop = start + len("product("), end - 1
+        if (
+            stop > body
+            and name.startswith("product(", start)
+            and name[stop] == ")"
+            and bisect.bisect_left(newlines, body) == bisect.bisect_left(newlines, stop)
+        ):
+            at_depth = commas.get(depth + 1, [])
+            n = bisect.bisect_left(at_depth, body)
+            if n == len(at_depth) or at_depth[n] >= stop:
+                raise ValueError(f"cannot split product arguments in {name[body:stop]!r}")
+            comma = at_depth[n]
+            left_size, left = parse(body, comma, depth + 1)
+            right_size, right = parse(comma + 1, stop, depth + 1)
+            return left_size * right_size, lambda: product_presentation(left(), right())
+        raise ValueError(f"unknown built-in presentation {name[lo:hi]!r}")
+
+    return parse(0, len(name), 0)
 
 
 def builtin(name: str) -> ChowRingPresentation:

@@ -214,9 +214,9 @@ def parse_cocycle(data: Any, strata: Stratification) -> CocyclePattern:
 def ring_to_json(ring: ChowRingPresentation) -> dict:
     # emit each stored pair once, in sorted order; unit rows are implicit
     products = [
-        {"a": a, "b": b, "value": dict(sorted(ring.pair_product(a, b).items()))}
-        for (a, b) in sorted(ring._table)
-        if ring.pair_product(a, b) and a != ring.unit and b != ring.unit
+        {"a": a, "b": b, "value": dict(sorted(value.items()))}
+        for (a, b), value in sorted(ring._table.items())
+        if value and a != ring.unit and b != ring.unit
     ]
     doc = {
         "name": ring.name,

@@ -91,6 +91,11 @@ class TestBuiltins:
         with pytest.raises(ValueError):
             builtin("E8")
 
+    def test_deep_product_of_points_builds(self):
+        ring = builtin("product(" * 500 + "point" + ",point)" * 500)
+        assert ring.dim == 0 and ring.basis == (("|".join(["1"] * 501),),)
+        assert degree(ring.unit_class()) == 1
+
 
 class TestLaws:
     @pytest.mark.parametrize(
@@ -318,3 +323,83 @@ class TestAssociativityEdgeCases:
         with pytest.raises(ValueError, match=re.escape("at ('a', 'b', 'c')")):
             ChowRingPresentation("three", 3, basis, products, [1, 1, 1], [1])
         assert assert_check_matches_reference(3, basis, products) is False
+
+
+# -- generating sets ----------------------------------------------------------
+
+
+class TestGenerators:
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    def test_projective_space_is_generated_by_h(self, n):
+        assert projective_space(n)._generators() == ["h"]
+
+    @pytest.mark.parametrize("a, b", [(1, 1), (2, 3), (4, 1)])
+    def test_product_is_generated_by_its_two_hyperplanes(self, a, b):
+        ring = product_presentation(projective_space(a), projective_space(b))
+        assert ring._generators() == list(ring.basis_at(1))
+
+    def test_quadric_is_generated_by_its_rulings(self):
+        assert quadric_surface()._generators() == ["e", "f"]
+
+    def test_codim_two_generator_outside_the_products(self):
+        # a*a = 0, so q spans codim 2 alone; the only failing multiset is
+        # {a, q, q}, where (aq)q = t but (qq)a = 0: a's own condition
+        # (aq)q = (aq)q is empty there, only q's condition sees it
+        basis = [["1"], ["a"], ["q"], ["r"], ["v"], ["t"]]
+        products = {("a", "q"): {"r": 1}, ("q", "q"): {"v": 1}, ("q", "r"): {"t": 1}}
+        assert UncheckedRing("gen2", 5, basis, products, [1], [1])._generators() == ["a", "q"]
+        with pytest.raises(ValueError, match=re.escape("at ('a', 'q', 'q')")):
+            ChowRingPresentation("gen2", 5, basis, products, [1], [1])
+        assert assert_check_matches_reference(5, basis, products) is False
+
+    @pytest.mark.parametrize("pp, accepted", [(1, True), (2, False)])
+    def test_rational_but_not_integral_span(self, pp, accepted):
+        # h*h = 2p: p = (h*h)/2 over Q, so h alone generates; with p*p = t the
+        # ring is h^4 = 4t, with p*p = 2t the multiset {h, h, p} fails
+        basis = [["1"], ["h"], ["p"], ["s"], ["t"]]
+        products = {("h", "h"): {"p": 2}, ("h", "p"): {"s": 1}, ("h", "s"): {"t": 2},
+                    ("p", "p"): {"t": pp}}
+        assert UncheckedRing("half", 4, basis, products, [1], [1])._generators() == ["h"]
+        assert assert_check_matches_reference(4, basis, products) is accepted
+
+
+def random_sparse_table(rng):
+    """Dim 1-5, 1-3 symbols per level; each product and each coefficient is
+    present with probability 1/2, so that products often miss part of a level
+    and generators above codimension 1 occur."""
+    dim = rng.randint(1, 5)
+    names = [f"g{m}" for m in range(16)]
+    rng.shuffle(names)
+    basis = [[rng.choice(["1", "u"])]]
+    for _ in range(dim):
+        size = rng.randint(1, 3)
+        basis.append(names[:size])
+        names = names[size:]
+    codim = {sym: k for k, level in enumerate(basis) for sym in level}
+    products = {}
+    for a, b in itertools.combinations_with_replacement(list(codim)[1:], 2):
+        total = codim[a] + codim[b]
+        if total <= dim and rng.random() < 0.5:
+            products[(a, b)] = {
+                sym: rng.randint(-1, 2) for sym in basis[total] if rng.random() < 0.5
+            }
+    return dim, basis, products
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_associativity_check_matches_reference_sparse(rng):
+    assert_check_matches_reference(*random_sparse_table(rng))
+
+
+def test_sparse_batch_walks_generators_above_codim_one():
+    rng = random.Random(20132)
+    verdicts, high = [], 0
+    for _ in range(200):
+        dim, basis, products = random_sparse_table(rng)
+        verdicts.append(assert_check_matches_reference(dim, basis, products))
+        ring = UncheckedRing("t", dim, basis, products, [0] * len(basis[1]), [1] * len(basis[dim]))
+        # generators the walk visits: above codim dim - 2 there is no room
+        high += any(1 < ring.codim_of(g) <= dim - 2 for g in ring._generators())
+    assert 0 < sum(verdicts) < len(verdicts)
+    assert high > 0

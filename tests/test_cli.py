@@ -444,8 +444,9 @@ class TestHostileInput:
             ("P128", "129 basis symbols; the limit is 128"),
             (json.dumps({"base": json.loads(LONG_RING)}), "2001 basis symbols; the limit is 128"),
             ("product(point," * 3000 + "P1" + ")" * 3000, "nested too deeply"),
+            ("product(" * 3000 + "point" + ",point)" * 3000, "nested too deeply"),
         ],
-        ids=["P2000", "product-P100-P100", "P128", "document", "deep-nesting"],
+        ids=["P2000", "product-P100-P100", "P128", "document", "deep-nesting", "deep-left-nesting"],
     )
     def test_oversized_ring_exits_2_before_building(self, cone, needle, capsys):
         start = time.perf_counter()
