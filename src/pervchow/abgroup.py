@@ -7,11 +7,17 @@ cokernel: ``Z^rank`` modulo the row span of its relations matrix.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from operator import mul
 
 Matrix = list[list[int]]
+
+
+class VerificationError(RuntimeError):
+    """A computed result failed its own exact check: a defect, never a property of the input."""
 
 
 def identity(n: int) -> Matrix:
@@ -152,8 +158,11 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], ncols: int | None = None)
     ``V`` stay within a small multiple of the size of the largest minors
     of ``M``; Euclidean elimination lets them grow with every step.
     ``ncols`` disambiguates the width of a matrix with no rows; empty
-    matrices are fine.  The returned form is verified against its own
-    contract before being handed back.
+    matrices are fine.  Every returned form has passed ``_verify_smith``,
+    an exact check of the whole contract (``U * M * V = S``, ``|det U| =
+    |det V| = 1``, ``S`` diagonal, nonnegative and a divisibility chain)
+    with no size cut-off or sampling; a form that fails it raises
+    ``VerificationError``.
     """
     a = [[int(x) for x in row] for row in matrix]
     m = len(a)
@@ -195,26 +204,93 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], ncols: int | None = None)
     return form
 
 
+def _pack(row: Sequence[int], w: int) -> int:
+    """``sum(row[j] * 2**(w*j))``: the row as balanced base-``2**w`` digits of one int."""
+    acc = 0
+    for x in reversed(row):
+        acc = (acc << w) + x
+    return acc
+
+
+def _product_is(
+    u: Sequence[Sequence[int]],
+    a: Sequence[Sequence[int]],
+    v: Sequence[Sequence[int]],
+    s: Sequence[Sequence[int]],
+) -> bool:
+    """Whether ``u * a * v == s``, for shapes p x m, m x n, n x q and p x q.
+
+    Kronecker substitution: each row of ``v`` is packed into one int with
+    slots of ``w`` bits, so a row of ``a * v`` is a sum of ``n`` products
+    ``a[j][k] * packed(v[k])`` and a row of ``u * a * v`` a sum of ``m``
+    products of ``u`` entries with those.  By linearity each sum is
+    ``packed`` of the true row, whatever ``w`` is.  The entries of ``a * v``
+    are at most ``n*|a|*|v|`` and those of ``u * a * v`` at most
+    ``m*n*|u|*|a|*|v|`` in absolute value (``|x|`` the largest entry of
+    ``x``); ``w`` is two more than the bit length of the largest of these
+    bounds and ``|s|``, so every entry compared has ``|x| < 2**(w-1)``.
+    Two rows in that range are equal exactly when their packed ints are:
+    their difference has digits of size below ``2**w``, and the lowest
+    nonzero one would have to be a multiple of ``2**w``.
+    """
+    def top(x: Sequence[Sequence[int]]) -> int:
+        return max(map(abs, chain.from_iterable(x)), default=0)
+
+    m, n = len(a), len(v)
+    ua, aa, va = top(u), top(a), top(v)
+    w = max(n * aa * va, m * n * ua * aa * va, top(s)).bit_length() + 2
+    packed_v = [_pack(row, w) for row in v]
+    packed_av = [sum(map(mul, row, packed_v)) for row in a]
+    return all(sum(map(mul, row, packed_av)) == _pack(srow, w) for row, srow in zip(u, s))
+
+
 def _verify_smith(matrix: Sequence[Sequence[int]], n: int, form: SmithForm) -> None:
+    """Raise ``VerificationError`` unless ``form`` is a Smith form of ``matrix`` (m x n).
+
+    Each fact is checked exactly, on every call:
+
+    - shapes: ``U`` is m x m, ``S`` is m x n and ``V`` is n x n;
+    - ``S`` is diagonal (read off its entries);
+    - ``U * M * V == S``, by ``_product_is`` on packed rows;
+    - the diagonal is nonnegative and each entry divides the next, zeros last;
+    - ``|det U| = |det V| = 1``.  When ``M`` is square and ``det S != 0``,
+      ``det U * det M * det V = det S`` (the product holds), so
+      ``|det M| == |det S|`` with integer ``det U`` and ``det V`` forces
+      both to be +-1; ``det M`` comes from the input's small entries, and
+      ``det S`` is the product of the diagonal because ``S`` is diagonal.
+      Otherwise ``det U`` and ``det V`` are computed.
+    """
     m = len(matrix)
-    s = [list(r) for r in form.S]
     original = [[int(x) for x in row] for row in matrix]
-    if mat_mul(mat_mul(form.U, original), form.V) != s:
-        raise RuntimeError("Smith form does not reproduce the input matrix")
-    if abs(det(form.U)) != 1 or abs(det(form.V)) != 1:
-        raise RuntimeError("Smith transforms are not unimodular")
-    for i in range(m):
-        for j in range(n):
-            if i != j and s[i][j] != 0:
-                raise RuntimeError("Smith form is not diagonal")
+    u, s, v = form.U, form.S, form.V
+    if (
+        len(u) != m
+        or len(s) != m
+        or len(v) != n
+        or any(len(row) != m for row in u)
+        or any(len(row) != n for row in s)
+        or any(len(row) != n for row in v)
+    ):
+        raise VerificationError("Smith form has the wrong shape")
+    if any(x for i, row in enumerate(s) for j, x in enumerate(row) if i != j):
+        raise VerificationError("Smith form is not diagonal")
+    if not _product_is(u, original, v, s):
+        raise VerificationError("Smith form does not reproduce the input matrix")
     diag = [s[i][i] for i in range(min(m, n))]
     if any(d < 0 for d in diag):
-        raise RuntimeError("Smith diagonal has a negative entry")
+        raise VerificationError("Smith diagonal has a negative entry")
     for x, y in zip(diag, diag[1:]):
         if x == 0 and y != 0:
-            raise RuntimeError("zero diagonal entry precedes a nonzero one")
+            raise VerificationError("zero diagonal entry precedes a nonzero one")
         if x != 0 and y % x != 0:
-            raise RuntimeError("Smith diagonal violates the divisibility chain")
+            raise VerificationError("Smith diagonal violates the divisibility chain")
+    det_s = math.prod(diag)
+    if m == n and det_s:
+        unimodular = abs(det(original)) == det_s
+    else:
+        unimodular = abs(det(u)) == 1 and abs(det(v)) == 1
+    if not unimodular:
+        raise VerificationError("Smith transforms are not unimodular")
 
 
 def _lattice_solver(
@@ -244,7 +320,7 @@ def _lattice_solver(
                 return None
         coeffs = vec_mat(a, form.U)
         if vec_mat(coeffs, gens) != x:
-            raise RuntimeError("lattice witness failed verification")
+            raise VerificationError("lattice witness failed verification")
         return coeffs
 
     return solve

@@ -64,6 +64,16 @@ class Report:
         return doc
 
     def render(self, pretty: bool) -> str:
+        # results are exact integers and print in full, past Python's int-to-str
+        # digit limit; input is parsed earlier, in ``_load``, under the limit
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return self._render(pretty)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def _render(self, pretty: bool) -> str:
         if not pretty:
             return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
         lines = [f"command: {self.command}"]
@@ -556,7 +566,17 @@ def run(argv: list[str]) -> Report:
         _HANDLERS[args.command](args, report)
     except ValueError as exc:  # covers InputError and precondition violations
         report.error = str(exc)
+    except _verification_error() as exc:  # a result failed its own exact check
+        report.verdicts.append(Verdict("self-check", False, str(exc)))
     return report
+
+
+def _verification_error() -> type[Exception]:
+    # An except clause's class is looked up only once an exception reaches it,
+    # so commands that never load ``abgroup`` do not load it here either.
+    from .abgroup import VerificationError
+
+    return VerificationError
 
 
 def main(argv: list[str] | None = None) -> int:

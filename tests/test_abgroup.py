@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pervchow import abgroup
 from pervchow.abgroup import (
     FpAbelianGroup,
     GroupMap,
+    SmithForm,
+    VerificationError,
     compose,
     describe,
     invariant_factors,
@@ -274,6 +277,213 @@ def test_snf_transform_growth_stays_small():
         form = smith_normal_form(matrix)
         bits = max(abs(x).bit_length() for t in (form.U, form.V) for row in t for x in row)
         assert bits < 1000
+
+
+# --- the Smith form's self-check ---------------------------------------------
+
+
+def verifier_inputs():
+    """``(matrix, diagonal)`` for both unimodularity branches of ``_verify_smith``.
+
+    The first input is square and nonsingular (``|det M|`` certifies the
+    transforms); the others are rectangular or singular (``det U`` and
+    ``det V`` are computed).  No input has a zero row or column, so changing
+    any one entry of ``U`` or ``V`` breaks ``U * M * V = S``.
+    """
+    rng = random.Random(8080)
+    out = []
+    for m, n, diag in ((5, 5, [1, 2, 6, 6, 12]), (4, 6, [1, 3, 6, 0]), (5, 5, [1, 2, 4, 0, 0])):
+        while True:
+            matrix = udv(rng, m, n, diag)[0]
+            if all(any(row) for row in matrix) and all(any(col) for col in zip(*matrix)):
+                break
+        out.append((matrix, diag))
+    return out
+
+
+def as_form(u, s, v):
+    return SmithForm(
+        U=tuple(tuple(r) for r in u), S=tuple(tuple(r) for r in s), V=tuple(tuple(r) for r in v)
+    )
+
+
+def check(matrix, u, s, v):
+    abgroup._verify_smith(matrix, len(matrix[0]), as_form(u, s, v))
+
+
+def swap_columns(x, i, j):
+    x = [list(r) for r in x]
+    for r in x:
+        r[i], r[j] = r[j], r[i]
+    return x
+
+
+def twice(x):
+    return [[2 * e for e in r] for r in x]
+
+
+def add_column_0_to_1(x):
+    return [[r[0] + e if c == 1 else e for c, e in enumerate(r)] for r in x]
+
+
+def negate_row_0(x):
+    return [[-e for e in r] if i == 0 else list(r) for i, r in enumerate(x)]
+
+
+class TestVerifySmith:
+    @pytest.mark.parametrize("index", range(3))
+    def test_true_form_passes_and_diagonal_is_known(self, index):
+        matrix, diag = verifier_inputs()[index]
+        form = smith_normal_form(matrix)
+        assert list(form.diagonal()) == diag
+        assert_snf_contract(matrix, form)
+
+    @pytest.mark.parametrize("index", range(3))
+    @pytest.mark.parametrize("which", ["U", "S", "V"])
+    def test_one_changed_entry_is_rejected(self, index, which):
+        matrix, _ = verifier_inputs()[index]
+        form = smith_normal_form(matrix)
+        parts = {name: [list(r) for r in getattr(form, name)] for name in "USV"}
+        target = parts[which]
+        for i, j in itertools.product(range(len(target)), range(len(target[0]))):
+            for delta in (1, -1, 10**30):
+                target[i][j] += delta
+                with pytest.raises(VerificationError):
+                    check(matrix, parts["U"], parts["S"], parts["V"])
+                target[i][j] -= delta
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_scaled_transforms_are_not_unimodular(self, index):
+        # 2U * M * V = 2S, and 2S is still a diagonal divisibility chain
+        matrix, _ = verifier_inputs()[index]
+        form = smith_normal_form(matrix)
+        for u, s, v in ((twice(form.U), twice(form.S), form.V), (form.U, twice(form.S), twice(form.V))):
+            with pytest.raises(VerificationError, match="unimodular"):
+                check(matrix, u, s, v)
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_off_diagonal_entry_is_rejected(self, index):
+        # adding column 0 to column 1 of both S and V keeps U * M * V = S and V unimodular
+        matrix, _ = verifier_inputs()[index]
+        form = smith_normal_form(matrix)
+        with pytest.raises(VerificationError, match="not diagonal"):
+            check(matrix, form.U, add_column_0_to_1(form.S), add_column_0_to_1(form.V))
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_negative_diagonal_entry_is_rejected(self, index):
+        # negating row 0 of both U and S keeps the product and |det U|
+        matrix, _ = verifier_inputs()[index]
+        form = smith_normal_form(matrix)
+        with pytest.raises(VerificationError, match="negative"):
+            check(matrix, negate_row_0(form.U), negate_row_0(form.S), form.V)
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_broken_divisibility_chain_is_rejected(self, index):
+        # swapping entries i, j of the diagonal (rows of U and S, columns of S and V)
+        matrix, diag = verifier_inputs()[index]
+        form = smith_normal_form(matrix)
+        swaps = [(0, 1, "divisibility chain")]
+        if 0 in diag:
+            swaps.append((0, diag.index(0), "zero diagonal entry precedes"))
+        for i, j, needle in swaps:
+            u = [list(r) for r in form.U]
+            s = [list(r) for r in form.S]
+            u[i], u[j] = u[j], u[i]
+            s[i], s[j] = s[j], s[i]
+            with pytest.raises(VerificationError, match=needle):
+                check(matrix, u, swap_columns(s, i, j), swap_columns(form.V, i, j))
+
+    def test_wrong_shapes_are_rejected(self):
+        matrix, _ = verifier_inputs()[1]
+        form = smith_normal_form(matrix)
+        u, s, v = form.U, form.S, form.V
+        for bad in ((u[:-1], s, v), (u, s[:-1], v), (u, s, v[:-1]), (u, [r[:-1] for r in s], v)):
+            with pytest.raises(VerificationError, match="shape"):
+                check(matrix, *bad)
+
+    def test_tampered_empty_forms_are_rejected(self):
+        form = smith_normal_form([[], []], ncols=0)
+        with pytest.raises(VerificationError, match="unimodular"):
+            abgroup._verify_smith([[], []], 0, as_form([[2, 0], [0, 1]], form.S, form.V))
+        form = smith_normal_form([], ncols=3)
+        with pytest.raises(VerificationError, match="unimodular"):
+            abgroup._verify_smith([], 3, as_form(form.U, form.S, [[1, 1, 0], [0, 2, 0], [0, 0, 1]]))
+
+    def test_branch_follows_the_input(self, monkeypatch):
+        # square nonsingular: one determinant, of M itself; otherwise det U and det V
+        seen = []
+        real = abgroup.det
+        monkeypatch.setattr(abgroup, "det", lambda x: seen.append(x) or real(x))
+        for index, expected in ((0, 1), (1, 2), (2, 2)):
+            matrix, _ = verifier_inputs()[index]
+            form = smith_normal_form(matrix)
+            seen.clear()
+            abgroup._verify_smith(matrix, len(matrix[0]), form)
+            assert len(seen) == expected
+            if expected == 1:
+                assert [list(r) for r in seen[0]] == matrix
+            else:
+                assert seen == [form.U, form.V]
+
+
+def slot_edge_entry(rng):
+    """Zero, a small entry, or one at a slot-width edge ``+-(2**k - 1)`` or ``+-2**k``."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-9, 9)
+    k = rng.randint(1, 70)
+    return rng.choice((-1, 1)) * (2**k - (kind == 2))
+
+
+def test_packed_product_matches_mat_mul():
+    # shapes (p, m, n, q) of U, M, V, S = p x m, m x n, n x q, p x q, with the
+    # empty shapes of test_empty_matrices first
+    rng = random.Random(9090)
+    shapes = [(0, 0, 0, 0), (0, 0, 3, 3), (2, 2, 0, 0)]
+    shapes += [tuple(rng.randint(0, 5) for _ in range(4)) for _ in range(600)]
+    seen = {True: 0, False: 0}
+    for p, m, n, q in shapes:
+        def draw(rows, cols):
+            x = [[slot_edge_entry(rng) for _ in range(cols)] for _ in range(rows)]
+            if rows and cols and rng.random() < 0.3:  # a zero row and a zero column
+                i, j = rng.randrange(rows), rng.randrange(cols)
+                x = [[0 if r == i or c == j else e for c, e in enumerate(row)] for r, row in enumerate(x)]
+            return x
+
+        u, a, v = draw(p, m), draw(m, n), draw(n, q)
+        product = mat_mul(mat_mul(u, a), v) if m and n else [[0] * q for _ in range(p)]
+        s = [list(r) for r in product]
+        if p and q and rng.random() < 0.5:
+            i, j = rng.randrange(p), rng.randrange(q)
+            s[i][j] += rng.choice((1, -1, 2 ** rng.randint(1, 200), -(2 ** rng.randint(1, 200))))
+        expected = s == product
+        assert abgroup._product_is(u, a, v, s) is expected
+        seen[expected] += 1
+    assert min(seen.values()) > 100
+
+
+def test_packed_product_rejects_carries():
+    # s = u*a*v plus 2**k in one entry and -1 in the next: the packed ints of
+    # the two rows agree exactly when the slot width is k, so this sweep fails
+    # for any width below the proven bound
+    rng = random.Random(9191)
+    for _ in range(12):
+        p, m, n, q = (rng.randint(1, 4) for _ in range(4))
+        q += 1
+        u = [[slot_edge_entry(rng) for _ in range(m)] for _ in range(p)]
+        a = [[slot_edge_entry(rng) for _ in range(n)] for _ in range(m)]
+        v = [[slot_edge_entry(rng) for _ in range(q)] for _ in range(n)]
+        product = mat_mul(mat_mul(u, a), v)
+        assert abgroup._product_is(u, a, v, product)
+        i, j = rng.randrange(p), rng.randrange(q - 1)
+        for k in range(1, 400):
+            for sign in (1, -1):
+                s = [list(r) for r in product]
+                s[i][j] += sign * 2**k
+                s[i][j + 1] -= sign
+                assert not abgroup._product_is(u, a, v, s)
 
 
 # --- independent oracles for the invariant factors ---------------------------

@@ -1,5 +1,7 @@
 import json
+import math
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -148,6 +150,32 @@ class TestGroupsCompareSnfExact:
             matrix = [[rng.randint(-9, 9) for _ in range(24)] for _ in range(24)]
             assert main(["snf", "--matrix", json.dumps(matrix)]) == 0
             assert json.loads(capsys.readouterr().out)["schema"] == 1
+
+    def test_snf_prints_integers_past_the_digit_limit(self, capsys):
+        # the lcm on the diagonal has about 8000 digits, past int-to-str's 4300
+        a, b = int("7" * 4000), int("3" * 3999 + "1")
+        matrix = f"[[{'7' * 4000},0],[0,{'3' * 3999}1]]"
+        limit = sys.get_int_max_str_digits()
+        for extra in ([], ["--pretty"]):
+            assert main(["snf", "--matrix", matrix, *extra]) == 0
+            assert sys.get_int_max_str_digits() == limit
+            out = capsys.readouterr().out
+            sys.set_int_max_str_digits(0)
+            try:
+                if extra:
+                    out = out[out.index("{") : out.rindex("}") + 1]
+                    doc = {"values": json.loads(out)}
+                else:
+                    doc = json.loads(out)
+                    assert doc["schema"] == 1 and doc["ok"] is True
+                assert doc["values"]["snf"]["diagonal"] == [math.gcd(a, b), math.lcm(a, b)]
+            finally:
+                sys.set_int_max_str_digits(limit)
+
+    def test_snf_input_keeps_the_digit_limit(self):
+        report = run(["snf", "--matrix", f"[[{'7' * 5000}]]"])
+        assert report.exit_code == 2
+        assert "limit" in report.error
 
     def test_exact_true(self):
         f = json.dumps(
@@ -355,6 +383,58 @@ class TestCommandContract:
         # failed checks, violated preconditions, and --pretty on either side
         assert main(case["argv"]) == case["exit"]
         assert capsys.readouterr().out == case["stdout"]
+
+
+class TestSelfCheckFailure:
+    """A result that fails its own exact check exits 1 with a JSON report, not a traceback."""
+
+    def test_corrupted_smith_form_exits_1(self, monkeypatch, capsys):
+        from pervchow import abgroup
+
+        real = abgroup._hnf
+
+        def corrupted(a, t):
+            h, w = real(a, t)
+            if w and w[0]:
+                w[0][0] += 1
+            return h, w
+
+        monkeypatch.setattr(abgroup, "_hnf", corrupted)
+        assert main(["snf", "--matrix", "[[2,4],[6,8]]"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["schema"] == 1 and doc["ok"] is False
+        assert doc["verdicts"] == [
+            {"check": "self-check", "ok": False, "explanation": "Smith form does not reproduce the input matrix"}
+        ]
+
+    def test_failed_lattice_witness_exits_1(self, monkeypatch):
+        from pervchow import abgroup
+
+        real = abgroup.smith_normal_form
+
+        def doubled(matrix, ncols=None):
+            form = real(matrix, ncols)  # a form that skipped its own check
+            return abgroup.SmithForm(tuple(tuple(2 * x for x in r) for r in form.U), form.S, form.V)
+
+        monkeypatch.setattr(abgroup, "smith_normal_form", doubled)
+        g = json.dumps({"source": {"rank": 1}, "target": {"rank": 1, "relations": [[2]]}, "matrix": [[1]]})
+        f = json.dumps({"source": {"rank": 1}, "target": {"rank": 1}, "matrix": [[2]]})
+        report = run(["exact", "--f", f, "--g", g])
+        assert report.exit_code == 1
+        assert [(v.check, v.ok, v.explanation) for v in report.verdicts] == [
+            ("self-check", False, "lattice witness failed verification")
+        ]
+
+    def test_recursion_error_is_not_a_check_failure(self, monkeypatch):
+        # RecursionError is a RuntimeError too; run leaves it to the layers that map it to exit 2
+        from pervchow import cli
+
+        def deep(args, report):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setitem(cli._HANDLERS, "snf", deep)
+        with pytest.raises(RecursionError):
+            run(["snf", "--matrix", "[[2]]"])
 
 
 class TestHostileInput:
