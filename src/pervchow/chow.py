@@ -336,8 +336,6 @@ class ChowClass:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-        if self.codim < 0:
-            raise ValueError("codimension must be nonnegative")
         expected = len(self.ring.basis_at(self.codim))
         if len(self.coeffs) != expected:
             raise ValueError(
@@ -495,10 +493,11 @@ def _parse_builtin(name: str) -> tuple[int, Callable[[], ChowRingPresentation]]:
     One pass over ``name`` files each comma under its parenthesis depth, so a
     ``product(<left>,<right>)`` splits at the first comma of its body at the
     body's own depth without rescanning ``<left>``; spans are index ranges
-    and only error messages copy text.
+    and only error messages copy text.  No built-in name spans lines.
     """
+    if "\n" in name.strip():
+        raise ValueError(f"unknown built-in presentation {name!r}")
     commas: dict[int, list[int]] = {}
-    newlines: list[int] = []
     depth = 0
     for pos, ch in enumerate(name):
         if ch == "(":
@@ -507,8 +506,6 @@ def _parse_builtin(name: str) -> tuple[int, Callable[[], ChowRingPresentation]]:
             depth -= 1
         elif ch == ",":
             commas.setdefault(depth, []).append(pos)
-        elif ch == "\n":
-            newlines.append(pos)
 
     def parse(lo: int, hi: int, depth: int) -> tuple[int, Callable[[], ChowRingPresentation]]:
         start, end = lo, hi
@@ -526,14 +523,9 @@ def _parse_builtin(name: str) -> tuple[int, Callable[[], ChowRingPresentation]]:
         if m:
             n = int(m.group(1))
             return n + 1, lambda: projective_space(n)
-        # "product(", a body of at least one character without a newline, ")"
+        # "product(", a body of at least one character, ")"
         body, stop = start + len("product("), end - 1
-        if (
-            stop > body
-            and name.startswith("product(", start)
-            and name[stop] == ")"
-            and bisect.bisect_left(newlines, body) == bisect.bisect_left(newlines, stop)
-        ):
+        if stop > body and name.startswith("product(", start) and name[stop] == ")":
             at_depth = commas.get(depth + 1, [])
             n = bisect.bisect_left(at_depth, body)
             if n == len(at_depth) or at_depth[n] >= stop:

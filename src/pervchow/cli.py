@@ -3,7 +3,7 @@
 Every subcommand reads inline JSON, @-free file paths or shorthand strings,
 runs one library operation, and emits a deterministic report.  Exit code 0
 means every verdict passed, 1 means a check failed, 2 means the input was
-malformed or a precondition was violated.
+malformed, a precondition was violated, or the command stopped on an error.
 """
 
 from __future__ import annotations
@@ -310,10 +310,7 @@ def _cmd_exact(args: argparse.Namespace, report: Report) -> None:
 
     f = serialize.parse_group_map(_load(args.f))
     g = serialize.parse_group_map(_load(args.g))
-    try:
-        verdict = abgroup.is_exact_at_middle(f, g)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    verdict = abgroup.is_exact_at_middle(f, g)
     report.verdicts.append(
         Verdict(
             "exact-at-middle",
@@ -568,6 +565,8 @@ def run(argv: list[str]) -> Report:
         report.error = str(exc)
     except _verification_error() as exc:  # a result failed its own exact check
         report.verdicts.append(Verdict("self-check", False, str(exc)))
+    except Exception as exc:  # anything else is still a report: no input ends in a traceback
+        report.error = f"unexpected {type(exc).__name__}: {exc}"
     return report
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .cycles import CyclePattern, Incidence, JointPattern, _normalize_incidence, _require_depth, _verdict
+from .cycles import CyclePattern, Incidence, JointPattern, _normalize_incidence, _require_depth
+from .cycles import _require_shared, _verdict
 from .perversity import GeneralizedBound
 from .strata import Stratification
 
@@ -36,7 +37,7 @@ class CocyclePattern:
             raise ValueError(
                 f"codimension t={self.t} must lie in 0..target_dim={self.target_dim}"
             )
-        table = _normalize_incidence(self.strata, self.excess, "excess", show_keys=False)
+        table = _normalize_incidence(self.strata, self.excess, "excess")
         for i, v in table.items():
             if v < 0:
                 raise ValueError(f"excess at stratum {i} must be nonnegative")
@@ -46,8 +47,11 @@ class CocyclePattern:
                 )
         object.__setattr__(self, "excess", table)
 
-    def excess_at(self, i: int) -> int:
-        return self.excess[i]
+
+def _require_projective(pattern: CocyclePattern, op: str) -> None:
+    """The precondition of join, slicing and cap: values in a projective space of codimension ``t``."""
+    if pattern.target_dim != pattern.t:
+        raise ValueError(f"{op} needs a cocycle valued in a projective space of its codimension")
 
 
 def cocycle_report(pattern: CocyclePattern, bound: GeneralizedBound) -> list[tuple[int, bool, str]]:
@@ -71,13 +75,9 @@ def join(a: CocyclePattern, b: CocyclePattern) -> CocyclePattern:
     cup-product situation).  Fibers of a join are joins of fibers, so
     dimensions add plus one and excess profiles add exactly.
     """
-    if a.strata != b.strata:
-        raise ValueError("joined cocycles need a shared stratification")
-    for side, name in ((a, "first"), (b, "second")):
-        if side.t != side.target_dim:
-            raise ValueError(
-                f"{name} factor must take values in a projective space of its own codimension"
-            )
+    _require_shared(a.strata, b.strata, "join")
+    _require_projective(a, "join (first factor)")
+    _require_projective(b, "join (second factor)")
     excess = {i: a.excess[i] + b.excess[i] for i in a.strata.indices()}
     return CocyclePattern(a.strata, a.t + b.t, a.target_dim + b.target_dim + 1, excess)
 
@@ -99,8 +99,7 @@ def slice_with_hyperplanes(pattern: CocyclePattern, count: int) -> CyclePattern:
     """
     if count != pattern.t:
         raise ValueError(f"need exactly t={pattern.t} hyperplanes, got {count}")
-    if pattern.target_dim != pattern.t:
-        raise ValueError("slicing needs a cocycle valued in a projective space of its codimension")
+    _require_projective(pattern, "slicing")
     d, t = pattern.strata.ambient_dim, pattern.t
     if t > d:
         raise ValueError(
@@ -119,8 +118,7 @@ def slice_against(a: CocyclePattern, b: CyclePattern) -> JointPattern:
     pattern records those bounds.  It satisfies the pairwise intersection
     condition at the sum of any profiles the two inputs satisfy.
     """
-    if a.strata != b.strata:
-        raise ValueError("slice certificate needs a shared stratification")
+    _require_shared(a.strata, b.strata, "slice certificate")
     sliced = slice_with_hyperplanes(a, a.t)
     if b.r < a.t:  # the slice misses a cycle of dimension below its codimension
         return JointPattern(sliced, b, dict.fromkeys(a.strata.indices()), None)
@@ -141,10 +139,8 @@ def cap_pattern(a: CocyclePattern, b: CyclePattern) -> CyclePattern:
     within excess ``p`` capped with a cycle within ``q`` lands within
     ``p + q``.
     """
-    if a.strata != b.strata:
-        raise ValueError("cap factors need a shared stratification")
-    if a.target_dim != a.t:
-        raise ValueError("cap needs a cocycle valued in a projective space of its codimension")
+    _require_shared(a.strata, b.strata, "cap")
+    _require_projective(a, "cap")
     if b.r < a.t:
         raise ValueError(f"cycle dimension {b.r} is below the cocycle codimension {a.t}")
     t = a.t

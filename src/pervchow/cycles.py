@@ -29,14 +29,21 @@ def _show(value: Incidence) -> int | str:
 
 
 def _normalize_incidence(
-    strata: Stratification, data: Mapping[int | str, Incidence], what: str, show_keys: bool = True
+    strata: Stratification, data: Mapping[int | str, Incidence], what: str
 ) -> dict[int, Incidence]:
     """Per-stratum data keyed by exactly the indices of ``strata``."""
     table = {int(key): (None if value is None else int(value)) for key, value in data.items()}
     if set(table) != set(strata.indices()):
-        got = f", got {sorted(table)}" if show_keys else ""
-        raise ValueError(f"{what} must declare exactly the stratum indices {list(strata.indices())}{got}")
+        raise ValueError(
+            f"{what} must declare exactly the stratum indices {list(strata.indices())}, got {sorted(table)}"
+        )
     return table
+
+
+def _require_shared(a: Stratification, b: Stratification, op: str) -> None:
+    """The precondition of ``op`` on two operands: both live on one stratification."""
+    if a != b:
+        raise ValueError(f"{op} needs a shared stratification")
 
 
 @dataclass(frozen=True)
@@ -66,9 +73,6 @@ class CyclePattern:
                     f"incidence {v} at stratum {i} outside 0..r={self.r} (use EMPTY for no intersection)"
                 )
         object.__setattr__(self, "incidence", table)
-
-    def incidence_at(self, i: int) -> Incidence:
-        return self.incidence[i]
 
 
 def empty_pattern(strata: Stratification, r: int, label: str | None = None) -> CyclePattern:
@@ -156,8 +160,7 @@ class JointPattern:
     total: Incidence
 
     def __post_init__(self) -> None:
-        if self.a.strata != self.b.strata:
-            raise ValueError("joint patterns need a shared stratification")
+        _require_shared(self.a.strata, self.b.strata, "joint pattern")
         table = _normalize_incidence(self.a.strata, self.joint, "joint")
         total = None if self.total is None else int(self.total)
         if total is not None and total < 0:

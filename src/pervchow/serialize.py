@@ -9,7 +9,8 @@ re-parse to equal values.
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any
 
 from .perversity import GeneralizedBound, Perversity
@@ -26,9 +27,22 @@ if TYPE_CHECKING:
 
 SCHEMA_VERSION = 1
 
+# Largest d of the ``vertex<d>`` shorthand, which builds d strata; checked from
+# the digits, so an over-long shorthand is rejected before anything is built.
+MAX_VERTEX_DIM = 1024
+
 
 class InputError(ValueError):
     """A document does not match the expected schema."""
+
+
+@contextmanager
+def _reading(what: str) -> Iterator[None]:
+    """The malformed-document rule: a missing key or a wrong type or value is ``bad <what>``."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise InputError(f"bad {what}: {exc}") from exc
 
 
 def _int(x: Any) -> int:
@@ -93,20 +107,21 @@ def stratification_to_json(s: Stratification) -> dict:
 
 def parse_stratification(data: Any) -> Stratification:
     if isinstance(data, str):
-        m = re.fullmatch(r"vertex(\d+)", data.strip())
+        m = re.fullmatch(r"vertex0*(\d+)", data.strip())
         if m:
-            return isolated_vertex(_int(m.group(1)))
+            digits = m.group(1)
+            if len(digits) > len(str(MAX_VERTEX_DIM)) or int(digits) > MAX_VERTEX_DIM:
+                raise InputError(f"vertex<d> takes d up to {MAX_VERTEX_DIM}, got {digits}")
+            return isolated_vertex(int(digits))
         raise InputError(f"unknown stratification shorthand {data!r} (expected vertex<d>)")
     if not isinstance(data, Mapping):
         raise InputError("a stratification must be an object or a shorthand string")
-    try:
+    with _reading("stratification document"):
         strata = tuple(
             StratumSpec(_int(st["i"]), _int(st["codim"]), str(st.get("label", "")))
             for st in data["strata"]
         )
         return Stratification(_int(data["dim"]), strata, _model_from_json(data.get("model")))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad stratification document: {exc}") from exc
 
 
 # -- cycle/joint patterns ----------------------------------------------
@@ -147,15 +162,13 @@ def parse_pattern(data: Any, strata: Stratification) -> CyclePattern:
 
     if not isinstance(data, Mapping):
         raise InputError("a cycle pattern must be an object")
-    try:
+    with _reading("cycle pattern"):
         return CyclePattern(
             strata,
             _int(data["dim"]),
             _incidence_from_json(data["incidence"], "incidence"),
             data.get("label"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad cycle pattern: {exc}") from exc
 
 
 def joint_to_json(j: JointPattern) -> dict:
@@ -172,7 +185,7 @@ def parse_joint(data: Any, strata: Stratification) -> JointPattern:
 
     if not isinstance(data, Mapping):
         raise InputError("a joint pattern must be an object")
-    try:
+    with _reading("joint pattern"):
         total = data["total"]
         total = None if total in ("empty", None) else _int(total)
         return JointPattern(
@@ -181,8 +194,6 @@ def parse_joint(data: Any, strata: Stratification) -> JointPattern:
             _incidence_from_json(data["joint"], "joint"),
             total,
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad joint pattern: {exc}") from exc
 
 
 # -- cocycle patterns ----------------------------------------------------
@@ -201,11 +212,9 @@ def parse_cocycle(data: Any, strata: Stratification) -> CocyclePattern:
 
     if not isinstance(data, Mapping):
         raise InputError("a cocycle pattern must be an object")
-    try:
+    with _reading("cocycle pattern"):
         excess = {_int(k): _int(v) for k, v in data["excess"].items()}
         return CocyclePattern(strata, _int(data["t"]), _int(data["targetDim"]), excess)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise InputError(f"bad cocycle pattern: {exc}") from exc
 
 
 # -- ring presentations and cones ----------------------------------------
@@ -243,7 +252,7 @@ def parse_ring(data: Any) -> ChowRingPresentation:
             raise InputError(str(exc)) from exc
     if not isinstance(data, Mapping):
         raise InputError("a ring must be a built-in name or a presentation object")
-    try:
+    with _reading("ring presentation"):
         name = str(data.get("name", "user"))
         check_basis_size(sum(len(level) for level in data.get("basis", ())), name)
         products = {
@@ -265,8 +274,6 @@ def parse_ring(data: Any) -> ChowRingPresentation:
             [_int(c) for c in data["degree"]],
             relations or None,
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad ring presentation: {exc}") from exc
 
 
 def parse_cone(data: Any) -> ConeVariety:
@@ -320,15 +327,13 @@ def parse_cone_class(data: Any, cone: ConeVariety) -> ConeClass:
             )
         return cls
     if isinstance(data, Mapping):
-        try:
+        with _reading("cone class"):
             payload = data["payload"]
             if isinstance(payload, Mapping):
                 payload = {s: _int(c) for s, c in payload.items()}
             else:
                 payload = [_int(c) for c in payload]
             cls = cone.cls(_int(data["r"]), _int(data["p"]), payload)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad cone class: {exc}") from exc
         declared = data.get("mode")
         if declared is not None and declared != cls.mode.value:
             raise InputError(
@@ -359,13 +364,11 @@ def parse_group(data: Any) -> FpAbelianGroup:
 
     if not isinstance(data, Mapping):
         raise InputError("a group must be an object with rank and relations")
-    try:
+    with _reading("group presentation"):
         return FpAbelianGroup(
             _int(data["rank"]),
             tuple(tuple(_int(x) for x in row) for row in data.get("relations", [])),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad group presentation: {exc}") from exc
 
 
 def map_to_json(m: GroupMap) -> dict:
@@ -381,23 +384,19 @@ def parse_group_map(data: Any) -> GroupMap:
 
     if not isinstance(data, Mapping):
         raise InputError("a group map must be an object")
-    try:
+    with _reading("group map"):
         return GroupMap(
             parse_group(data["source"]),
             parse_group(data["target"]),
             tuple(tuple(_int(x) for x in row) for row in data["matrix"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad group map: {exc}") from exc
 
 
 def parse_matrix(data: Any) -> list[list[int]]:
     if not isinstance(data, (list, tuple)):
         raise InputError("a matrix must be an array of integer rows")
-    try:
+    with _reading("matrix"):
         rows = [[_int(x) for x in row] for row in data]
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad matrix: {exc}") from exc
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise InputError("matrix rows have unequal lengths")
     return rows

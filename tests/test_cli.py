@@ -426,15 +426,17 @@ class TestSelfCheckFailure:
         ]
 
     def test_recursion_error_is_not_a_check_failure(self, monkeypatch):
-        # RecursionError is a RuntimeError too; run leaves it to the layers that map it to exit 2
+        # RecursionError is a RuntimeError too, but no failed self-check: run reports it with exit 2
         from pervchow import cli
 
         def deep(args, report):
             raise RecursionError("maximum recursion depth exceeded")
 
         monkeypatch.setitem(cli._HANDLERS, "snf", deep)
-        with pytest.raises(RecursionError):
-            run(["snf", "--matrix", "[[2]]"])
+        report = run(["snf", "--matrix", "[[2]]"])
+        assert report.exit_code == 2 and report.verdicts == []
+        assert report.error == "unexpected RecursionError: maximum recursion depth exceeded"
+        assert json.loads(machine(report))["error"] == {"message": report.error}
 
 
 class TestHostileInput:
@@ -540,6 +542,34 @@ class TestHostileInput:
         report = run(["validate", "--ring", self.LONG_RING])
         assert report.exit_code == 1
         assert "the limit is 128" in report.verdicts[0].explanation
+
+    def test_ring_document_of_the_wrong_shape_exits_2(self):
+        # "relations" must be an object keyed by codimension, and "[1]" has no items()
+        cone = '{"base":{"dim":1,"basis":[["1"],["h"]],"degree":[1],"relations":[1]}}'
+        report = run(["groups", "--cone", cone, "--r", "0", "--p", "0"])
+        assert report.exit_code == 2
+        assert report.error.startswith("bad ring presentation:")
+
+    def test_ring_product_value_of_the_wrong_shape_fails_validation(self):
+        ring = {"dim": 1, "basis": [["1"], ["h"]], "degree": [1], "products": [{"a": "h", "b": "h", "value": [1]}]}
+        report = run(["validate", "--ring", json.dumps(ring)])
+        assert report.exit_code == 1
+        assert [(v.check, v.ok) for v in report.verdicts] == [("valid-ring", False)]
+        assert report.verdicts[0].explanation.startswith("bad ring presentation:")
+        assert json.loads(machine(report))["schema"] == 1
+
+    def test_oversized_vertex_shorthand_exits_2_before_building(self):
+        start = time.perf_counter()
+        report = run(["suspend", "--strata", "vertex100000000"])
+        assert time.perf_counter() - start < 1.0
+        assert report.exit_code == 2
+        assert report.error == "vertex<d> takes d up to 1024, got 100000000"
+        assert run(["suspend", "--strata", "vertex1025"]).exit_code == 2
+
+    def test_vertex_limit_admits_vertex1024(self):
+        assert parse_stratification("vertex1024").depth == 1024
+        assert parse_stratification("vertex01024").depth == 1024
+        assert run(["suspend", "--strata", "vertex1024"]).exit_code == 0
 
     def test_ring_limit_admits_the_rings_in_use(self):
         # the largest built-ins the tests and the benchmark construct

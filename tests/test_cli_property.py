@@ -1,0 +1,166 @@
+"""The exit-code contract over generated argv, in process through ``cli.run``.
+
+Every command of ``cli.COMMANDS`` is drawn with inputs from a pool of valid
+documents, mutated ones (a key or element dropped, an array and an object
+swapped, a scalar of the wrong type), documents of another kind, and
+oversized ones.  Whatever the input, the report exits 0, 1 or 2, renders as
+JSON with the schema key, and no exception escapes.
+"""
+
+import json
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from pervchow.cli import COMMANDS, run
+
+# Sizes of the oversized inputs; every one must be rejected well before it is built.
+DEEP = 3000  # nesting depth of JSON documents and of product(...) shorthands
+BIG_P = 2000  # P<n> and a document ring of that dimension
+BIG_VERTEX = 10**8  # vertex<d>
+DIGITS = 5000  # digits of an integer entry
+
+PATTERNS = [
+    {"dim": 1, "incidence": {"1": "empty", "2": "empty", "3": "empty"}},
+    {"dim": 2, "incidence": {"1": 1, "2": 0, "3": 0}},
+    {"dim": 1, "incidence": {"1": 0, "2": 0, "3": 0}},
+    {"dim": 1, "incidence": {"1": 0, "2": "empty"}},
+]
+RINGS = [
+    {"dim": 1, "basis": [["1"], ["a"]], "hyperplane": [1], "degree": [1], "relations": {"1": [[2]]}},
+    {"dim": 2, "basis": [["1"], ["h"], ["h2"]], "products": [{"a": "h", "b": "h", "value": {"h2": 1}}],
+     "hyperplane": [1], "degree": [1]},
+]
+
+VALID = {
+    "strata": [
+        "vertex3",
+        "vertex3",
+        "vertex2",
+        {"dim": 3, "strata": [{"i": 1, "codim": 1, "label": "curve"}, {"i": 2, "codim": 2}, {"i": 3, "codim": 3}]},
+    ],
+    "pattern": PATTERNS,
+    "cocycle": [
+        {"t": 1, "targetDim": 1, "excess": {"1": 0, "2": 0, "3": 1}},
+        {"t": 1, "targetDim": 3, "excess": {"1": 0, "2": 0, "3": 0}},
+        {"t": 2, "targetDim": 2, "excess": {"1": 0, "2": 1, "3": 2}},
+    ],
+    "joint": [{"a": PATTERNS[0], "b": PATTERNS[1], "joint": {"1": "empty", "2": "empty", "3": "empty"}, "total": 0}],
+    "bound": [[0, 0, 0], [0, 1, 2], [0, 0, 1], [0, 1]],
+    "ring": ["P2", "quadric", *RINGS],
+    "cone": ["zobel", "P2", "product(P1,P1)", *({"base": ring} for ring in RINGS)],
+    "class": ["allowed:2:(1,0)", "allowed:2:(0,1)", "allowed:1:(1)", {"r": 2, "p": 1, "payload": [1, 0]}],
+    "matrix": [[[2, 4], [6, 8]], [], [[1, 2, 3]], [[0]]],
+    "map": [
+        {"source": {"rank": 1}, "target": {"rank": 1, "relations": [[2]]}, "matrix": [[1]]},
+        {"source": {"rank": 1}, "target": {"rank": 1}, "matrix": [[2]]},
+    ],
+    "name": ["zobel", "nosuch", "snf", "join"],
+}
+
+OVERSIZED = [
+    f"P{BIG_P}",
+    f"vertex{BIG_VERTEX}",
+    "[" * DEEP + "]" * DEEP,
+    '{"a":' * DEEP + "1" + "}" * DEEP,
+    "product(point," * DEEP + "P1" + ")" * DEEP,
+    "product(" * DEEP + "point" + ",point)" * DEEP,
+    json.dumps({"dim": BIG_P, "basis": [["1"]] + [[f"h{k}"] for k in range(1, BIG_P + 1)], "degree": [1]}),
+    "[[" + "9" * DIGITS + "]]",
+]
+
+WRONG_SCALARS = ["x", 1.5, True, None, -1, [], {}]
+
+# the document kind each flag reads; --a and --b are cocycles for join and cone classes elsewhere
+KIND = {
+    "--strata": "strata",
+    "--pattern": "pattern",
+    "--against": "pattern",
+    "--cocycle": "cocycle",
+    "--joint": "joint",
+    "--perversity": "bound",
+    "--bound": "bound",
+    "--c": "bound",
+    "--ring": "ring",
+    "--cone": "cone",
+    "--matrix": "matrix",
+    "--f": "map",
+    "--g": "map",
+    "name": "name",
+}
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one change at a drawn place inside it."""
+    if isinstance(doc, (dict, list)) and doc and draw(st.booleans()):
+        key = draw(st.sampled_from(list(doc) if isinstance(doc, dict) else range(len(doc))))
+        out = dict(doc) if isinstance(doc, dict) else list(doc)
+        out[key] = draw(mutated(doc[key]))
+        return out
+    op = draw(st.sampled_from(["drop", "swap", "scalar"]))
+    if op == "drop" and doc and isinstance(doc, dict):
+        key = draw(st.sampled_from(list(doc)))
+        return {k: v for k, v in doc.items() if k != key}
+    if op == "drop" and doc and isinstance(doc, list):
+        return doc[:-1]
+    if op == "swap" and isinstance(doc, dict):
+        return list(doc.values())
+    if op == "swap" and isinstance(doc, list):
+        return {str(i): v for i, v in enumerate(doc)}
+    return draw(st.sampled_from(WRONG_SCALARS))
+
+
+def _text(doc):
+    return doc if isinstance(doc, str) else json.dumps(doc)
+
+
+@st.composite
+def document(draw, kind):
+    source = draw(st.sampled_from(["valid"] * 6 + ["mutated"] * 2 + ["other kind", "oversized"]))
+    if source == "oversized":
+        return draw(st.sampled_from(OVERSIZED))
+    if source == "other kind":
+        kind = draw(st.sampled_from(sorted(VALID)))
+    doc = draw(st.sampled_from(VALID[kind]))
+    return _text(draw(mutated(doc)) if source == "mutated" else doc)
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [command]
+    for flag, (_, keywords) in COMMANDS[command].inputs.items():
+        if draw(st.integers(0, 9)) == 0:  # now and then a flag is left out, even a required one
+            continue
+        if keywords.get("action") == "store_true":
+            argv.append(flag)
+            continue
+        if keywords.get("type") is int:
+            value = str(draw(st.integers(-2, 4)))
+        else:
+            kind = KIND.get(flag) or ("cocycle" if command == "join" else "class")
+            value = draw(document(kind))
+        argv += [value] if flag == "name" else [flag, value]
+    where = draw(st.sampled_from(["none", "before", "after"]))
+    if where == "before":
+        argv.insert(0, "--pretty")
+    elif where == "after":
+        argv.append("--pretty")
+    return argv
+
+
+@settings(
+    max_examples=300, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(argvs())
+def test_every_argv_keeps_the_exit_code_contract(argv):
+    report = run(argv)
+    assert report.exit_code in (0, 1, 2)
+    doc = json.loads(report.render(False))
+    assert doc["schema"] == 1 and doc["ok"] is (report.exit_code == 0)
+    if report.exit_code == 2:
+        assert doc["error"]["message"]
+        # the run-wide guard is a net for faults, not a rule any input relies on
+        assert not report.error.startswith("unexpected "), argv
+    report.render(True)
