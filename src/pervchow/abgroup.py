@@ -352,8 +352,6 @@ def kernel_basis(matrix: Sequence[Sequence[int]], ncols: int) -> list[list[int]]
     rows = [[int(x) for x in r] for r in matrix]
     if any(len(r) != ncols for r in rows):
         raise ValueError("ragged or mis-sized matrix")
-    if not rows:
-        return identity(ncols)
     form = smith_normal_form(rows, ncols=ncols)
     r = form.rank
     return [[form.V[i][j] for i in range(ncols)] for j in range(r, ncols)]
@@ -460,7 +458,7 @@ def _kernel_generators(g: GroupMap) -> list[list[int]]:
     rel_t = transpose(g.target.relations) or [[] for _ in g.matrix]
     stacked = [list(row) + rel for row, rel in zip(g.matrix, rel_t)]
     width = b + len(g.target.relations)
-    full = kernel_basis(stacked, width) if stacked else identity(width)
+    full = kernel_basis(stacked, width)
     return [vec[:b] for vec in full]
 
 

@@ -1,9 +1,11 @@
 """Command-line surface: JSON in, verdicts and values out.
 
 Every subcommand reads inline JSON, @-free file paths or shorthand strings,
-runs one library operation, and emits a deterministic report.  Exit code 0
-means every verdict passed, 1 means a check failed, 2 means the input was
-malformed, a precondition was violated, or the command stopped on an error.
+runs one library operation, and emits a deterministic report.  The command
+table names each input's document kind; ``run`` reads every document of the
+command before its handler runs.  Exit code 0 means every verdict passed, 1
+means a check failed, 2 means the input was malformed, a precondition was
+violated, or the command stopped on an error.
 """
 
 from __future__ import annotations
@@ -13,17 +15,12 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, NoReturn
+from typing import Any, Callable, NoReturn
 
 # Each handler imports the layer modules it calls, so a command compiles and
 # loads only those: ``snf`` never loads the cone model, ``schema`` no layer.
 from . import serialize
 from .serialize import SCHEMA_VERSION, InputError
-
-if TYPE_CHECKING:
-    from .cones import ConeClass
-    from .perversity import GeneralizedBound
-    from .strata import Stratification
 
 
 @dataclass
@@ -111,38 +108,48 @@ def _load(text: str) -> Any:
     return s
 
 
-def _strata(args: argparse.Namespace) -> Stratification:
-    return serialize.parse_stratification(_load(args.strata))
+# How each kind of document is read, on what it needs of ``args``: the strata
+# or the cone (both read first), or the matrix width.  Each entry looks up its
+# ``serialize`` parser when called, so a parser patched there is used.
+_KINDS: dict[str, Callable[[Any, argparse.Namespace], Any]] = {
+    "strata": lambda doc, _: serialize.parse_stratification(doc),
+    "cone": lambda doc, _: serialize.parse_cone(doc),
+    "bound": lambda doc, _: serialize.parse_bound(doc),
+    "perversity": lambda doc, _: serialize.parse_bound(doc, perversity=True),
+    "ring": lambda doc, _: serialize.parse_ring(doc),
+    "pattern": lambda doc, args: serialize.parse_pattern(doc, args.strata),
+    "cocycle": lambda doc, args: serialize.parse_cocycle(doc, args.strata),
+    "joint": lambda doc, args: serialize.parse_joint(doc, args.strata),
+    "class": lambda doc, args: serialize.parse_cone_class(doc, args.cone),
+    "map": lambda doc, _: serialize.parse_group_map(doc),
+    "matrix": lambda doc, args: serialize.parse_matrix(doc, args.ncols),
+}
 
 
-def _bound(text: str, *, perversity: bool = False) -> GeneralizedBound:
-    return serialize.parse_bound(_load(text), perversity=perversity)
+def _read_inputs(args: argparse.Namespace, inputs: dict[str, tuple[str, str | None, dict[str, Any]]]) -> None:
+    """Replace each document in ``args`` by its value, ``--strata`` or ``--cone`` first."""
+    for flag in sorted(inputs, key=lambda flag: flag not in ("--strata", "--cone")):
+        dest, kind = flag.lstrip("-").replace("-", "_"), inputs[flag][1]
+        if kind is not None and getattr(args, dest) is not None:
+            setattr(args, dest, _KINDS[kind](_load(getattr(args, dest)), args))
 
 
 # -- command handlers ----------------------------------------------------
 
 
 def _cmd_validate(args: argparse.Namespace, report: Report) -> None:
-    strata = None
-    if any(getattr(args, name) is not None for name in ("pattern", "cocycle", "joint")):
-        if args.strata is None:
-            raise InputError("--strata is required to validate patterns")
-        strata = _strata(args)
-    parsers: list[tuple[str, Callable[[Any], Any]]] = [
-        ("perversity", lambda doc: serialize.parse_bound(doc, perversity=True)),
-        ("bound", serialize.parse_bound),
-        ("strata", serialize.parse_stratification),
-        ("ring", serialize.parse_ring),
-        ("pattern", lambda doc: serialize.parse_pattern(doc, strata)),
-        ("cocycle", lambda doc: serialize.parse_cocycle(doc, strata)),
-        ("joint", lambda doc: serialize.parse_joint(doc, strata)),
-    ]
-    provided = [(name, parse) for name, parse in parsers if getattr(args, name) is not None]
+    # each document is read here, so that a malformed one is a failing verdict
+    texts = {flag[2:]: getattr(args, flag[2:]) for flag in COMMANDS["validate"].inputs}
+    provided = {name: text for name, text in texts.items() if text is not None}
     if not provided:
         raise InputError("nothing to validate; pass at least one document")
-    for name, parse in provided:
+    if {"pattern", "cocycle", "joint"} & set(provided):
+        if args.strata is None:
+            raise InputError("--strata is required to validate patterns")
+        args.strata = _KINDS["strata"](_load(args.strata), args)
+    for name, text in provided.items():
         try:
-            parse(_load(getattr(args, name)))
+            _KINDS[name](_load(text), args)
             report.verdicts.append(Verdict(f"valid-{name}", True, f"{name} document is valid"))
         except InputError as exc:
             report.verdicts.append(Verdict(f"valid-{name}", False, str(exc)))
@@ -158,9 +165,7 @@ def _check(report: Report, rows: list[tuple], **values: Any) -> None:
 def _cmd_check_cycle(args: argparse.Namespace, report: Report) -> None:
     from . import cycles
 
-    strata = _strata(args)
-    pattern = serialize.parse_pattern(_load(args.pattern), strata)
-    bound = _bound(args.perversity)
+    pattern, bound = args.pattern, args.perversity
     rows = cycles.perversity_report(pattern, bound)
     _check(report, rows, pattern=serialize.pattern_to_json(pattern), perversity=serialize.bound_to_json(bound))
 
@@ -168,9 +173,7 @@ def _cmd_check_cycle(args: argparse.Namespace, report: Report) -> None:
 def _cmd_check_cocycle(args: argparse.Namespace, report: Report) -> None:
     from . import cocycles
 
-    strata = _strata(args)
-    pattern = serialize.parse_cocycle(_load(args.cocycle), strata)
-    bound = _bound(args.perversity)
+    pattern, bound = args.cocycle, args.perversity
     rows = cocycles.cocycle_report(pattern, bound)
     _check(report, rows, cocycle=serialize.cocycle_to_json(pattern), perversity=serialize.bound_to_json(bound))
 
@@ -178,20 +181,14 @@ def _cmd_check_cocycle(args: argparse.Namespace, report: Report) -> None:
 def _cmd_check_star(args: argparse.Namespace, report: Report) -> None:
     from . import cycles
 
-    strata = _strata(args)
-    joint = serialize.parse_joint(_load(args.joint), strata)
-    c = _bound(args.c)
-    rows = cycles.star_report(joint, c)
-    _check(report, rows, joint=serialize.joint_to_json(joint), c=serialize.bound_to_json(c))
+    rows = cycles.star_report(args.joint, args.c)
+    _check(report, rows, joint=serialize.joint_to_json(args.joint), c=serialize.bound_to_json(args.c))
 
 
 def _cmd_push(args: argparse.Namespace, report: Report) -> None:
     from . import cycles
 
-    strata = _strata(args)
-    pattern = serialize.parse_pattern(_load(args.pattern), strata)
-    c = _bound(args.c, perversity=True)
-    out = cycles.proper_pushforward(pattern, c)
+    out = cycles.proper_pushforward(args.pattern, args.c)
     report.values["pattern"] = serialize.pattern_to_json(out)
     report.values["strata"] = serialize.stratification_to_json(out.strata)
 
@@ -199,9 +196,7 @@ def _cmd_push(args: argparse.Namespace, report: Report) -> None:
 def _cmd_pull(args: argparse.Namespace, report: Report) -> None:
     from . import cycles
 
-    strata = _strata(args)
-    pattern = serialize.parse_pattern(_load(args.pattern), strata)
-    out = cycles.flat_pullback(pattern, args.e)
+    out = cycles.flat_pullback(args.pattern, args.e)
     report.values["pattern"] = serialize.pattern_to_json(out)
     report.values["strata"] = serialize.stratification_to_json(out.strata)
 
@@ -210,74 +205,55 @@ def _cmd_suspend(args: argparse.Namespace, report: Report) -> None:
     from . import cycles
     from .strata import suspend as suspend_strata
 
-    strata = _strata(args)
     if args.pattern is not None:
-        out = cycles.suspend_pattern(serialize.parse_pattern(_load(args.pattern), strata))
+        out = cycles.suspend_pattern(args.pattern)
         report.values["pattern"] = serialize.pattern_to_json(out)
         report.values["strata"] = serialize.stratification_to_json(out.strata)
     else:
-        report.values["strata"] = serialize.stratification_to_json(suspend_strata(strata))
+        report.values["strata"] = serialize.stratification_to_json(suspend_strata(args.strata))
 
 
 def _cmd_join(args: argparse.Namespace, report: Report) -> None:
     from . import cocycles
 
-    strata = _strata(args)
-    a = serialize.parse_cocycle(_load(args.a), strata)
-    b = serialize.parse_cocycle(_load(args.b), strata)
-    out = cocycles.join(a, b)
+    out = cocycles.join(args.a, args.b)
     report.values["cocycle"] = serialize.cocycle_to_json(out)
 
 
 def _cmd_slice(args: argparse.Namespace, report: Report) -> None:
     from . import cocycles
 
-    strata = _strata(args)
-    pattern = serialize.parse_cocycle(_load(args.cocycle), strata)
-    count = args.count if args.count is not None else pattern.t
-    out = cocycles.slice_with_hyperplanes(pattern, count)
+    count = args.count if args.count is not None else args.cocycle.t
+    out = cocycles.slice_with_hyperplanes(args.cocycle, count)
     report.values["pattern"] = serialize.pattern_to_json(out)
     if args.against is not None:
-        other = serialize.parse_pattern(_load(args.against), strata)
-        report.values["joint"] = serialize.joint_to_json(cocycles.slice_against(pattern, other))
+        report.values["joint"] = serialize.joint_to_json(cocycles.slice_against(args.cocycle, args.against))
 
 
 def _cmd_cap(args: argparse.Namespace, report: Report) -> None:
     from . import cocycles
 
-    strata = _strata(args)
-    a = serialize.parse_cocycle(_load(args.cocycle), strata)
-    b = serialize.parse_pattern(_load(args.pattern), strata)
-    out = cocycles.cap_pattern(a, b)
+    out = cocycles.cap_pattern(args.cocycle, args.pattern)
     report.values["pattern"] = serialize.pattern_to_json(out)
 
 
 def _cmd_groups(args: argparse.Namespace, report: Report) -> None:
     from . import cones
 
-    cone = serialize.parse_cone(_load(args.cone))
-    group = cones.chow_group(cone, args.r, args.p)
+    group = cones.chow_group(args.cone, args.r, args.p)
     report.values["group"] = serialize.group_to_json(group)
 
 
-def _cone_product(args: argparse.Namespace) -> ConeClass:
-    """The three-case product of the classes ``--a`` and ``--b`` on ``--cone``."""
+def _cmd_intersect(args: argparse.Namespace, report: Report) -> None:
     from . import cones
 
-    cone = serialize.parse_cone(_load(args.cone))
-    a = serialize.parse_cone_class(_load(args.a), cone)
-    b = serialize.parse_cone_class(_load(args.b), cone)
-    return cones.intersect(a, b)
-
-
-def _cmd_intersect(args: argparse.Namespace, report: Report) -> None:
-    report.values["class"] = serialize.cone_class_to_json(_cone_product(args))
+    report.values["class"] = serialize.cone_class_to_json(cones.intersect(args.a, args.b))
 
 
 def _cmd_pairing(args: argparse.Namespace, report: Report) -> None:
-    from . import chow
+    from . import chow, cones
 
-    result = _cone_product(args)
+    result = cones.intersect(args.a, args.b)
     report.values["class"] = serialize.cone_class_to_json(result)
     if result.r == 0:
         report.values["value"] = chow.degree(result.payload)
@@ -289,16 +265,14 @@ def _cmd_pairing(args: argparse.Namespace, report: Report) -> None:
 def _cmd_compare(args: argparse.Namespace, report: Report) -> None:
     from . import cones
 
-    cone = serialize.parse_cone(_load(args.cone))
-    m = cones.comparison_map(cone, args.r, args.p_from, args.p_to)
+    m = cones.comparison_map(args.cone, args.r, args.p_from, args.p_to)
     report.values["map"] = serialize.map_to_json(m)
 
 
 def _cmd_snf(args: argparse.Namespace, report: Report) -> None:
     from . import abgroup
 
-    matrix = serialize.parse_matrix(_load(args.matrix))
-    form = abgroup.smith_normal_form(matrix, ncols=args.ncols)
+    form = abgroup.smith_normal_form(args.matrix, ncols=args.ncols)
     report.verdicts.append(
         Verdict("snf-contract", True, "U*M*V = S with unimodular U, V and a divisibility chain")
     )
@@ -308,9 +282,7 @@ def _cmd_snf(args: argparse.Namespace, report: Report) -> None:
 def _cmd_exact(args: argparse.Namespace, report: Report) -> None:
     from . import abgroup
 
-    f = serialize.parse_group_map(_load(args.f))
-    g = serialize.parse_group_map(_load(args.g))
-    verdict = abgroup.is_exact_at_middle(f, g)
+    verdict = abgroup.is_exact_at_middle(args.f, args.g)
     report.verdicts.append(
         Verdict(
             "exact-at-middle",
@@ -391,66 +363,68 @@ def _cmd_schema(args: argparse.Namespace, report: Report) -> None:
 class Command:
     """One subcommand: its handler, what it does, and what it reads.
 
-    ``inputs`` maps each flag or positional name to its schema text and the
-    keywords that declare it to argparse.  The ``schema`` command, the
-    argument parser and dispatch are all derived from :data:`COMMANDS`.
+    ``inputs`` maps each flag or positional name to its schema text, its
+    document kind (a key of ``_KINDS``; None for a plain argument) and its
+    argparse keywords.  The ``schema`` command, the argument parser, the
+    reading of documents and dispatch all derive from :data:`COMMANDS`.
     """
 
     handler: Callable[[argparse.Namespace, Report], None]
     description: str
-    inputs: dict[str, tuple[str, dict[str, Any]]]
+    inputs: dict[str, tuple[str, str | None, dict[str, Any]]]
 
 
 _PLAIN: dict[str, Any] = {}  # argparse defaults: an optional flag or a required positional
 _REQUIRED = {"required": True}
 _REQUIRED_INT = {"type": int, "required": True}
-_STRATA = ("stratification document or vertex<d>", _REQUIRED)
-_CONE = ("'zobel', a built-in base name, or {base: <ring>}", _REQUIRED)
-_COCYCLE = ("cocycle with t == targetDim", _REQUIRED)
-_CONE_CLASS = ("cone class {r, p, payload} or mode:r[:p]:(coeffs)", _REQUIRED)
-_GROUP_MAP = ("group map {source: {rank, relations}, target: {...}, matrix}", _REQUIRED)
+_STRATA = ("stratification document or vertex<d>", "strata", _REQUIRED)
+_CONE = ("'zobel', a built-in base name, or {base: <ring>}", "cone", _REQUIRED)
+_COCYCLE = ("cocycle with t == targetDim", "cocycle", _REQUIRED)
+_CONE_CLASS = ("cone class {r, p, payload} or mode:r[:p]:(coeffs)", "class", _REQUIRED)
+_GROUP_MAP = ("group map {source: {rank, relations}, target: {...}, matrix}", "map", _REQUIRED)
 
 COMMANDS: dict[str, Command] = {
     "validate": Command(_cmd_validate, "Validate any provided documents against their schemas.", {
-        "--perversity": ("integer array [p_1, ..., p_d], p_1 = 0, unit steps", _PLAIN),
-        "--bound": ("nondecreasing array of nonnegative integers", _PLAIN),
-        "--strata": ("stratification object {dim, strata: [{i, codim, label}], model} or vertex<d>", _PLAIN),
-        "--pattern": ("cycle pattern {dim, incidence: {\"1\": int|\"empty\", ...}} (needs --strata)", _PLAIN),
-        "--cocycle": ("cocycle {t, targetDim, excess: {\"1\": int, ...}} (needs --strata)", _PLAIN),
-        "--joint": ("joint pattern {a, b, joint, total} (needs --strata)", _PLAIN),
-        "--ring": ("ring presentation object or built-in name", _PLAIN),
+        "--perversity": ("integer array [p_1, ..., p_d], p_1 = 0, unit steps", None, _PLAIN),
+        "--bound": ("nondecreasing array of nonnegative integers", None, _PLAIN),
+        "--strata": ("stratification object {dim, strata: [{i, codim, label}], model} or vertex<d>", None, _PLAIN),
+        "--ring": ("ring presentation object or built-in name", None, _PLAIN),
+        "--pattern": ("cycle pattern {dim, incidence: {\"1\": int|\"empty\", ...}} (needs --strata)", None, _PLAIN),
+        "--cocycle": ("cocycle {t, targetDim, excess: {\"1\": int, ...}} (needs --strata)", None, _PLAIN),
+        "--joint": ("joint pattern {a, b, joint, total} (needs --strata)", None, _PLAIN),
     }),
     "check-cycle": Command(_cmd_check_cycle, "Check a cycle pattern against a perversity-style bound.", {
-        "--pattern": ("cycle pattern {dim, incidence: {\"1\": int|\"empty\", ...}}", _REQUIRED),
-        "--perversity": ("integer array bound", _REQUIRED),
+        "--pattern": ("cycle pattern {dim, incidence: {\"1\": int|\"empty\", ...}}", "pattern", _REQUIRED),
+        "--perversity": ("integer array bound", "bound", _REQUIRED),
         "--strata": _STRATA,
     }),
     "check-cocycle": Command(_cmd_check_cocycle, "Check a cocycle excess profile against a bound.", {
-        "--cocycle": ("cocycle {t, targetDim, excess: {\"1\": int, ...}}", _REQUIRED),
-        "--perversity": ("integer array bound", _REQUIRED),
+        "--cocycle": ("cocycle {t, targetDim, excess: {\"1\": int, ...}}", "cocycle", _REQUIRED),
+        "--perversity": ("integer array bound", "bound", _REQUIRED),
         "--strata": _STRATA,
     }),
     "check-star": Command(_cmd_check_star, "Check the pairwise intersection condition for two patterns.", {
         "--joint": (
             "joint pattern {a: pattern, b: pattern, joint: {\"1\": int|\"empty\"}, total: int|\"empty\"}",
+            "joint",
             _REQUIRED,
         ),
-        "--c": ("integer array shift bound c", _REQUIRED),
+        "--c": ("integer array shift bound c", "bound", _REQUIRED),
         "--strata": _STRATA,
     }),
     "push": Command(_cmd_push, "Proper pushforward of a cycle pattern along collapse data.", {
-        "--pattern": ("cycle pattern", _REQUIRED),
-        "--c": ("collapse perversity [c_1, ..., c_d]", _REQUIRED),
+        "--pattern": ("cycle pattern", "pattern", _REQUIRED),
+        "--c": ("collapse perversity [c_1, ..., c_d]", "perversity", _REQUIRED),
         "--strata": _STRATA,
     }),
     "pull": Command(_cmd_pull, "Flat pullback of a cycle pattern by relative dimension e.", {
-        "--pattern": ("cycle pattern", _REQUIRED),
-        "--e": ("relative dimension (nonnegative integer)", _REQUIRED_INT),
+        "--pattern": ("cycle pattern", "pattern", _REQUIRED),
+        "--e": ("relative dimension (nonnegative integer)", None, _REQUIRED_INT),
         "--strata": _STRATA,
     }),
     "suspend": Command(_cmd_suspend, "Suspend a stratification, and a pattern if provided.", {
         "--strata": _STRATA,
-        "--pattern": ("optional cycle pattern", _PLAIN),
+        "--pattern": ("optional cycle pattern", "pattern", _PLAIN),
     }),
     "join": Command(_cmd_join, "Fiberwise join of two projective-space valued cocycles.", {
         "--a": _COCYCLE,
@@ -459,19 +433,19 @@ COMMANDS: dict[str, Command] = {
     }),
     "slice": Command(_cmd_slice, "Slice a cocycle with t generic hyperplanes into a cycle pattern.", {
         "--cocycle": _COCYCLE,
-        "--count": ("optional hyperplane count (defaults to t; must equal t)", {"type": int}),
-        "--against": ("optional cycle pattern; adds a properness joint-pattern certificate", _PLAIN),
+        "--count": ("optional hyperplane count (defaults to t; must equal t)", None, {"type": int}),
+        "--against": ("optional cycle pattern; adds a properness joint-pattern certificate", "pattern", _PLAIN),
         "--strata": _STRATA,
     }),
     "cap": Command(_cmd_cap, "Cap product of a cocycle with a cycle pattern.", {
         "--cocycle": _COCYCLE,
-        "--pattern": ("cycle pattern of dimension >= t", _REQUIRED),
+        "--pattern": ("cycle pattern of dimension >= t", "pattern", _REQUIRED),
         "--strata": _STRATA,
     }),
     "groups": Command(_cmd_groups, "Cycle class group of a cone in dimension r at vertex bound p.", {
         "--cone": _CONE,
-        "--r": ("cycle dimension", _REQUIRED_INT),
-        "--p": ("vertex excess bound", _REQUIRED_INT),
+        "--r": ("cycle dimension", None, _REQUIRED_INT),
+        "--p": ("vertex excess bound", None, _REQUIRED_INT),
     }),
     "intersect": Command(_cmd_intersect, "Three-case intersection product of two cone classes.", {
         "--cone": _CONE,
@@ -480,29 +454,29 @@ COMMANDS: dict[str, Command] = {
     }),
     "pairing": Command(_cmd_pairing, "Intersection pairing value (degree when the product has dimension 0).", {
         "--cone": _CONE,
-        "--a": ("cone class document or compact spec", _REQUIRED),
-        "--b": ("cone class document or compact spec", _REQUIRED),
+        "--a": ("cone class document or compact spec", "class", _REQUIRED),
+        "--b": ("cone class document or compact spec", "class", _REQUIRED),
     }),
     "compare": Command(_cmd_compare, "Canonical comparison map between vertex bounds p-from <= p-to.", {
         "--cone": _CONE,
-        "--r": ("cycle dimension", _REQUIRED_INT),
-        "--p-from": ("smaller vertex bound", _REQUIRED_INT),
-        "--p-to": ("larger vertex bound", _REQUIRED_INT),
+        "--r": ("cycle dimension", None, _REQUIRED_INT),
+        "--p-from": ("smaller vertex bound", None, _REQUIRED_INT),
+        "--p-to": ("larger vertex bound", None, _REQUIRED_INT),
     }),
     "snf": Command(_cmd_snf, "Smith normal form of an integer matrix.", {
-        "--matrix": ("array of integer rows", _REQUIRED),
-        "--ncols": ("optional column count for matrices with no rows", {"type": int}),
+        "--matrix": ("array of integer rows", "matrix", _REQUIRED),
+        "--ncols": ("optional column count for matrices with no rows", None, {"type": int}),
     }),
     "exact": Command(_cmd_exact, "Exactness of A -f-> B -g-> C at the middle group.", {
         "--f": _GROUP_MAP,
         "--g": _GROUP_MAP,
     }),
     "catalog": Command(_cmd_catalog, "Print the group/comparison/pairing table of a named catalog.", {
-        "name": ("catalog name (zobel)", _PLAIN),
-        "--verify": ("also check the table against its frozen expectations", {"action": "store_true"}),
+        "name": ("catalog name (zobel)", None, _PLAIN),
+        "--verify": ("also check the table against its frozen expectations", None, {"action": "store_true"}),
     }),
     "schema": Command(_cmd_schema, "Print the input schema for a command.", {
-        "name": ("command name", _PLAIN),
+        "name": ("command name", None, _PLAIN),
     }),
 }
 
@@ -518,7 +492,7 @@ def emit_schema(name: str) -> dict:
         "schema": SCHEMA_VERSION,
         "command": name,
         "description": command.description,
-        "inputs": {flag: text for flag, (text, _) in command.inputs.items()},
+        "inputs": {flag: text for flag, (text, _, _) in command.inputs.items()},
     }
 
 
@@ -547,19 +521,20 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.description, description=command.description)
         # SUPPRESS keeps a --pretty given before the command from being reset
         p.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS, help="human-readable output")
-        for flag, (text, keywords) in command.inputs.items():
+        for flag, (text, _, keywords) in command.inputs.items():
             p.add_argument(flag, help=text, **keywords)
     return parser
 
 
 def run(argv: list[str]) -> Report:
-    """Parse arguments, dispatch, and return the report (no printing)."""
+    """Parse arguments, read the documents, dispatch, and return the report (no printing)."""
     try:
         args = build_parser().parse_args(argv)
     except _UsageError as exc:
         return Report(command=exc.command, error=str(exc))
     report = Report(command=args.command, pretty=args.pretty)
     try:
+        _read_inputs(args, COMMANDS[args.command].inputs)
         _HANDLERS[args.command](args, report)
     except ValueError as exc:  # covers InputError and precondition violations
         report.error = str(exc)

@@ -629,6 +629,9 @@ class TestLattices:
         # the standard kernel generators are reachable from the basis
         for target in ([1, -1, 0], [0, 1, -1]):
             assert lattice_contains(basis, target)
+        # with no rows every vector is a solution: the kernel is all of Z^n
+        assert kernel_basis([], 0) == []
+        assert kernel_basis([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 # --- group maps and exactness -------------------------------------------------

@@ -370,7 +370,7 @@ class TestCommandContract:
 
         monkeypatch.setitem(cli._HANDLERS, "snf", fake)
         report = run(["snf", "--matrix", "[[2]]"])
-        assert seen == ["[[2]]"]
+        assert seen == [[[2]]]  # run reads the document before the handler runs
         assert report.values == {"fake": True}
 
     @pytest.mark.parametrize(
@@ -570,6 +570,32 @@ class TestHostileInput:
         assert parse_stratification("vertex1024").depth == 1024
         assert parse_stratification("vertex01024").depth == 1024
         assert run(["suspend", "--strata", "vertex1024"]).exit_code == 0
+
+    def test_oversized_ncols_exits_2_before_building(self):
+        start = time.perf_counter()
+        report = run(["snf", "--matrix", "[]", "--ncols", "100000000"])
+        assert time.perf_counter() - start < 1.0
+        assert report.exit_code == 2
+        assert report.error == "a matrix takes at most 64 columns, got 100000000"
+
+    def test_matrix_limit_admits_64_and_rejects_65_rows(self):
+        rng = random.Random(64)
+        square = [[rng.randint(-9, 9) for _ in range(64)] for _ in range(64)]
+        assert run(["snf", "--matrix", json.dumps(square)]).exit_code == 0
+        assert run(["snf", "--matrix", "[]", "--ncols", "64"]).exit_code == 0
+        report = run(["snf", "--matrix", json.dumps([[1]] * 65)])
+        assert report.exit_code == 2
+        assert report.error == "a matrix takes at most 64 rows, got 65"
+
+    def test_slice_reads_against_before_slicing(self):
+        # every document is read before the handler runs, so a malformed
+        # --against is reported ahead of the hyperplane-count precondition
+        cocycle = '{"t":1,"targetDim":1,"excess":{"1":0,"2":0,"3":1}}'
+        argv = ["slice", "--cocycle", cocycle, "--count", "2", "--strata", "vertex3"]
+        assert run(argv).error == "need exactly t=1 hyperplanes, got 2"
+        report = run(argv + ["--against", "[1]"])
+        assert report.exit_code == 2
+        assert report.error == "a cycle pattern must be an object"
 
     def test_ring_limit_admits_the_rings_in_use(self):
         # the largest built-ins the tests and the benchmark construct

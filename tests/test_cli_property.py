@@ -1,10 +1,10 @@
 """The exit-code contract over generated argv, in process through ``cli.run``.
 
 Every command of ``cli.COMMANDS`` is drawn with inputs from a pool of valid
-documents, mutated ones (a key or element dropped, an array and an object
-swapped, a scalar of the wrong type), documents of another kind, and
-oversized ones.  Whatever the input, the report exits 0, 1 or 2, renders as
-JSON with the schema key, and no exception escapes.
+documents of the kind the command table declares, mutated ones (a key or
+element dropped, an array and an object swapped, a scalar of the wrong type),
+documents of another kind, and oversized ones.  Whatever the input, the report
+exits 0, 1 or 2, renders as JSON with the schema key, and no exception escapes.
 """
 
 import json
@@ -12,7 +12,7 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pervchow.cli import COMMANDS, run
+from pervchow.cli import _KINDS, COMMANDS, run
 
 # Sizes of the oversized inputs; every one must be rejected well before it is built.
 DEEP = 3000  # nesting depth of JSON documents and of product(...) shorthands
@@ -47,6 +47,7 @@ VALID = {
     ],
     "joint": [{"a": PATTERNS[0], "b": PATTERNS[1], "joint": {"1": "empty", "2": "empty", "3": "empty"}, "total": 0}],
     "bound": [[0, 0, 0], [0, 1, 2], [0, 0, 1], [0, 1]],
+    "perversity": [[0, 0, 0], [0, 1, 2], [0, 0, 1], [0, 1, 1], [0, 1]],
     "ring": ["P2", "quadric", *RINGS],
     "cone": ["zobel", "P2", "product(P1,P1)", *({"base": ring} for ring in RINGS)],
     "class": ["allowed:2:(1,0)", "allowed:2:(0,1)", "allowed:1:(1)", {"r": 2, "p": 1, "payload": [1, 0]}],
@@ -70,25 +71,6 @@ OVERSIZED = [
 ]
 
 WRONG_SCALARS = ["x", 1.5, True, None, -1, [], {}]
-
-# the document kind each flag reads; --a and --b are cocycles for join and cone classes elsewhere
-KIND = {
-    "--strata": "strata",
-    "--pattern": "pattern",
-    "--against": "pattern",
-    "--cocycle": "cocycle",
-    "--joint": "joint",
-    "--perversity": "bound",
-    "--bound": "bound",
-    "--c": "bound",
-    "--ring": "ring",
-    "--cone": "cone",
-    "--matrix": "matrix",
-    "--f": "map",
-    "--g": "map",
-    "name": "name",
-}
-
 
 @st.composite
 def mutated(draw, doc):
@@ -130,7 +112,7 @@ def document(draw, kind):
 def argvs(draw):
     command = draw(st.sampled_from(sorted(COMMANDS)))
     argv = [command]
-    for flag, (_, keywords) in COMMANDS[command].inputs.items():
+    for flag, (_, kind, keywords) in COMMANDS[command].inputs.items():
         if draw(st.integers(0, 9)) == 0:  # now and then a flag is left out, even a required one
             continue
         if keywords.get("action") == "store_true":
@@ -139,8 +121,8 @@ def argvs(draw):
         if keywords.get("type") is int:
             value = str(draw(st.integers(-2, 4)))
         else:
-            kind = KIND.get(flag) or ("cocycle" if command == "join" else "class")
-            value = draw(document(kind))
+            # a plain input draws from the pool named after it: validate's flags, a catalog or command name
+            value = draw(document(kind or flag.lstrip("-")))
         argv += [value] if flag == "name" else [flag, value]
     where = draw(st.sampled_from(["none", "before", "after"]))
     if where == "before":
@@ -164,3 +146,17 @@ def test_every_argv_keeps_the_exit_code_contract(argv):
         # the run-wide guard is a net for faults, not a rule any input relies on
         assert not report.error.startswith("unexpected "), argv
     report.render(True)
+
+
+def test_command_table_declares_readable_kinds():
+    # checked over the whole table, not only where the property happens to draw
+    for name, command in COMMANDS.items():
+        kinds = {flag: kind for flag, (_, kind, _) in command.inputs.items()}
+        assert set(kinds.values()) <= {None, *_KINDS}, name
+        if {"pattern", "cocycle", "joint"} & set(kinds.values()):
+            assert "--strata" in kinds, name  # read on the stratification
+        if "class" in kinds.values():
+            assert "--cone" in kinds, name  # read on the cone
+    # validate reads each document itself, by the kind its flag is named after
+    assert all(flag[2:] in _KINDS for flag in COMMANDS["validate"].inputs)
+    assert set(_KINDS) <= set(VALID)  # the property has a pool of every kind
