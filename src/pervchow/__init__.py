@@ -16,7 +16,7 @@ from importlib import import_module
 
 _EXPORTS = {
     "perversity": (
-        "GeneralizedBound", "Perversity", "add", "leq", "make_perversity", "star_compose", "top", "zero",
+        "GeneralizedBound", "Perversity", "add", "leq", "star_compose", "top", "zero",
     ),
     "strata": (
         "ModelTag", "Stratification", "StratumSpec", "isolated_vertex", "product_with_fiber", "suspend",
@@ -31,12 +31,12 @@ _EXPORTS = {
     ),
     "cycles": (
         "EMPTY", "CyclePattern", "FamilyCertificate", "JointPattern", "check_family_certificate",
-        "check_incidence_datum", "check_perversity", "check_star", "empty_pattern", "flat_pullback",
-        "proper_pushforward", "sum_patterns", "suspend_pattern",
+        "check_perversity", "check_star", "empty_pattern", "flat_pullback", "proper_pushforward",
+        "sum_patterns", "suspend_pattern",
     ),
     "cocycles": (
-        "CocyclePattern", "RankProfile", "cap_pattern", "check_cocycle", "join", "morphism_fiber_pattern",
-        "push_closed_immersion", "rank_to_incidence", "slice_against", "slice_with_hyperplanes",
+        "CocyclePattern", "cap_pattern", "check_cocycle", "join", "morphism_fiber_pattern", "slice_against",
+        "slice_with_hyperplanes",
     ),
     "cones": (
         "ConeClass", "ConeProductError", "ConeVariety", "Mode", "cartier_coherence_check", "chow_group",

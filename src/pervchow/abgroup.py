@@ -335,10 +335,6 @@ def lattice_solve(generators: Sequence[Sequence[int]], target: Sequence[int]) ->
     return _lattice_solver(generators, len(target))(target)
 
 
-def lattice_contains(generators: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
-    return lattice_solve(generators, target) is not None
-
-
 def lattice_subset(inner: Sequence[Sequence[int]], outer: Sequence[Sequence[int]]) -> bool:
     """Every generator of ``inner`` lies in the lattice spanned by ``outer``."""
     if not inner:
@@ -395,7 +391,11 @@ def invariant_factors(group: FpAbelianGroup) -> tuple[int, tuple[int, ...]]:
 
 def describe(group: FpAbelianGroup) -> str:
     """Short human name like ``Z^2``, ``Z + Z/2`` or ``0``."""
-    free, torsion = invariant_factors(group)
+    return name_of(*invariant_factors(group))
+
+
+def name_of(free: int, torsion: Sequence[int]) -> str:
+    """The name :func:`describe` gives a group of these invariant factors."""
     parts: list[str] = []
     if free == 1:
         parts.append("Z")
@@ -438,13 +438,6 @@ class GroupMap:
                 raise ValueError(
                     f"matrix does not send relation {list(rel)} into the target relations"
                 )
-
-
-def compose(second: GroupMap, first: GroupMap) -> GroupMap:
-    if first.target != second.source:
-        raise ValueError("maps are not composable")
-    product = mat_mul(second.matrix, first.matrix)
-    return GroupMap(first.source, second.target, tuple(tuple(r) for r in product))
 
 
 def _image_generators(f: GroupMap) -> list[list[int]]:

@@ -14,7 +14,7 @@ import re
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 
-from .abgroup import FpAbelianGroup
+from .abgroup import FpAbelianGroup, _lattice_solver, mat_mul
 
 Combo = dict[str, int]
 _NO_TERMS: Combo = {}  # shared read-only stand-in for a missing product
@@ -89,8 +89,10 @@ class ChowRingPresentation:
     hyperplane section of the chosen projective embedding, and
     ``degree_functional`` the vector over ``basis[dim]`` evaluating the
     degree of a zero-cycle class.  ``relations`` optionally presents torsion
-    per codimension; products are computed on representatives, and group
-    views route through :class:`FpAbelianGroup`.
+    per codimension, and group views route through :class:`FpAbelianGroup`.
+    Products and degrees are computed on representatives, so the relations
+    must form a graded ideal on which the degree vanishes; this is checked at
+    construction (:meth:`_check_relations`).
     """
 
     def __init__(
@@ -176,6 +178,7 @@ class ChowRingPresentation:
         self.relations = rels
 
         self._check_associativity()
+        self._check_relations()
 
     # -- basic queries -------------------------------------------------
 
@@ -304,6 +307,34 @@ class ChowRingPresentation:
                         )
             earlier.add(g)
 
+    def _check_relations(self) -> None:
+        """Products and degrees of representatives descend to classes.
+
+        For each relation ``rho`` in codimension ``k`` and basis symbol ``s``
+        in codimension ``j >= 1``, ``rho * s`` must lie in the relation lattice
+        of codimension ``k + j`` (zero where that level has none), and each
+        top-codimension relation must have degree 0 (Fulton, *Intersection
+        Theory*, Ch. 8).  Multiplication by ``s`` is read from the structure
+        table as a matrix, and each level's lattice is solved over one Smith
+        form; a ring without relations does no work here.
+        """
+        for row in self.relations.get(self.dim, ()):
+            if sum(c * w for c, w in zip(row, self.degree_functional)):
+                raise ValueError(f"relation {list(row)} in codim {self.dim} has nonzero degree")
+        levels = range(min(self.relations, default=self.dim) + 1, self.dim + 1)
+        solvers = {n: _lattice_solver(self.relations.get(n, ()), len(self.basis[n])) for n in levels}
+        for k, rows in self.relations.items():
+            for j in range(1, self.dim - k + 1):
+                column = {sym: n for n, sym in enumerate(self.basis[k + j])}
+                for s in self.basis[j]:
+                    times_s = [[0] * len(column) for _ in self.basis[k]]
+                    for n, a in enumerate(self.basis[k]):
+                        for sym, c in self._entry(a, s).items():
+                            times_s[n][column[sym]] = c
+                    for row, product in zip(rows, mat_mul(rows, times_s)):
+                        if any(product) and solvers[k + j](product) is None:
+                            raise ValueError(f"relation {list(row)} in codim {k} times {s!r} is not a relation")
+
     # -- equality --------------------------------------------------------
 
     def _key(self):
@@ -359,13 +390,6 @@ class ChowClass:
 
     def __rmul__(self, scalar: int) -> "ChowClass":
         return ChowClass(self.ring, self.codim, tuple(int(scalar) * c for c in self.coeffs))
-
-    def as_dict(self) -> Combo:
-        return {
-            sym: c
-            for sym, c in zip(self.ring.basis_at(self.codim), self.coeffs)
-            if c
-        }
 
 
 def mul(x: ChowClass, y: ChowClass) -> ChowClass:

@@ -2,8 +2,8 @@
 
 A correspondence of codimension ``t`` in ``X x Y`` is generically
 equidimensional over ``X``; its failure over each stratum is a per-stratum
-fiber-dimension excess.  Join, pushforward, hyperplane slicing and the cap
-product act on these excess profiles by exact arithmetic.
+fiber-dimension excess.  Join, hyperplane slicing and the cap product act on
+these excess profiles by exact arithmetic.
 """
 
 from __future__ import annotations
@@ -80,13 +80,6 @@ def join(a: CocyclePattern, b: CocyclePattern) -> CocyclePattern:
     _require_projective(b, "join (second factor)")
     excess = {i: a.excess[i] + b.excess[i] for i in a.strata.indices()}
     return CocyclePattern(a.strata, a.t + b.t, a.target_dim + b.target_dim + 1, excess)
-
-
-def push_closed_immersion(pattern: CocyclePattern, c: int) -> CocyclePattern:
-    """Push forward along a codimension-``c`` closed immersion of targets."""
-    if c < 0:
-        raise ValueError("codimension must be nonnegative")
-    return CocyclePattern(pattern.strata, pattern.t + c, pattern.target_dim + c, pattern.excess)
 
 
 def slice_with_hyperplanes(pattern: CocyclePattern, count: int) -> CyclePattern:
@@ -181,35 +174,3 @@ def morphism_fiber_pattern(
         excess[i] = dim - generic
     return CocyclePattern(strata, d, n, excess)
 
-
-@dataclass(frozen=True)
-class RankProfile:
-    """Generic rank of a sheaf together with its per-stratum rank jumps."""
-
-    generic_rank: int
-    stratum_ranks: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.generic_rank < 0:
-            raise ValueError("generic rank must be nonnegative")
-        ranks = tuple(int(x) for x in self.stratum_ranks)
-        object.__setattr__(self, "stratum_ranks", ranks)
-        for i, x in enumerate(ranks, start=1):
-            if x < self.generic_rank:
-                raise ValueError(
-                    f"stratum rank {x} at index {i} below the generic rank {self.generic_rank}"
-                )
-        if any(b < a for a, b in zip(ranks, ranks[1:])):
-            raise ValueError("stratum ranks must be nondecreasing")
-
-
-def rank_to_incidence(profile: RankProfile) -> tuple[tuple[int, ...], GeneralizedBound]:
-    """Stratum indices and incidence bound determined by a rank profile.
-
-    Stratum ``i`` is where the rank jumps to at least generic + ``p_i``; the
-    bound is the jump profile itself (jumps need not step by one, so this is
-    a plain bound).  Refining the stratification is left to the caller.
-    """
-    indices = tuple(range(1, len(profile.stratum_ranks) + 1))
-    bound = GeneralizedBound(x - profile.generic_rank for x in profile.stratum_ranks)
-    return indices, bound

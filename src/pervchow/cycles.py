@@ -122,29 +122,6 @@ def check_perversity(pattern: CyclePattern, bound: GeneralizedBound) -> bool:
     return all(ok for _, ok, _ in perversity_report(pattern, bound))
 
 
-def check_incidence_datum(pattern: CyclePattern, bounds: Mapping[int | str, int]) -> bool:
-    """Membership for an incidence datum: a subset of strata with excess limits.
-
-    Keys are stratum indices (ints or digit strings) or labels; a label
-    selects every stratum carrying it.  Only listed strata are checked.
-    """
-    resolved: list[tuple[int, int]] = []
-    known = set(pattern.strata.indices())
-    for key, limit in bounds.items():
-        limit = int(limit)
-        if isinstance(key, int) or (isinstance(key, str) and key.lstrip("-").isdigit()):
-            i = int(key)
-            if i not in known:
-                raise ValueError(f"unknown stratum index {i}")
-            resolved.append((i, limit))
-        else:
-            indices = pattern.strata.labelled(str(key))
-            if not indices:
-                raise ValueError(f"unknown stratum label {key!r}")
-            resolved.extend((i, limit) for i in indices)
-    return all(_membership(pattern, i, limit)[0] for i, limit in resolved)
-
-
 @dataclass(frozen=True)
 class JointPattern:
     """Pairwise incidence data for two cycle patterns on one stratification.

@@ -9,10 +9,10 @@ class GeneralizedBound:
     """A nondecreasing sequence of nonnegative excess bounds, one per stratum.
 
     Entries are addressed 1-based: entry ``i`` bounds the allowed excess of
-    incidence with the ``i``-th stratum.  Sums of perversities, pushforward
-    transforms and rank-jump profiles live here; unlike a :class:`Perversity`,
-    steps larger than one are allowed.  An empty bound is permitted (it
-    matches a smooth variety with no declared strata).
+    incidence with the ``i``-th stratum.  Sums of perversities and pushforward
+    transforms live here; unlike a :class:`Perversity`, steps larger than one
+    are allowed.  An empty bound is permitted (it matches a smooth variety with
+    no declared strata).
     """
 
     __slots__ = ("entries",)
@@ -67,11 +67,6 @@ class Perversity(GeneralizedBound):
         for a, b in zip(self.entries, self.entries[1:]):
             if b - a not in (0, 1):
                 raise ValueError(f"perversity steps must be 0 or 1: {list(self.entries)}")
-
-
-def make_perversity(entries: Iterable[int]) -> Perversity:
-    """Validate ``entries`` as a perversity."""
-    return Perversity(entries)
 
 
 def zero(d: int) -> Perversity:

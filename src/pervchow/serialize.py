@@ -31,10 +31,12 @@ SCHEMA_VERSION = 1
 # the digits, so an over-long shorthand is rejected before anything is built.
 MAX_VERTEX_DIM = 1024
 
-# Largest row or column count of a matrix document, ``ncols`` included.  A Smith
-# form and its exact check take about n³ steps on growing integers (0.4 s for a
-# 64×64 matrix with entries in [-9, 9] on a 2-vCPU VM); the limit is checked
-# before any of that work.  The size of the entries is not limited.
+# Largest row or column count of a matrix document, ``ncols`` included, and
+# largest rank or relation count of a group and relation count of a ring
+# codimension.  A Smith form and its exact check take about n³ steps on growing
+# integers (0.4 s for a 64×64 matrix with entries in [-9, 9] on a 2-vCPU VM);
+# the limit is checked before any of that work.  The size of the entries is not
+# limited.
 MAX_MATRIX_DIM = 64
 
 
@@ -49,6 +51,12 @@ def _reading(what: str) -> Iterator[None]:
         yield
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InputError(f"bad {what}: {exc}") from exc
+
+
+def _check_dim(count: int, what: str, unit: str) -> None:
+    """Reject a count of rows, columns, generators or relations above :data:`MAX_MATRIX_DIM`."""
+    if count > MAX_MATRIX_DIM:
+        raise InputError(f"{what} takes at most {MAX_MATRIX_DIM} {unit}, got {count}")
 
 
 def _int(x: Any) -> int:
@@ -271,6 +279,8 @@ def parse_ring(data: Any) -> ChowRingPresentation:
             _int(k): [list(map(_int, row)) for row in rows]
             for k, rows in data.get("relations", {}).items()
         }
+        for k, rows in relations.items():
+            _check_dim(len(rows), f"ring codimension {k}", "relations")
         return ChowRingPresentation(
             name,
             _int(data["dim"]),
@@ -353,7 +363,7 @@ def parse_cone_class(data: Any, cone: ConeVariety) -> ConeClass:
 
 
 def group_to_json(group: FpAbelianGroup) -> dict:
-    from .abgroup import describe, invariant_factors
+    from .abgroup import invariant_factors, name_of
 
     free, torsion = invariant_factors(group)
     return {
@@ -361,7 +371,7 @@ def group_to_json(group: FpAbelianGroup) -> dict:
         "relations": [list(r) for r in group.relations],
         "free_rank": free,
         "torsion": list(torsion),
-        "name": describe(group),
+        "name": name_of(free, torsion),
     }
 
 
@@ -371,10 +381,11 @@ def parse_group(data: Any) -> FpAbelianGroup:
     if not isinstance(data, Mapping):
         raise InputError("a group must be an object with rank and relations")
     with _reading("group presentation"):
-        return FpAbelianGroup(
-            _int(data["rank"]),
-            tuple(tuple(_int(x) for x in row) for row in data.get("relations", [])),
-        )
+        rank = _int(data["rank"])
+        _check_dim(rank, "a group", "generators")
+        relations = tuple(tuple(_int(x) for x in row) for row in data.get("relations", []))
+        _check_dim(len(relations), "a group", "relations")
+        return FpAbelianGroup(rank, relations)
 
 
 def map_to_json(m: GroupMap) -> dict:
@@ -402,15 +413,12 @@ def parse_matrix(data: Any, ncols: int | None = None) -> list[list[int]]:
     """Integer rows of equal length; ``ncols`` is the width of a matrix with no rows."""
     if not isinstance(data, (list, tuple)):
         raise InputError("a matrix must be an array of integer rows")
-    if len(data) > MAX_MATRIX_DIM:
-        raise InputError(f"a matrix takes at most {MAX_MATRIX_DIM} rows, got {len(data)}")
+    _check_dim(len(data), "a matrix", "rows")
     with _reading("matrix"):
         rows = [[_int(x) for x in row] for row in data]
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise InputError("matrix rows have unequal lengths")
-    width = max(len(rows[0]) if rows else 0, ncols or 0)
-    if width > MAX_MATRIX_DIM:
-        raise InputError(f"a matrix takes at most {MAX_MATRIX_DIM} columns, got {width}")
+    _check_dim(max(len(rows[0]) if rows else 0, ncols or 0), "a matrix", "columns")
     return rows
 
 

@@ -84,10 +84,6 @@ class Stratification:
     def indices(self) -> tuple[int, ...]:
         return tuple(s.index for s in self.strata)
 
-    def labelled(self, label: str) -> tuple[int, ...]:
-        """Indices of all strata carrying ``label``."""
-        return tuple(s.index for s in self.strata if s.label == label)
-
 
 def isolated_vertex(d: int) -> Stratification:
     """Every stratum is a single point: codimension bound ``d`` at each index."""

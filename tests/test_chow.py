@@ -41,8 +41,8 @@ class TestBuiltins:
         r = projective_space(3)
         h = r.hyperplane_class()
         hh = mul(h, h)
-        assert hh.as_dict() == {"h^2": 1}
-        assert mul(hh, h).as_dict() == {"h^3": 1}
+        assert hh.coeffs == (1,)
+        assert mul(hh, h).coeffs == (1,)
         assert mul(mul(hh, h), h).is_zero  # codim 4 > 3
 
     def test_p2_degree(self):
@@ -54,7 +54,7 @@ class TestBuiltins:
         e, f = q.basis_class("e"), q.basis_class("f")
         assert mul(e, e).is_zero
         assert mul(f, f).is_zero
-        assert mul(e, f).as_dict() == {"pt": 1}
+        assert mul(e, f).coeffs == (1,)
 
     def test_quadric_hyperplane_square_by_oracle(self):
         # (e + f)^2 = e^2 + 2 e f + f^2 = 2 pt, by brute bilinear expansion
@@ -185,7 +185,7 @@ class TestValidation:
 
     def test_relations_route_to_groups(self):
         ring = ChowRingPresentation(
-            "torsion", 1, [["1"], ["a"]], {}, [1], [1], relations={1: [[2]]}
+            "torsion", 1, [["1"], ["a"]], {}, [1], [0], relations={1: [[2]]}
         )
         free, torsion = ring.group(1).rank, ring.group(1).relations
         assert free == 1 and torsion == ((2,),)

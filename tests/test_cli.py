@@ -103,6 +103,37 @@ class TestPairingAndIntersect:
         assert report.values["class"]["payload"] == [0]
 
 
+class TestTorsionProbes:
+    """Products are taken on representatives, so ring relations must form an ideal the degree kills."""
+
+    # codimension 1 is Z/2, yet h times the relation 2h is 2p, which is no relation
+    NOT_AN_IDEAL = {
+        "dim": 2, "basis": [["1"], ["h"], ["p"]], "products": [{"a": "h", "b": "h", "value": {"p": 1}}],
+        "hyperplane": [1], "degree": [1], "relations": {"1": [[2]]},
+    }
+    # the relation 2a in the top codimension has degree 2
+    NONZERO_DEGREE = {"dim": 1, "basis": [["1"], ["a"]], "hyperplane": [1], "degree": [1], "relations": {"1": [[2]]}}
+
+    def test_pairing_on_a_non_ideal_exits_2(self):
+        # (0) and (2) are one class in Z/2, and they once paired to 0 and 2 with exit 0
+        cone = json.dumps({"base": self.NOT_AN_IDEAL})
+        for b in range(4):
+            report = run(["pairing", "--cone", cone, "--a", "disallowed:2:(1)", "--b", f"disallowed:1:({b})"])
+            assert report.exit_code == 2
+            assert report.error.endswith("relation [2] in codim 1 times 'h' is not a relation")
+
+    @pytest.mark.parametrize("ring, needle", [
+        (NOT_AN_IDEAL, "relation [2] in codim 1 times 'h' is not a relation"),
+        (NONZERO_DEGREE, "relation [2] in codim 1 has nonzero degree"),
+    ], ids=["not-an-ideal", "nonzero-degree"])
+    def test_probes_fail_validation(self, ring, needle):
+        report = run(["validate", "--ring", json.dumps(ring)])
+        assert report.exit_code == 1
+        assert [(v.check, v.ok) for v in report.verdicts] == [("valid-ring", False)]
+        assert report.verdicts[0].explanation.endswith(needle)
+        assert run(["groups", "--cone", json.dumps({"base": ring}), "--r", "1", "--p", "1"]).exit_code == 2
+
+
 class TestGroupsCompareSnfExact:
     def test_groups(self):
         report = run(["groups", "--cone", "zobel", "--r", "1", "--p", "2"])
@@ -124,11 +155,26 @@ class TestGroupsCompareSnfExact:
             "basis": [["1"], ["a"]],
             "products": [],
             "hyperplane": [1],
-            "degree": [1],
+            "degree": [0],
             "relations": {"1": [[2]]},
         }
         report = run(["groups", "--cone", json.dumps({"base": ring}), "--r", "1", "--p", "1"])
         assert report.values["group"]["name"] == "Z/2"
+
+    def test_one_smith_form_per_torsion_group(self, monkeypatch):
+        from pervchow import abgroup
+
+        calls = []
+        smith = abgroup.smith_normal_form
+        monkeypatch.setattr(abgroup, "smith_normal_form", lambda *a, **k: calls.append(a) or smith(*a, **k))
+        ring = {"dim": 1, "basis": [["1"], ["a"]], "hyperplane": [1], "degree": [0], "relations": {"1": [[2]]}}
+        cone = json.dumps({"base": ring})
+        report = run(["groups", "--cone", cone, "--r", "1", "--p", "1"])
+        assert report.values["group"]["name"] == "Z/2" and len(calls) == 1
+        calls.clear()
+        # Z/2 -> Z/2: one form for each group and one for the map's relation check
+        report = run(["compare", "--cone", cone, "--r", "1", "--p-from", "1", "--p-to", "2"])
+        assert report.values["map"]["target"]["name"] == "Z/2" and len(calls) == 3
 
     def test_snf(self):
         report = run(["snf", "--matrix", "[[2,4],[6,8]]"])
@@ -586,6 +632,40 @@ class TestHostileInput:
         report = run(["snf", "--matrix", json.dumps([[1]] * 65)])
         assert report.exit_code == 2
         assert report.error == "a matrix takes at most 64 rows, got 65"
+
+    @staticmethod
+    def identity_map(rank, target_relations=()):
+        matrix = [[int(i == j) for j in range(rank)] for i in range(rank)]
+        target = {"rank": rank, "relations": [list(row) for row in target_relations]}
+        return json.dumps({"source": {"rank": rank}, "target": target, "matrix": matrix})
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["exact", "--f", identity_map(65), "--g", identity_map(65)], "a group takes at most 64 generators, got 65"),
+            (["exact", "--f", identity_map(1), "--g", identity_map(1, [[2]] * 65)],
+             "a group takes at most 64 relations, got 65"),
+            (["groups", "--cone", json.dumps({"base": {
+                "dim": 1, "basis": [["1"], ["a"]], "hyperplane": [1], "degree": [0], "relations": {"1": [[2]] * 65}}}),
+              "--r", "1", "--p", "1"], "ring codimension 1 takes at most 64 relations, got 65"),
+        ],
+        ids=["map-rank-65", "65-group-relations", "65-ring-relations"],
+    )
+    def test_oversized_group_exits_2_before_any_smith_form(self, argv, needle):
+        start = time.perf_counter()
+        report = run(argv)
+        assert time.perf_counter() - start < 1.0
+        assert report.exit_code == 2
+        assert report.error.endswith(needle)
+
+    def test_group_limit_admits_64(self):
+        # doubling on Z^64, then the quotient onto (Z/2)^64: exact, with 64 generators and 64 relations
+        two = [[2 * (i == j) for j in range(64)] for i in range(64)]
+        double = json.dumps({"source": {"rank": 64}, "target": {"rank": 64}, "matrix": two})
+        assert run(["exact", "--f", double, "--g", self.identity_map(64, two)]).exit_code == 0
+        ring = {"dim": 1, "basis": [["1"], ["a"]], "hyperplane": [1], "degree": [0], "relations": {"1": [[2]] * 64}}
+        report = run(["groups", "--cone", json.dumps({"base": ring}), "--r", "1", "--p", "1"])
+        assert report.values["group"]["name"] == "Z/2"
 
     def test_slice_reads_against_before_slicing(self):
         # every document is read before the handler runs, so a malformed

@@ -19,6 +19,7 @@ DEEP = 3000  # nesting depth of JSON documents and of product(...) shorthands
 BIG_P = 2000  # P<n> and a document ring of that dimension
 BIG_VERTEX = 10**8  # vertex<d>
 DIGITS = 5000  # digits of an integer entry
+RANK = 65  # generators of a group and relation rows of a group or of a ring codimension
 
 PATTERNS = [
     {"dim": 1, "incidence": {"1": "empty", "2": "empty", "3": "empty"}},
@@ -27,7 +28,7 @@ PATTERNS = [
     {"dim": 1, "incidence": {"1": 0, "2": "empty"}},
 ]
 RINGS = [
-    {"dim": 1, "basis": [["1"], ["a"]], "hyperplane": [1], "degree": [1], "relations": {"1": [[2]]}},
+    {"dim": 1, "basis": [["1"], ["a"]], "hyperplane": [1], "degree": [0], "relations": {"1": [[2]]}},
     {"dim": 2, "basis": [["1"], ["h"], ["h2"]], "products": [{"a": "h", "b": "h", "value": {"h2": 1}}],
      "hyperplane": [1], "degree": [1]},
 ]
@@ -68,6 +69,9 @@ OVERSIZED = [
     "product(" * DEEP + "point" + ",point)" * DEEP,
     json.dumps({"dim": BIG_P, "basis": [["1"]] + [[f"h{k}"] for k in range(1, BIG_P + 1)], "degree": [1]}),
     "[[" + "9" * DIGITS + "]]",
+    json.dumps({"source": {"rank": RANK}, "target": {"rank": RANK}, "matrix": [[1] * RANK] * RANK}),
+    json.dumps({"source": {"rank": 1}, "target": {"rank": 1, "relations": [[2]] * RANK}, "matrix": [[1]]}),
+    json.dumps({**RINGS[0], "relations": {"1": [[2]] * RANK}}),
 ]
 
 WRONG_SCALARS = ["x", 1.5, True, None, -1, [], {}]

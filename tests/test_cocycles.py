@@ -4,18 +4,15 @@ import pytest
 
 from pervchow.cocycles import (
     CocyclePattern,
-    RankProfile,
     cap_pattern,
     check_cocycle,
     join,
     morphism_fiber_pattern,
-    push_closed_immersion,
-    rank_to_incidence,
     slice_against,
     slice_with_hyperplanes,
 )
 from pervchow.cycles import CyclePattern, check_perversity, check_star
-from pervchow.perversity import GeneralizedBound, Perversity, add, leq, zero
+from pervchow.perversity import GeneralizedBound, add, leq, zero
 from pervchow.serialize import parse_stratification, stratification_to_json
 from pervchow.strata import isolated_vertex
 
@@ -144,24 +141,6 @@ class TestJoin:
         b = profile(isolated_vertex(2), [0, 0], t=1, target=1)
         with pytest.raises(ValueError):
             join(a, b)
-
-
-class TestPushClosedImmersion:
-    def test_identity(self):
-        a = profile(V3, [0, 0, 1], t=1, target=1)
-        assert push_closed_immersion(a, 0) == a
-
-    def test_hyperplane_inclusion(self):
-        a = profile(V3, [0, 0, 1], t=1, target=1)
-        out = push_closed_immersion(a, 1)
-        assert out.t == 2 and out.target_dim == 2
-        assert out.excess == a.excess
-
-    def test_membership_preserved(self):
-        for pattern in all_profiles(V3, 2, 2, 2):
-            out = push_closed_immersion(pattern, 3)
-            for bound in all_bounds(3, 2):
-                assert check_cocycle(out, bound) == check_cocycle(pattern, bound)
 
 
 class TestSlice:
@@ -353,32 +332,3 @@ class TestMorphismPattern:
         for bound in all_bounds(3, 3):
             assert check_cocycle(graph, bound) == (bound.at(3) >= 1)
 
-
-class TestRankProfile:
-    def test_locally_free_gives_zero_bound(self):
-        indices, bound = rank_to_incidence(RankProfile(2, (2, 2, 2)))
-        assert indices == (1, 2, 3)
-        assert bound == GeneralizedBound([0, 0, 0])
-
-    def test_vertex_jump(self):
-        indices, bound = rank_to_incidence(RankProfile(2, (2, 2, 3)))
-        assert bound.at(3) == 1
-
-    def test_ideal_sheaf_of_point_on_surface(self):
-        # generic rank 1, rank 2 at the point stratum
-        indices, bound = rank_to_incidence(RankProfile(1, (1, 2)))
-        assert bound == GeneralizedBound([0, 1])
-
-    def test_rank_below_generic_rejected(self):
-        with pytest.raises(ValueError):
-            RankProfile(2, (1, 2))
-
-    def test_decreasing_ranks_rejected(self):
-        with pytest.raises(ValueError):
-            RankProfile(1, (3, 2))
-
-    def test_jumps_need_not_be_unit(self):
-        _, bound = rank_to_incidence(RankProfile(1, (1, 4)))
-        assert bound == GeneralizedBound([0, 3])
-        with pytest.raises(ValueError):
-            Perversity(bound.entries)

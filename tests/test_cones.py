@@ -1,9 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 from pervchow import chow
-from pervchow.abgroup import describe, invariant_factors
+from pervchow.abgroup import describe, invariant_factors, kernel_basis, lattice_solve
 from pervchow.chow import projective_space, quadric_surface
 from pervchow.cones import (
     ConeClass,
@@ -22,6 +23,7 @@ from pervchow.cones import (
 )
 from pervchow.cycles import EMPTY, JointPattern, check_perversity, check_star
 from pervchow.perversity import GeneralizedBound
+from pervchow.serialize import InputError, parse_ring
 
 QCONE = ConeVariety(quadric_surface())
 P2CONE = ConeVariety(projective_space(2))
@@ -333,12 +335,83 @@ class TestConeOverP2:
         assert chow_group(P2CONE, 2, 1).rank == 1
 
 
+def torsion_ring_document(rng):
+    """A dim-2 ring document with relations that form an ideal, perturbed half the time.
+
+    Codimension 1 carries relations ``rho``; codimension 2 carries every
+    ``rho * a_i`` and one vector the degree kills, and the degree is drawn
+    among the functionals that kill every ``rho * a_i``.  A perturbation adds
+    1 to one entry of the degree or of a codimension-2 relation, so the
+    relations may stop forming an ideal or the degree stop vanishing on them.
+    """
+    w1, w2 = rng.randint(1, 3), rng.randint(2, 4)
+    a = [f"a{i}" for i in range(w1)]
+    b = [f"b{j}" for j in range(w2)]
+    table = {(x, y): [rng.randint(-2, 2) for _ in b] for n, x in enumerate(a) for y in a[n:]}
+    rho = [[rng.randint(-2, 2) for _ in a] for _ in range(rng.randint(1, 2))]
+    closure = [
+        [sum(r[k] * table[min(a[k], s), max(a[k], s)][j] for k in range(w1)) for j in range(w2)]
+        for r in rho
+        for s in a
+    ]
+
+    def killed_by(rows):
+        basis = kernel_basis(rows, w2)
+        coeffs = [rng.randint(-2, 2) for _ in basis]
+        return [sum(c * v[j] for c, v in zip(coeffs, basis)) for j in range(w2)]
+
+    degree = killed_by(closure)
+    top = [*closure, killed_by([degree])]
+    if rng.random() < 0.5:
+        rng.choice([degree, *top])[rng.randrange(w2)] += 1
+    return {
+        "dim": 2,
+        "basis": [["1"], a, b],
+        "products": [{"a": x, "b": y, "value": dict(zip(b, v))} for (x, y), v in table.items()],
+        "hyperplane": [rng.randint(-2, 2) for _ in a],
+        "degree": degree,
+        "relations": {"1": rho, "2": top},
+    }
+
+
 class TestTorsionBase:
+    def test_products_see_classes_not_representatives(self):
+        # on every accepted ring, adding a relation to a factor moves a product by a
+        # relation and keeps a degree pairing
+        rng, pick = random.Random(11), random.Random(12)
+        accepted = rejected = checked = 0
+        for _ in range(25):
+            try:
+                ring = parse_ring(torsion_ring_document(rng))
+            except InputError:
+                rejected += 1
+                continue
+            accepted += 1
+            cone = ConeVariety(ring)
+            d = cone.cone_dim
+            for r, p, s, q in itertools.product(range(d + 1), repeat=4):
+                a, b = (
+                    cone.cls(dim, bound, [pick.randint(-2, 2) for _ in ring.basis_at(cone.payload_codim(dim, bound))])
+                    for dim, bound in ((r, p), (s, q))
+                )
+                try:
+                    product = intersect(a, b).payload
+                except ConeProductError:
+                    continue
+                for rho in ring.relations.get(a.payload.codim, ()):
+                    shifted = ConeClass(cone, r, p, a.payload + ring.make(a.payload.codim, rho))
+                    moved = intersect(shifted, b).payload - product
+                    assert lattice_solve(ring.relations.get(moved.codim, ()), moved.coeffs) is not None
+                    if r + s == d:
+                        assert degree_pairing(shifted, b) == degree_pairing(a, b)
+                        checked += 1
+        assert accepted >= 12 and rejected >= 6 and checked >= 100
+
     def test_user_ring_torsion_routes_to_groups(self):
         from pervchow.chow import ChowRingPresentation
 
         base = ChowRingPresentation(
-            "torsion_curve", 1, [["1"], ["a"]], {}, [1], [1], relations={1: [[2]]}
+            "torsion_curve", 1, [["1"], ["a"]], {}, [1], [0], relations={1: [[2]]}
         )
         cone = ConeVariety(base)
         assert invariant_factors(chow_group(cone, 1, 1)) == (0, (2,))  # cone side: A_0 with torsion

@@ -8,7 +8,6 @@ from pervchow.cycles import (
     FamilyCertificate,
     JointPattern,
     check_family_certificate,
-    check_incidence_datum,
     check_perversity,
     check_star,
     empty_pattern,
@@ -87,49 +86,6 @@ class TestMembership:
     def test_missing_stratum_rejected(self):
         with pytest.raises(ValueError):
             CyclePattern(V3, 1, {1: 0, 2: 0})
-
-
-class TestIncidenceDatum:
-    def test_perversity_is_special_case(self):
-        for pattern in nonincreasing_patterns(V3, 2, 2):
-            for p in all_perversities(3):
-                bounds = {i: p.at(i) for i in V3.indices()}
-                assert check_incidence_datum(pattern, bounds) == check_perversity(pattern, p)
-
-    def test_single_stratum_violation(self):
-        pattern = vertex_pattern(1, 0)
-        assert not check_incidence_datum(pattern, {3: 0})
-        assert check_incidence_datum(pattern, {1: 0})
-
-    def test_label_keys(self):
-        pattern = vertex_pattern(1, 0)
-        assert not check_incidence_datum(pattern, {"vertex": 0})
-        assert check_incidence_datum(pattern, {"vertex": 2})
-
-    def test_unknown_label_rejected(self):
-        with pytest.raises(ValueError):
-            check_incidence_datum(vertex_pattern(1, 0), {"corner": 0})
-        with pytest.raises(ValueError):
-            check_incidence_datum(vertex_pattern(1, 0), {7: 0})
-
-    def test_stricter_datum_implies_looser(self):
-        d = 3
-        strata = isolated_vertex(d)
-        patterns = nonincreasing_patterns(strata, 2, 2)
-        limit_sets = list(itertools.product(range(3), repeat=d))
-        for pattern in patterns:
-            for strict in limit_sets:
-                if not check_incidence_datum(pattern, dict(zip(strata.indices(), strict))):
-                    continue
-                for loose in limit_terms_ge(strict):
-                    assert check_incidence_datum(pattern, dict(zip(strata.indices(), loose)))
-
-
-def limit_terms_ge(strict):
-    """A small sample of entrywise-larger limit tuples."""
-    yield tuple(x + 1 for x in strict)
-    yield tuple(x + 2 for x in strict)
-    yield strict
 
 
 class TestStar:

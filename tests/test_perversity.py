@@ -9,7 +9,6 @@ from pervchow.perversity import (
     Perversity,
     add,
     leq,
-    make_perversity,
     star_compose,
     top,
     zero,
@@ -49,22 +48,22 @@ perversity_pair_strategy = st.integers(1, 6).flatmap(
 
 class TestConstruction:
     def test_valid_step_pattern(self):
-        assert make_perversity([0, 0, 1]).entries == (0, 0, 1)
+        assert Perversity([0, 0, 1]).entries == (0, 0, 1)
 
     def test_step_two_rejected(self):
         with pytest.raises(ValueError):
-            make_perversity([0, 2, 2])
+            Perversity([0, 2, 2])
 
     def test_top_is_valid(self):
-        assert make_perversity([0, 1, 2]) == top(3)
+        assert Perversity([0, 1, 2]) == top(3)
 
     def test_nonzero_start_rejected(self):
         with pytest.raises(ValueError):
-            make_perversity([1, 1])
+            Perversity([1, 1])
 
     def test_empty_perversity_rejected(self):
         with pytest.raises(ValueError):
-            make_perversity([])
+            Perversity([])
 
     def test_bound_rejects_decreasing(self):
         with pytest.raises(ValueError):
