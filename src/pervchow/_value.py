@@ -1,0 +1,66 @@
+"""The base of the package's value classes.
+
+A value class lists its fields in ``__slots__`` and sets them in its own
+``__init__``; this base gives it equality, hashing and a field-by-field repr.
+Writing these out, instead of generating them with :mod:`dataclasses`, keeps
+``dataclasses`` and the ``inspect`` machinery it imports out of every command's
+start-up.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+from typing import Any
+
+
+class Value:
+    """A record over the fields named in ``__slots__``, frozen unless made with ``mutable=True``.
+
+    ``==`` compares one tuple of the compared fields (every field but those the
+    class keyword ``uncompared`` names), so a field that holds the same object
+    on both sides is not compared by its own ``__eq__``; instances of different
+    classes are never equal.  A frozen record sets its fields once, through
+    :meth:`_init`, and hashes that tuple; a mutable one is unhashable.  The repr
+    is ``Name(field=value, ...)`` over every field.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, *, mutable: bool = False, uncompared: tuple[str, ...] = (), **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        compared = [name for name in cls.__slots__ if name not in uncompared]
+        getter = attrgetter(*compared)
+        # attrgetter of one name returns the value itself, not a 1-tuple
+        cls._key = getter if len(compared) > 1 else staticmethod(lambda value: (getter(value),))
+        if mutable:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def _init(self, *values: Any) -> None:
+        """Set the fields, in ``__slots__`` order."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild the record through ``__init__``, which takes the fields in order
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from itertools import chain
 from operator import mul
+
+from ._value import Value
 
 Matrix = list[list[int]]
 
@@ -72,17 +73,19 @@ def det(m: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(Value):
     """Diagonalization ``U * M * V = S`` by unimodular transforms.
 
     ``S`` is diagonal with nonnegative entries, each dividing the next;
     ``U`` and ``V`` have determinant +-1.
     """
 
-    U: tuple[tuple[int, ...], ...]
-    S: tuple[tuple[int, ...], ...]
-    V: tuple[tuple[int, ...], ...]
+    __slots__ = ("U", "S", "V")
+
+    def __init__(
+        self, U: tuple[tuple[int, ...], ...], S: tuple[tuple[int, ...], ...], V: tuple[tuple[int, ...], ...]
+    ) -> None:
+        self._init(U, S, V)
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.S[i][i] for i in range(min(len(self.S), len(self.V))))
@@ -353,22 +356,20 @@ def kernel_basis(matrix: Sequence[Sequence[int]], ncols: int) -> list[list[int]]
     return [[form.V[i][j] for i in range(ncols)] for j in range(r, ncols)]
 
 
-@dataclass(frozen=True)
-class FpAbelianGroup:
+class FpAbelianGroup(Value):
     """Cokernel presentation: ``Z^rank`` modulo the row span of ``relations``."""
 
-    rank: int
-    relations: tuple[tuple[int, ...], ...] = ()
+    __slots__ = ("rank", "relations")
 
-    def __post_init__(self) -> None:
-        if self.rank < 0:
+    def __init__(self, rank: int, relations: tuple[tuple[int, ...], ...] = ()) -> None:
+        if rank < 0:
             raise ValueError("rank must be nonnegative")
-        rel = tuple(tuple(int(x) for x in row) for row in self.relations)
-        object.__setattr__(self, "relations", rel)
+        rel = tuple(tuple(int(x) for x in row) for row in relations)
+        self._init(rank, rel)
         for row in rel:
-            if len(row) != self.rank:
+            if len(row) != rank:
                 raise ValueError(
-                    f"relation {list(row)} has length {len(row)}, expected rank {self.rank}"
+                    f"relation {list(row)} has length {len(row)}, expected rank {rank}"
                 )
 
     @classmethod
@@ -405,8 +406,7 @@ def name_of(free: int, torsion: Sequence[int]) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class GroupMap:
+class GroupMap(Value):
     """Homomorphism of presented groups, as a matrix on chosen generators.
 
     The matrix (target rank x source rank) must carry every source relation
@@ -414,13 +414,11 @@ class GroupMap:
     so a ``GroupMap`` is always a well-defined homomorphism.
     """
 
-    source: FpAbelianGroup
-    target: FpAbelianGroup
-    matrix: tuple[tuple[int, ...], ...]
+    __slots__ = ("source", "target", "matrix")
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.matrix)
-        object.__setattr__(self, "matrix", rows)
+    def __init__(self, source: FpAbelianGroup, target: FpAbelianGroup, matrix: tuple[tuple[int, ...], ...]) -> None:
+        rows = tuple(tuple(int(x) for x in row) for row in matrix)
+        self._init(source, target, rows)
         if len(rows) != self.target.rank:
             raise ValueError(
                 f"matrix has {len(rows)} rows, expected target rank {self.target.rank}"

@@ -12,8 +12,8 @@ import bisect
 import math
 import re
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass
 
+from ._value import Value
 from .abgroup import FpAbelianGroup, _lattice_solver, mat_mul
 
 Combo = dict[str, int]
@@ -357,16 +357,13 @@ class ChowRingPresentation:
         return f"ChowRingPresentation({self.name!r}, dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class ChowClass:
+class ChowClass(Value):
     """Integer combination of the basis symbols in one codimension."""
 
-    ring: ChowRingPresentation
-    codim: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("ring", "codim", "coeffs")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+    def __init__(self, ring: ChowRingPresentation, codim: int, coeffs: tuple[int, ...]) -> None:
+        self._init(ring, codim, tuple(int(c) for c in coeffs))
         expected = len(self.ring.basis_at(self.codim))
         if len(self.coeffs) != expected:
             raise ValueError(

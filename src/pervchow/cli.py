@@ -13,30 +13,47 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, NoReturn
 
-# Each handler imports the layer modules it calls, so a command compiles and
-# loads only those: ``snf`` never loads the cone model, ``schema`` no layer.
+# Each handler imports the layer modules it calls, and ``serialize`` imports a
+# layer only in the parsers and renderers that build its values, so a command
+# compiles and loads only those: ``snf`` never loads the cone model, ``schema``
+# no layer.
 from . import serialize
+from ._value import Value
 from .serialize import SCHEMA_VERSION, InputError
 
 
-@dataclass
-class Verdict:
-    check: str
-    ok: bool
-    explanation: str
+class Verdict(Value, mutable=True):
+    """One named check of a report, whether it passed, and why."""
+
+    __slots__ = ("check", "ok", "explanation")
+
+    def __init__(self, check: str, ok: bool, explanation: str) -> None:
+        self.check = check
+        self.ok = ok
+        self.explanation = explanation
 
 
-@dataclass
-class Report:
-    command: str
-    verdicts: list[Verdict] = field(default_factory=list)
-    values: dict[str, Any] = field(default_factory=dict)
-    error: str | None = None
-    pretty: bool = False
+class Report(Value, mutable=True):
+    """What a command produced: its verdicts and values, or the error that stopped it."""
+
+    __slots__ = ("command", "verdicts", "values", "error", "pretty")
+
+    def __init__(
+        self,
+        command: str,
+        verdicts: list[Verdict] | None = None,
+        values: dict[str, Any] | None = None,
+        error: str | None = None,
+        pretty: bool = False,
+    ) -> None:
+        self.command = command
+        self.verdicts = [] if verdicts is None else verdicts
+        self.values = {} if values is None else values
+        self.error = error
+        self.pretty = pretty
 
     @property
     def ok(self) -> bool:
@@ -359,8 +376,7 @@ def _cmd_schema(args: argparse.Namespace, report: Report) -> None:
 # -- the command table -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(Value):
     """One subcommand: its handler, what it does, and what it reads.
 
     ``inputs`` maps each flag or positional name to its schema text, its
@@ -369,9 +385,15 @@ class Command:
     reading of documents and dispatch all derive from :data:`COMMANDS`.
     """
 
-    handler: Callable[[argparse.Namespace, Report], None]
-    description: str
-    inputs: dict[str, tuple[str, str | None, dict[str, Any]]]
+    __slots__ = ("handler", "description", "inputs")
+
+    def __init__(
+        self,
+        handler: Callable[[argparse.Namespace, Report], None],
+        description: str,
+        inputs: dict[str, tuple[str, str | None, dict[str, Any]]],
+    ) -> None:
+        self._init(handler, description, inputs)
 
 
 _PLAIN: dict[str, Any] = {}  # argparse defaults: an optional flag or a required positional
@@ -510,6 +532,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(self.prog.removeprefix("pervchow "), message)
 
 
+def _add_inputs(parser: argparse.ArgumentParser, command: Command) -> argparse.ArgumentParser:
+    # SUPPRESS keeps a --pretty given before the command from being reset
+    parser.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS, help="human-readable output")
+    for flag, (text, _, keywords) in command.inputs.items():
+        parser.add_argument(flag, help=text, **keywords)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="pervchow",
@@ -518,18 +548,44 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--pretty", action="store_true", help="human-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.description, description=command.description)
-        # SUPPRESS keeps a --pretty given before the command from being reset
-        p.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS, help="human-readable output")
-        for flag, (text, _, keywords) in command.inputs.items():
-            p.add_argument(flag, help=text, **keywords)
+        _add_inputs(sub.add_parser(name, help=command.description, description=command.description), command)
     return parser
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser that :func:`build_parser` adds for command ``name``, built alone."""
+    command = COMMANDS[name]
+    return _add_inputs(_Parser(prog=f"pervchow {name}", description=command.description), command)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """What ``build_parser().parse_args(argv)`` returns, building one command's parser when that is enough.
+
+    The command is the first token other than ``--pretty``.  When it names a
+    command, that command's parser reads the tokens after it, as the full
+    parser would hand them over.  Anything else (top-level ``-h``, a missing,
+    unknown or abbreviated command) and any argv the one parser rejects or
+    leaves unread goes to the full parser, so every usage error and help text
+    comes from it unchanged.
+    """
+    lead = 0
+    while lead < len(argv) and argv[lead] == "--pretty":
+        lead += 1
+    if lead < len(argv) and argv[lead] in COMMANDS:
+        args = argparse.Namespace(pretty=lead > 0, command=argv[lead])
+        try:
+            args, extras = _command_parser(argv[lead]).parse_known_args(argv[lead + 1 :], args)
+            if not extras:
+                return args
+        except _UsageError:
+            pass  # reported below, by the full parser
+    return build_parser().parse_args(argv)
 
 
 def run(argv: list[str]) -> Report:
     """Parse arguments, read the documents, dispatch, and return the report (no printing)."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
     except _UsageError as exc:
         return Report(command=exc.command, error=str(exc))
     report = Report(command=args.command, pretty=args.pretty)

@@ -9,16 +9,15 @@ these excess profiles by exact arithmetic.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 
+from ._value import Value
 from .cycles import CyclePattern, Incidence, JointPattern, _normalize_incidence, _require_depth
 from .cycles import _require_shared, _verdict
 from .perversity import GeneralizedBound
 from .strata import Stratification
 
 
-@dataclass(frozen=True)
-class CocyclePattern:
+class CocyclePattern(Value):
     """Fiber-dimension excess of a correspondence over each stratum.
 
     Fibers over the open stratum have dimension ``target_dim - t``; over a
@@ -27,25 +26,22 @@ class CocyclePattern:
     locally closed stratum), but can never push a fiber past ``target_dim``.
     """
 
-    strata: Stratification
-    t: int
-    target_dim: int
-    excess: Mapping[int, int]
+    __slots__ = ("strata", "t", "target_dim", "excess")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.t <= self.target_dim:
+    def __init__(self, strata: Stratification, t: int, target_dim: int, excess: Mapping[int, int]) -> None:
+        if not 0 <= t <= target_dim:
             raise ValueError(
-                f"codimension t={self.t} must lie in 0..target_dim={self.target_dim}"
+                f"codimension t={t} must lie in 0..target_dim={target_dim}"
             )
-        table = _normalize_incidence(self.strata, self.excess, "excess")
+        table = _normalize_incidence(strata, excess, "excess")
         for i, v in table.items():
             if v < 0:
                 raise ValueError(f"excess at stratum {i} must be nonnegative")
-            if v > self.t:
+            if v > t:
                 raise ValueError(
                     f"excess {v} at stratum {i} pushes the fiber past the target dimension"
                 )
-        object.__setattr__(self, "excess", table)
+        self._init(strata, t, target_dim, table)
 
 
 def _require_projective(pattern: CocyclePattern, op: str) -> None:

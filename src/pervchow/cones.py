@@ -12,11 +12,11 @@ geometry demands it.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 
 from . import chow
+from ._value import Value
 from .chow import ChowClass, ChowRingPresentation, quadric_surface
 from .abgroup import FpAbelianGroup, GroupMap, identity
 from .cycles import CyclePattern, empty_pattern
@@ -38,11 +38,13 @@ def mode_for(d: int, r: int, p: int) -> Mode:
     return Mode.ALLOWED if r > 0 and r - d + p >= 0 else Mode.DISALLOWED
 
 
-@dataclass(frozen=True)
-class ConeVariety:
+class ConeVariety(Value):
     """Projective cone over a presented smooth base, stratified by its vertex."""
 
-    base: ChowRingPresentation
+    __slots__ = ("base",)
+
+    def __init__(self, base: ChowRingPresentation) -> None:
+        self._init(base)
 
     @property
     def cone_dim(self) -> int:
@@ -76,16 +78,13 @@ def _check_range(cone: ConeVariety, r: int, p: int) -> None:
         raise ValueError("vertex bound must be nonnegative")
 
 
-@dataclass(frozen=True)
-class ConeClass:
+class ConeClass(Value):
     """A cycle class on a cone: dimension, vertex bound and base payload."""
 
-    cone: ConeVariety
-    r: int
-    p: int
-    payload: ChowClass
+    __slots__ = ("cone", "r", "p", "payload")
 
-    def __post_init__(self) -> None:
+    def __init__(self, cone: ConeVariety, r: int, p: int, payload: ChowClass) -> None:
+        self._init(cone, r, p, payload)
         _check_range(self.cone, self.r, self.p)
         if self.payload.ring != self.cone.base:
             raise ValueError("payload lives over a different base presentation")
@@ -227,8 +226,7 @@ def vertex_bound(d: int, p: int) -> GeneralizedBound:
     return GeneralizedBound(max(0, p - d + i) for i in range(1, d + 1))
 
 
-@dataclass(frozen=True)
-class ZobelCatalog:
+class ZobelCatalog(Value):
     """The cone over the quadric surface with its named classes and tables.
 
     ``classes`` holds the standard actors: the two cone divisors ``Ce`` and
@@ -242,11 +240,17 @@ class ZobelCatalog:
     operands under ``"operands"``.
     """
 
-    cone: ConeVariety
-    classes: Mapping[str, ConeClass]
-    expected_groups: Mapping[tuple[int, int], tuple[int, tuple[int, ...]]]
-    expected_comparisons: Mapping[tuple[int, int, int], tuple[tuple[int, ...], ...]]
-    expected_pairings: Mapping[str, Mapping]
+    __slots__ = ("cone", "classes", "expected_groups", "expected_comparisons", "expected_pairings")
+
+    def __init__(
+        self,
+        cone: ConeVariety,
+        classes: Mapping[str, ConeClass],
+        expected_groups: Mapping[tuple[int, int], tuple[int, tuple[int, ...]]],
+        expected_comparisons: Mapping[tuple[int, int, int], tuple[tuple[int, ...], ...]],
+        expected_pairings: Mapping[str, Mapping],
+    ) -> None:
+        self._init(cone, classes, expected_groups, expected_comparisons, expected_pairings)
 
 
 def zobel() -> ZobelCatalog:

@@ -10,8 +10,8 @@ patterns automatically).
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 
+from ._value import Value
 from .perversity import GeneralizedBound, collapse_index
 from .strata import Stratification, product_with_fiber
 from .strata import suspend as suspend_strata
@@ -46,8 +46,7 @@ def _require_shared(a: Stratification, b: Stratification, op: str) -> None:
         raise ValueError(f"{op} needs a shared stratification")
 
 
-@dataclass(frozen=True)
-class CyclePattern:
+class CyclePattern(Value, uncompared=("label",)):
     """Declared incidence dimensions of an ``r``-cycle with each stratum.
 
     ``incidence[i]`` is the dimension of the intersection of the support
@@ -58,21 +57,20 @@ class CyclePattern:
     legitimately jump.
     """
 
-    strata: Stratification
-    r: int
-    incidence: Mapping[int, Incidence]
-    label: str | None = field(default=None, compare=False)
+    __slots__ = ("strata", "r", "incidence", "label")
 
-    def __post_init__(self) -> None:
-        if self.r < 0:
+    def __init__(
+        self, strata: Stratification, r: int, incidence: Mapping[int, Incidence], label: str | None = None
+    ) -> None:
+        if r < 0:
             raise ValueError("cycle dimension must be nonnegative")
-        table = _normalize_incidence(self.strata, self.incidence, "incidence")
+        table = _normalize_incidence(strata, incidence, "incidence")
         for i, v in table.items():
-            if v is not None and not 0 <= v <= self.r:
+            if v is not None and not 0 <= v <= r:
                 raise ValueError(
-                    f"incidence {v} at stratum {i} outside 0..r={self.r} (use EMPTY for no intersection)"
+                    f"incidence {v} at stratum {i} outside 0..r={r} (use EMPTY for no intersection)"
                 )
-        object.__setattr__(self, "incidence", table)
+        self._init(strata, r, table, label)
 
 
 def empty_pattern(strata: Stratification, r: int, label: str | None = None) -> CyclePattern:
@@ -122,8 +120,7 @@ def check_perversity(pattern: CyclePattern, bound: GeneralizedBound) -> bool:
     return all(ok for _, ok, _ in perversity_report(pattern, bound))
 
 
-@dataclass(frozen=True)
-class JointPattern:
+class JointPattern(Value):
     """Pairwise incidence data for two cycle patterns on one stratification.
 
     ``joint[i]`` declares the dimension of the triple intersection of the
@@ -131,15 +128,12 @@ class JointPattern:
     intersection of the supports themselves.
     """
 
-    a: CyclePattern
-    b: CyclePattern
-    joint: Mapping[int, Incidence]
-    total: Incidence
+    __slots__ = ("a", "b", "joint", "total")
 
-    def __post_init__(self) -> None:
-        _require_shared(self.a.strata, self.b.strata, "joint pattern")
-        table = _normalize_incidence(self.a.strata, self.joint, "joint")
-        total = None if self.total is None else int(self.total)
+    def __init__(self, a: CyclePattern, b: CyclePattern, joint: Mapping[int, Incidence], total: Incidence) -> None:
+        _require_shared(a.strata, b.strata, "joint pattern")
+        table = _normalize_incidence(a.strata, joint, "joint")
+        total = None if total is None else int(total)
         if total is not None and total < 0:
             raise ValueError("total intersection dimension must be nonnegative or EMPTY")
         for i, v in table.items():
@@ -149,14 +143,13 @@ class JointPattern:
                 raise ValueError(f"joint dimension at stratum {i} must be nonnegative or EMPTY")
             if total is None or v > total:
                 raise ValueError(f"joint({i})={v} exceeds the declared total {_show(total)}")
-            for side in (self.a, self.b):
+            for side in (a, b):
                 cap = side.incidence[i]
                 if cap is None or v > cap:
                     raise ValueError(
                         f"joint({i})={v} exceeds a factor's incidence {_show(cap)} at stratum {i}"
                     )
-        object.__setattr__(self, "joint", table)
-        object.__setattr__(self, "total", total)
+        self._init(a, b, table, total)
 
 
 def star_report(joint: JointPattern, c: GeneralizedBound) -> list[tuple[str, bool, str]]:
@@ -225,8 +218,7 @@ def sum_patterns(a: CyclePattern, b: CyclePattern) -> CyclePattern:
     return CyclePattern(a.strata, a.r, incidence)
 
 
-@dataclass(frozen=True)
-class FamilyCertificate:
+class FamilyCertificate(Value):
     """Certificate for a rational equivalence through a flat family over a line.
 
     The certificate is structural: it records the family's fiber patterns
@@ -234,15 +226,18 @@ class FamilyCertificate:
     cannot refute geometric existence of such a family.
     """
 
-    generic_fiber: CyclePattern
-    special_fibers: tuple[tuple[str, CyclePattern], ...]
-    endpoints: tuple[CyclePattern, CyclePattern]
-    flat_over_line: bool
-    effective_variant: CyclePattern | None = None
+    __slots__ = ("generic_fiber", "special_fibers", "endpoints", "flat_over_line", "effective_variant")
 
-    def __post_init__(self) -> None:
-        fibers = tuple((str(t), pat) for t, pat in self.special_fibers)
-        object.__setattr__(self, "special_fibers", fibers)
+    def __init__(
+        self,
+        generic_fiber: CyclePattern,
+        special_fibers: tuple[tuple[str, CyclePattern], ...],
+        endpoints: tuple[CyclePattern, CyclePattern],
+        flat_over_line: bool,
+        effective_variant: CyclePattern | None = None,
+    ) -> None:
+        fibers = tuple((str(t), pat) for t, pat in special_fibers)
+        self._init(generic_fiber, fibers, endpoints, flat_over_line, effective_variant)
         labels = [t for t, _ in fibers]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate fiber parameter labels")

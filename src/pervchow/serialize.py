@@ -13,17 +13,16 @@ from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any
 
-from .perversity import GeneralizedBound, Perversity
-from .strata import GENERIC, ISOLATED_VERTEX, ModelTag, Stratification, StratumSpec, isolated_vertex
-
-# The other layers are imported by the functions that build their values, so
-# that reading a matrix does not load the cone model.
+# The layers are imported by the functions that build their values, so that
+# reading a matrix loads neither the cone model nor the incidence calculus.
 if TYPE_CHECKING:
     from .abgroup import FpAbelianGroup, GroupMap, SmithForm
     from .chow import ChowRingPresentation
     from .cocycles import CocyclePattern
     from .cones import ConeClass, ConeVariety
     from .cycles import CyclePattern, JointPattern
+    from .perversity import GeneralizedBound
+    from .strata import ModelTag, Stratification
 
 SCHEMA_VERSION = 1
 
@@ -38,6 +37,13 @@ MAX_VERTEX_DIM = 1024
 # the limit is checked before any of that work.  The size of the entries is not
 # limited.
 MAX_MATRIX_DIM = 64
+
+# Most nonzero structure constants a ring document may list, counted before the
+# ring is built.  Associativity costs about k⁵ in a document whose products are
+# full combinations of k symbols per codimension: 42 per level (112,014
+# constants) took 9.6 s on a 2-vCPU VM.  Every built-in within the basis limit
+# fits: ``P127`` is the largest, with 4032.
+MAX_RING_CONSTANTS = 4096
 
 
 class InputError(ValueError):
@@ -74,6 +80,8 @@ def bound_to_json(bound: GeneralizedBound) -> list[int]:
 
 
 def parse_bound(data: Any, *, perversity: bool = False) -> GeneralizedBound:
+    from .perversity import GeneralizedBound, Perversity
+
     if not isinstance(data, (list, tuple)):
         raise InputError(f"a bound must be an integer array, got {type(data).__name__}")
     try:
@@ -95,6 +103,8 @@ def _model_to_json(tag: ModelTag) -> Any:
 
 
 def _model_from_json(data: Any) -> ModelTag:
+    from .strata import GENERIC, ISOLATED_VERTEX, ModelTag
+
     if data in (None, "generic"):
         return GENERIC
     if data in ("vertex", "isolated_vertex"):
@@ -120,6 +130,8 @@ def stratification_to_json(s: Stratification) -> dict:
 
 
 def parse_stratification(data: Any) -> Stratification:
+    from .strata import Stratification, StratumSpec, isolated_vertex
+
     if isinstance(data, str):
         m = re.fullmatch(r"vertex0*(\d+)", data.strip())
         if m:
@@ -275,6 +287,11 @@ def parse_ring(data: Any) -> ChowRingPresentation:
             }
             for entry in data.get("products", [])
         }
+        constants = sum(1 for value in products.values() for c in value.values() if c)
+        if constants > MAX_RING_CONSTANTS:
+            raise InputError(
+                f"ring {name!r} has {constants} nonzero structure constants; the limit is {MAX_RING_CONSTANTS}"
+            )
         relations = {
             _int(k): [list(map(_int, row)) for row in rows]
             for k, rows in data.get("relations", {}).items()

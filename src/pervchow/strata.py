@@ -9,20 +9,19 @@ The geometric content of a computation lives in the incidence patterns
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from ._value import Value
 
 
-@dataclass(frozen=True)
-class StratumSpec:
+class StratumSpec(Value):
     """One closed stratum: 1-based index, codimension lower bound, label."""
 
-    index: int
-    codim_lower_bound: int
-    label: str = ""
+    __slots__ = ("index", "codim_lower_bound", "label")
+
+    def __init__(self, index: int, codim_lower_bound: int, label: str = "") -> None:
+        self._init(index, codim_lower_bound, label)
 
 
-@dataclass(frozen=True)
-class ModelTag:
+class ModelTag(Value):
     """Construction marker for a stratification descriptor.
 
     ``kind`` is one of ``generic``, ``isolated_vertex`` or ``product``;
@@ -32,11 +31,10 @@ class ModelTag:
     equality.
     """
 
-    kind: str
-    fiber_dim: int | None = None
-    base: "ModelTag | None" = None
+    __slots__ = ("kind", "fiber_dim", "base")
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: str, fiber_dim: int | None = None, base: ModelTag | None = None) -> None:
+        self._init(kind, fiber_dim, base)
         if self.kind not in ("generic", "isolated_vertex", "product"):
             raise ValueError(f"unknown model kind {self.kind!r}")
         if (self.kind == "product") != (self.fiber_dim is not None):
@@ -49,16 +47,13 @@ GENERIC = ModelTag("generic")
 ISOLATED_VERTEX = ModelTag("isolated_vertex")
 
 
-@dataclass(frozen=True)
-class Stratification:
+class Stratification(Value, uncompared=("model",)):
     """Depth-``k`` filtration descriptor of a ``d``-dimensional variety."""
 
-    ambient_dim: int
-    strata: tuple[StratumSpec, ...]
-    model: ModelTag = field(default=GENERIC, compare=False)
+    __slots__ = ("ambient_dim", "strata", "model")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "strata", tuple(self.strata))
+    def __init__(self, ambient_dim: int, strata: tuple[StratumSpec, ...], model: ModelTag = GENERIC) -> None:
+        self._init(ambient_dim, tuple(strata), model)
         if self.ambient_dim < 0:
             raise ValueError("ambient dimension must be nonnegative")
         if len(self.strata) > self.ambient_dim:

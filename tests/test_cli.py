@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from pervchow.chow import builtin
 from pervchow.cli import emit_schema, main, run
-from pervchow.serialize import parse_pattern, parse_stratification
+from pervchow.serialize import MAX_RING_CONSTANTS, parse_pattern, parse_ring, parse_stratification, ring_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -588,6 +589,45 @@ class TestHostileInput:
         report = run(["validate", "--ring", self.LONG_RING])
         assert report.exit_code == 1
         assert "the limit is 128" in report.verdicts[0].explanation
+
+    @staticmethod
+    def dense_ring(k1, k2, k3):
+        """A dim-3 ring document with k1, k2, k3 symbols per codimension.
+
+        Every product of two non-unit symbols is the sum of all symbols of its
+        codimension, which is associative: (ab)c = a(bc) = k2 times the sum of
+        codimension 3.
+        """
+        basis = [["1"]] + [[f"s{k}_{n}" for n in range(size)] for k, size in enumerate((k1, k2, k3), 1)]
+        products = [
+            {"a": a, "b": b, "value": dict.fromkeys(basis[i + j], 1)}
+            for i, j in ((1, 1), (1, 2))
+            for n, a in enumerate(basis[i])
+            for b in basis[j][n if i == j else 0 :]
+        ]
+        return {"dim": 3, "basis": basis, "products": products, "hyperplane": [1] + [0] * (k1 - 1), "degree": [1] * k3}
+
+    @pytest.mark.parametrize(
+        "sizes, code, constants",
+        [((42, 42, 42), 2, 112014), ((15, 13, 13), 0, MAX_RING_CONSTANTS - 1)],
+        ids=["42-per-level", "just-inside-the-limit"],
+    )
+    def test_dense_ring_document_is_bounded_before_building(self, sizes, code, constants):
+        doc = self.dense_ring(*sizes)
+        assert sum(len(entry["value"]) for entry in doc["products"]) == constants
+        cone = json.dumps({"base": doc})
+        start = time.perf_counter()
+        report = run(["groups", "--cone", cone, "--r", "1", "--p", "0"])
+        assert time.perf_counter() - start < 1.0
+        assert report.exit_code == code, report.error
+        if code == 2:
+            assert f"{constants} nonzero structure constants; the limit is {MAX_RING_CONSTANTS}" in report.error
+
+    def test_largest_builtin_ring_round_trips_under_the_constant_limit(self):
+        ring = builtin("P127")
+        doc = ring_to_json(ring)
+        assert sum(len(entry["value"]) for entry in doc["products"]) == 4032
+        assert parse_ring(doc) == ring
 
     def test_ring_document_of_the_wrong_shape_exits_2(self):
         # "relations" must be an object keyed by codimension, and "[1]" has no items()

@@ -5,13 +5,20 @@ documents of the kind the command table declares, mutated ones (a key or
 element dropped, an array and an object swapped, a scalar of the wrong type),
 documents of another kind, and oversized ones.  Whatever the input, the report
 exits 0, 1 or 2, renders as JSON with the schema key, and no exception escapes.
+``run`` builds only the chosen command's parser; a differential property
+checks that it answers every argv, usage errors and help included, as the
+full parser does.
 """
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pervchow import cli
 from pervchow.cli import _KINDS, COMMANDS, run
 
 # Sizes of the oversized inputs; every one must be rejected well before it is built.
@@ -164,3 +171,85 @@ def test_command_table_declares_readable_kinds():
     # validate reads each document itself, by the kind its flag is named after
     assert all(flag[2:] in _KINDS for flag in COMMANDS["validate"].inputs)
     assert set(_KINDS) <= set(VALID)  # the property has a pool of every kind
+
+
+# Edits of a generated argv that reach the parser's corners: a flag or a value
+# dropped, a token added, a flag or command abbreviated, --pretty on both
+# sides, -h at either level, an unknown command, and tokens argparse treats
+# specially (the -- separator and the ambiguous --=x).
+EXTRA_TOKENS = ["--bogus", "x", "-1", "--pretty=1", "--", "--=x", "-h", "--help", "-x", "--matrix", "--strata",
+                "vertex3"]
+UNKNOWN_COMMANDS = ["sn", "check", "nosuch", "", "-", "SNF", "--snf"]
+
+
+@st.composite
+def edited_argvs(draw):
+    argv = draw(argvs())
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(["drop", "extra", "abbreviate", "pretty", "help", "command"]))
+        at = draw(st.integers(0, len(argv)))
+        if edit == "drop" and argv:
+            del argv[min(at, len(argv) - 1)]
+        elif edit == "extra":
+            argv.insert(at, draw(st.sampled_from(EXTRA_TOKENS)))
+        elif edit == "abbreviate":
+            # --pre for --pretty, --mat for --matrix, -- and --p where they are ambiguous
+            flags = [n for n, token in enumerate(argv) if token.startswith("--") and len(token) > 2]
+            if flags:
+                n = draw(st.sampled_from(flags))
+                argv[n] = argv[n][: draw(st.integers(2, len(argv[n])))]
+        elif edit == "pretty":
+            argv = ["--pretty", *argv, "--pretty"]
+        elif edit == "help":
+            where = draw(st.sampled_from([0, min(1, len(argv)), len(argv)]))  # top level, after the command, last
+            argv.insert(where, draw(st.sampled_from(["-h", "--help"])))
+        elif argv:
+            name = next((token for token in argv if token in COMMANDS), None)
+            prefix = [name[: draw(st.integers(1, len(name)))]] if name else []
+            new = draw(st.sampled_from(UNKNOWN_COMMANDS + prefix))
+            argv = [new if token == name else token for token in argv]
+    return argv
+
+
+def outcome(argv):
+    """The report's exit code, document and text as ``main`` prints it, or a SystemExit's code; with what was printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            report = run(list(argv))
+        except SystemExit as exc:
+            return "SystemExit", exc.code, out.getvalue(), err.getvalue()
+    return report.exit_code, report.to_json(), report.render(report.pretty), out.getvalue(), err.getvalue()
+
+
+FULL_PARSER = cli.build_parser()
+
+
+@settings(
+    max_examples=2000, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(edited_argvs())
+def test_one_command_parser_answers_as_the_full_parser(argv):
+    with mock.patch.object(cli, "_parse", FULL_PARSER.parse_args):
+        expected = outcome(argv)
+    assert outcome(argv) == expected, argv
+
+
+def test_a_well_formed_argv_builds_only_its_command_parser():
+    def no_full_parser():
+        raise AssertionError("the full parser was built")
+
+    with mock.patch.object(cli, "build_parser", no_full_parser):
+        for argv in (
+            ["snf", "--matrix", "[[2,4],[6,8]]"],
+            ["--pretty", "schema", "snf", "--pretty"],
+            ["snf", "--mat", "[[1]]", "--pre"],
+        ):
+            assert run(argv).exit_code == 0
+
+
+def test_each_command_parser_is_the_full_parsers_subparser():
+    subparsers = next(action for action in FULL_PARSER._actions if action.dest == "command").choices
+    assert list(subparsers) == list(COMMANDS)
+    for name, sub in subparsers.items():
+        assert cli._command_parser(name).format_help() == sub.format_help(), name

@@ -17,17 +17,21 @@ import pervchow
 
 SRC = Path(pervchow.__file__).resolve().parent.parent
 
-# runs one command through the CLI, then prints its exit code and the pervchow modules loaded
+# runs one command through the CLI, then prints its exit code, the pervchow
+# modules loaded, and whether the standard modules in COSTLY were loaded too
 CHILD = """
 import json, sys
 from pervchow import cli
 report = cli.run(sys.argv[1:])
 report.render(False)
-loaded = sorted(name.split(".")[1] for name in sys.modules if name.startswith("pervchow."))
-print(json.dumps({"exit": report.exit_code, "loaded": loaded}))
+loaded = [name.split(".")[1] for name in sys.modules if name.startswith("pervchow.")]
+loaded += [name for name in ("dataclasses", "inspect") if name in sys.modules]
+print(json.dumps({"exit": report.exit_code, "loaded": sorted(loaded)}))
 """
 
 LAYERS = {"perversity", "strata", "abgroup", "chow", "cycles", "cocycles", "cones"}
+# no command needs them: ``dataclasses`` imports ``inspect``, which imports ``ast``, ``dis`` and ``tokenize``
+COSTLY = {"dataclasses", "inspect"}
 
 # the package exports, by the module that defines each
 EXPORTS = {
@@ -70,20 +74,22 @@ def loaded_by(argv):
 @pytest.mark.parametrize(
     "argv, needed, absent",
     [
-        (["snf", "--matrix", "[[2,4],[6,8]]"], {"abgroup"}, {"chow", "cones", "cycles", "cocycles"}),
+        (["snf", "--matrix", "[[2,4],[6,8]]"], {"abgroup"}, LAYERS - {"abgroup"}),
         (
             ["check-cycle", "--pattern", '{"dim":1,"incidence":{"1":"empty"}}', "--perversity", "[0]",
              "--strata", "vertex1"],
             {"cycles"},
             {"abgroup", "chow", "cones"},
         ),
-        (["schema", "snf"], set(), LAYERS - {"perversity", "strata"}),
+        (["schema", "snf"], set(), LAYERS),
+        (["pairing", "--cone", "P6", "--a", "allowed:4:(1)", "--b", "allowed:4:(1)"], LAYERS - {"cocycles"}, set()),
     ],
-    ids=["snf", "check-cycle", "schema"],
+    ids=["snf", "check-cycle", "schema", "pairing"],
 )
 def test_command_loads_only_its_layers(argv, needed, absent):
     loaded = loaded_by(argv)
     assert needed <= loaded
+    absent = absent | COSTLY
     assert not loaded & absent, f"{argv[0]} loaded {sorted(loaded & absent)}"
 
 
