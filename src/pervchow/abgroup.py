@@ -8,7 +8,7 @@ cokernel: ``Z^rank`` modulo the row span of its relations matrix.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from itertools import chain
 from operator import mul
 
@@ -109,42 +109,51 @@ def _mix(p: list[int], r: list[int], x: int, y: int, s: int, k: int) -> tuple[li
     return [x * e + y * f for e, f in zip(p, r)], [s * f - k * e for e, f in zip(p, r)]
 
 
+def _insert(pivots: dict[int, list[int]], r: list[int], n: int) -> list[int] | None:
+    """Add row ``r`` to the reduced Hermite echelon ``pivots`` (pivot column -> row) over ``n`` columns.
+
+    Columns past ``n`` (a transform) ride along.  Subtractions and 2x2
+    extended-gcd steps clear ``r`` and keep the rows' lattice; the first column
+    left nonzero takes it as a new positive pivot, else it is returned.  Then
+    every entry above a pivot is reduced into ``[0, pivot)``.
+    """
+    for c in range(n):
+        b = r[c]
+        if not b:
+            continue
+        p = pivots.get(c)
+        if p is None:
+            pivots[c], r = (r if b > 0 else [-x for x in r]), None
+            break
+        if b % p[c]:
+            g, x, y = _xgcd(p[c], b)
+            pivots[c], r = _mix(p, r, x, y, p[c] // g, b // g)
+        else:
+            q = b // p[c]
+            r = [f - q * e for e, f in zip(p, r)]
+    cols = sorted(pivots)
+    for j, c in enumerate(cols):
+        p = pivots[c]
+        for above in cols[:j]:
+            q = pivots[above][c] // p[c]
+            if q:
+                pivots[above] = [f - q * e for e, f in zip(p, pivots[above])]
+    return r
+
+
 def _hnf(a: Matrix, t: Matrix) -> tuple[Matrix, Matrix]:
     """Fully reduced row Hermite form ``H = W * A`` with ``W`` unimodular, and ``W * T``.
 
-    Rows of ``[A | T]`` enter one at a time and are cleared against the
-    pivot rows so far by subtractions and 2x2 extended-gcd steps; after each
-    row, every entry above a pivot is reduced into ``[0, pivot)``.  Pivots
+    Rows of ``[A | T]`` enter one at a time through :func:`_insert`.  Pivots
     are positive and zero rows come last.
     """
     n = len(a[0]) if a else 0
     pivots: dict[int, list[int]] = {}  # pivot column -> row of [H | W * T]
     zero: Matrix = []
     for row, trow in zip(a, t):
-        r = row + trow
-        for c in range(n):
-            b = r[c]
-            if not b:
-                continue
-            p = pivots.get(c)
-            if p is None:
-                pivots[c] = r if b > 0 else [-x for x in r]
-                break
-            if b % p[c]:
-                g, x, y = _xgcd(p[c], b)
-                pivots[c], r = _mix(p, r, x, y, p[c] // g, b // g)
-            else:
-                q = b // p[c]
-                r = [f - q * e for e, f in zip(p, r)]
-        else:
+        r = _insert(pivots, row + trow, n)
+        if r is not None:
             zero.append(r)
-        cols = sorted(pivots)
-        for j, c in enumerate(cols):
-            p = pivots[c]
-            for above in cols[:j]:
-                q = pivots[above][c] // p[c]
-                if q:
-                    pivots[above] = [f - q * e for e, f in zip(p, pivots[above])]
     rows = [pivots[c] for c in sorted(pivots)] + zero
     return [r[:n] for r in rows], [r[n:] for r in rows]
 
@@ -296,37 +305,61 @@ def _verify_smith(matrix: Sequence[Sequence[int]], n: int, form: SmithForm) -> N
         raise VerificationError("Smith transforms are not unimodular")
 
 
-def _lattice_solver(
-    generators: Sequence[Sequence[int]], n: int
-) -> Callable[[Sequence[int]], list[int] | None]:
-    """``lattice_solve`` for many targets of length ``n``, over one Smith form of the generators."""
-    gens = [[int(x) for x in g] for g in generators]
-    if any(len(g) != n for g in gens):
-        raise ValueError("generator length mismatch")
-    form = smith_normal_form(gens) if gens else None
+class Lattice:
+    """The lattice spanned by integer rows in ``Z^width``, held as its reduced Hermite basis.
 
-    def solve(target: Sequence[int]) -> list[int] | None:
-        x = [int(val) for val in target]
-        if len(x) != n:
+    ``basis`` is the nonzero rows of :func:`_hnf` of the generators, unique for the
+    lattice (Cohen, *A Course in Computational Algebraic Number Theory*, §2.4.3), so
+    ``==`` compares bases; ``transform`` holds the matching rows of the transform,
+    which give witnesses.  Construction checks exactly that the pivots are positive
+    in increasing columns with every entry above one in ``[0, pivot)``, that
+    ``transform * generators == basis``, and that each generator reduces to zero on
+    the basis; a failed check raises ``VerificationError``.
+    """
+
+    __slots__ = ("width", "basis", "transform", "pivots")
+
+    def __init__(self, generators: Sequence[Sequence[int]], width: int) -> None:
+        gens = [[int(x) for x in g] for g in generators]
+        if any(len(g) != width for g in gens):
             raise ValueError("generator length mismatch")
-        if form is None:
-            return [] if not any(x) else None
-        b = vec_mat(x, form.V)
-        a = [0] * len(gens)
-        for j in range(n):
-            s = form.S[j][j] if j < len(gens) else 0
-            if s:
-                if b[j] % s:
-                    return None
-                a[j] = b[j] // s
-            elif b[j]:
-                return None
-        coeffs = vec_mat(a, form.U)
-        if vec_mat(coeffs, gens) != x:
-            raise VerificationError("lattice witness failed verification")
-        return coeffs
+        h, w = _hnf(gens, identity(len(gens)))
+        rank = sum(1 for row in h if any(row))
+        self.width, self.basis, self.transform, self.pivots = width, h[:rank], w[:rank], []
+        for row in self.basis:
+            c = next((j for j, x in enumerate(row) if x), width)
+            if c == width or row[c] < 0 or self.pivots and c <= self.pivots[-1]:
+                raise VerificationError("Hermite pivots are not positive and in increasing columns")
+            if any(not 0 <= above[c] < row[c] for above in self.basis[: len(self.pivots)]):
+                raise VerificationError("Hermite basis has an unreduced entry above a pivot")
+            self.pivots.append(c)
+        if mat_mul(self.transform, gens) != self.basis:
+            raise VerificationError("Hermite transform does not reproduce the basis")
+        if any(self._coordinates(g) is None for g in gens):
+            raise VerificationError("a generator lies outside its Hermite basis")
 
-    return solve
+    def _coordinates(self, vector: Sequence[int]) -> list[int] | None:
+        """``q`` with ``q * basis == vector``, or ``None`` when ``vector`` is outside the lattice."""
+        x = [int(v) for v in vector]
+        if len(x) != self.width:
+            raise ValueError(f"a vector of length {len(x)} is not in Z^{self.width}")
+        q = []
+        for row, c in zip(self.basis, self.pivots):
+            k, rest = divmod(x[c], row[c])
+            if rest:
+                return None
+            if k:
+                x = [e - k * f for e, f in zip(x, row)]
+            q.append(k)
+        return None if any(x) else q
+
+    def __contains__(self, vector: Sequence[int]) -> bool:
+        return self._coordinates(vector) is not None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Lattice):
+            return NotImplemented
+        return self.width == other.width and self.basis == other.basis
 
 
 def lattice_solve(generators: Sequence[Sequence[int]], target: Sequence[int]) -> list[int] | None:
@@ -335,25 +368,28 @@ def lattice_solve(generators: Sequence[Sequence[int]], target: Sequence[int]) ->
     Returns ``None`` when ``target`` is outside the generated lattice; a
     returned witness always satisfies ``witness . generators == target``.
     """
-    return _lattice_solver(generators, len(target))(target)
+    lattice = Lattice(generators, len(target))
+    q = lattice._coordinates(target)
+    if q is None or not generators:
+        return q
+    coeffs = vec_mat(q, lattice.transform) if q else [0] * len(generators)
+    if vec_mat(coeffs, generators) != [int(x) for x in target]:
+        raise VerificationError("lattice witness failed verification")
+    return coeffs
 
 
 def lattice_subset(inner: Sequence[Sequence[int]], outer: Sequence[Sequence[int]]) -> bool:
     """Every generator of ``inner`` lies in the lattice spanned by ``outer``."""
     if not inner:
         return True
-    solve = _lattice_solver(outer, len(inner[0]))
-    return all(solve(g) is not None for g in inner)
+    lattice = Lattice(outer, len(inner[0]))
+    return all(g in lattice for g in inner)
 
 
 def kernel_basis(matrix: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
     """Vectors spanning the integer solutions of ``M x = 0`` (x of length ncols)."""
-    rows = [[int(x) for x in r] for r in matrix]
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("ragged or mis-sized matrix")
-    form = smith_normal_form(rows, ncols=ncols)
-    r = form.rank
-    return [[form.V[i][j] for i in range(ncols)] for j in range(r, ncols)]
+    form = smith_normal_form(matrix, ncols=ncols)
+    return [[form.V[i][j] for i in range(ncols)] for j in range(form.rank, ncols)]
 
 
 class FpAbelianGroup(Value):
@@ -368,9 +404,7 @@ class FpAbelianGroup(Value):
         self._init(rank, rel)
         for row in rel:
             if len(row) != rank:
-                raise ValueError(
-                    f"relation {list(row)} has length {len(row)}, expected rank {rank}"
-                )
+                raise ValueError(f"relation {list(row)} has length {len(row)}, expected rank {rank}")
 
     @classmethod
     def free(cls, rank: int) -> "FpAbelianGroup":
@@ -420,9 +454,7 @@ class GroupMap(Value):
         rows = tuple(tuple(int(x) for x in row) for row in matrix)
         self._init(source, target, rows)
         if len(rows) != self.target.rank:
-            raise ValueError(
-                f"matrix has {len(rows)} rows, expected target rank {self.target.rank}"
-            )
+            raise ValueError(f"matrix has {len(rows)} rows, expected target rank {self.target.rank}")
         for row in rows:
             if len(row) != self.source.rank:
                 raise ValueError(
@@ -430,38 +462,26 @@ class GroupMap(Value):
                 )
         if not self.source.relations:
             return
-        solve = _lattice_solver(self.target.relations, self.target.rank)
+        relations = Lattice(self.target.relations, self.target.rank)
         for rel in self.source.relations:
-            if solve(mat_vec(rows, rel)) is None:
-                raise ValueError(
-                    f"matrix does not send relation {list(rel)} into the target relations"
-                )
-
-
-def _image_generators(f: GroupMap) -> list[list[int]]:
-    return transpose(f.matrix) + [list(r) for r in f.target.relations]
-
-
-def _kernel_generators(g: GroupMap) -> list[list[int]]:
-    # x is in the kernel iff g(x) lies in the relation lattice of the target,
-    # i.e. (x, y) solves [matrix | relations^T] (x, y) = 0 for some y.
-    b = g.source.rank
-    rel_t = transpose(g.target.relations) or [[] for _ in g.matrix]
-    stacked = [list(row) + rel for row, rel in zip(g.matrix, rel_t)]
-    width = b + len(g.target.relations)
-    full = kernel_basis(stacked, width)
-    return [vec[:b] for vec in full]
+            if mat_vec(rows, rel) not in relations:
+                raise ValueError(f"matrix does not send relation {list(rel)} into the target relations")
 
 
 def is_exact_at_middle(f: GroupMap, g: GroupMap) -> bool:
     """Whether ``image(f) == kernel(g)`` as subgroups of the middle group.
 
     Both subgroups are compared as sublattices of ``Z^rank`` containing the
-    middle group's relations; equality is decided by Smith-form membership
-    in both directions (and implies ``g o f = 0``).
+    middle group's relations, by their Hermite bases (which implies
+    ``g o f = 0``); only the kernel takes a Smith form.
     """
     if f.target != g.source:
         raise ValueError("middle groups do not match")
-    image = _image_generators(f)
-    kernel = _kernel_generators(g)
-    return lattice_subset(image, kernel) and lattice_subset(kernel, image)
+    rank = f.target.rank
+    image = Lattice(transpose(f.matrix) + [list(r) for r in f.target.relations], rank)
+    # x is in the kernel iff g(x) lies in the relation lattice of the target,
+    # i.e. (x, y) solves [matrix | relations^T] (x, y) = 0 for some y
+    rel_t = transpose(g.target.relations) or [[] for _ in g.matrix]
+    stacked = [list(row) + rel for row, rel in zip(g.matrix, rel_t)]
+    kernel = kernel_basis(stacked, rank + len(g.target.relations))
+    return image == Lattice([vec[:rank] for vec in kernel], rank)

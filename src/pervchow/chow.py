@@ -9,12 +9,11 @@ defining equations.
 from __future__ import annotations
 
 import bisect
-import math
 import re
 from collections.abc import Callable, Mapping, Sequence
 
 from ._value import Value
-from .abgroup import FpAbelianGroup, _lattice_solver, mat_mul
+from .abgroup import FpAbelianGroup, Lattice, _insert, mat_mul
 
 Combo = dict[str, int]
 _NO_TERMS: Combo = {}  # shared read-only stand-in for a missing product
@@ -28,29 +27,6 @@ _NO_TERMS: Combo = {}  # shared read-only stand-in for a missing product
 MAX_RING_BASIS = 128
 
 _PROJECTIVE = re.compile(r"P(\d+)")
-
-
-def _echelon_insert(pivots: dict[int, list[int]], row: list[int]) -> None:
-    """Reduce ``row`` against ``pivots`` (leading column -> row, all of one
-    width) and keep what is left, if anything, as a new pivot row.
-
-    Elimination is fraction-free: the row is scaled by the pivot's leading
-    entry, over their gcd, and then divided by the gcd of its entries.
-    """
-    for lead in range(len(row)):
-        c = row[lead]
-        if not c:
-            continue
-        pivot = pivots.get(lead)
-        if pivot is None:
-            pivots[lead] = row
-            return
-        g = math.gcd(pivot[lead], c)
-        p, r = pivot[lead] // g, c // g
-        row = [p * x - r * y for x, y in zip(row, pivot)]
-        content = math.gcd(*row)
-        if content > 1:
-            row = [x // content for x in row]
 
 
 class ChowRingPresentation:
@@ -246,12 +222,12 @@ class ChowRingPresentation:
         """The generators in codimension ``k >= 1``, in basis order.
 
         The rows are the products ``a*b`` with ``codim a + codim b = k`` and
-        ``1 <= codim a <= k/2``.  They are put in echelon form over Q
-        (fraction-free, each row divided by the gcd of its entries) until
-        their rank reaches the level's width; the symbols in columns without
-        a pivot are the generators.  Those symbols and the product rows span
-        the level, so by induction on ``k`` the generators of codimensions
-        ``1..k`` and the unit generate every class up to codimension ``k``.
+        ``1 <= codim a <= k/2``.  They enter a Hermite echelon through
+        :func:`abgroup._insert`, the row step of every Hermite form, until the
+        pivots fill the level; the symbols in columns without a pivot are the
+        generators.  Those symbols and the product rows span the level over Q,
+        so by induction on ``k`` the generators of codimensions ``1..k`` and
+        the unit generate every class up to codimension ``k``.
         """
         levels = self.basis
         column = {sym: n for n, sym in enumerate(levels[k])}
@@ -269,7 +245,7 @@ class ChowRingPresentation:
                 row = [0] * len(column)
                 for sym, c in combo.items():
                     row[column[sym]] = c
-                _echelon_insert(pivots, row)
+                _insert(pivots, row, len(row))
         return [sym for n, sym in enumerate(levels[k]) if n not in pivots]
 
     def _check_associativity(self) -> None:
@@ -315,14 +291,15 @@ class ChowRingPresentation:
         of codimension ``k + j`` (zero where that level has none), and each
         top-codimension relation must have degree 0 (Fulton, *Intersection
         Theory*, Ch. 8).  Multiplication by ``s`` is read from the structure
-        table as a matrix, and each level's lattice is solved over one Smith
-        form; a ring without relations does no work here.
+        table as a matrix, and each level's relations are one Hermite
+        :class:`abgroup.Lattice`, so each product costs one triangular pass
+        and no Smith form; a ring without relations does no work here.
         """
         for row in self.relations.get(self.dim, ()):
             if sum(c * w for c, w in zip(row, self.degree_functional)):
                 raise ValueError(f"relation {list(row)} in codim {self.dim} has nonzero degree")
         levels = range(min(self.relations, default=self.dim) + 1, self.dim + 1)
-        solvers = {n: _lattice_solver(self.relations.get(n, ()), len(self.basis[n])) for n in levels}
+        lattices = {n: Lattice(self.relations.get(n, ()), len(self.basis[n])) for n in levels}
         for k, rows in self.relations.items():
             for j in range(1, self.dim - k + 1):
                 column = {sym: n for n, sym in enumerate(self.basis[k + j])}
@@ -332,7 +309,7 @@ class ChowRingPresentation:
                         for sym, c in self._entry(a, s).items():
                             times_s[n][column[sym]] = c
                     for row, product in zip(rows, mat_mul(rows, times_s)):
-                        if any(product) and solvers[k + j](product) is None:
+                        if product not in lattices[k + j]:
                             raise ValueError(f"relation {list(row)} in codim {k} times {s!r} is not a relation")
 
     # -- equality --------------------------------------------------------

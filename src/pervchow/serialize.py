@@ -32,11 +32,12 @@ MAX_VERTEX_DIM = 1024
 
 # Largest row or column count of a matrix document, ``ncols`` included, and
 # largest rank or relation count of a group and relation count of a ring
-# codimension.  A Smith form and its exact check take about n³ steps on growing
-# integers (0.4 s for a 64×64 matrix with entries in [-9, 9] on a 2-vCPU VM);
-# the limit is checked before any of that work.  The size of the entries is not
-# limited.
+# codimension; and the largest total bit length of a matrix's entries.  Both are
+# checked before any Smith form, whose n³ steps grow with the entries: on a
+# 2-vCPU VM 64×64 in [-9, 9] (about 16,000 bits) takes 0.4 s, no shape up to
+# 64×64 at 32,768 bits took over 0.7 s, and 16×16 with 1000-bit entries 3.2 s.
 MAX_MATRIX_DIM = 64
+MAX_MATRIX_BITS = 32768
 
 # Most nonzero structure constants a ring document may list, counted before the
 # ring is built.  Associativity costs about k⁵ in a document whose products are
@@ -59,10 +60,10 @@ def _reading(what: str) -> Iterator[None]:
         raise InputError(f"bad {what}: {exc}") from exc
 
 
-def _check_dim(count: int, what: str, unit: str) -> None:
-    """Reject a count of rows, columns, generators or relations above :data:`MAX_MATRIX_DIM`."""
-    if count > MAX_MATRIX_DIM:
-        raise InputError(f"{what} takes at most {MAX_MATRIX_DIM} {unit}, got {count}")
+def _check_dim(count: int, what: str, unit: str, limit: int = MAX_MATRIX_DIM) -> None:
+    """Reject a count of rows, columns, generators, relations or entry bits above its limit."""
+    if count > limit:
+        raise InputError(f"{what} takes at most {limit} {unit}, got {count}")
 
 
 def _int(x: Any) -> int:
@@ -436,6 +437,7 @@ def parse_matrix(data: Any, ncols: int | None = None) -> list[list[int]]:
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise InputError("matrix rows have unequal lengths")
     _check_dim(max(len(rows[0]) if rows else 0, ncols or 0), "a matrix", "columns")
+    _check_dim(sum(x.bit_length() for row in rows for x in row), "a matrix", "bits of entries", MAX_MATRIX_BITS)
     return rows
 
 

@@ -11,6 +11,7 @@ from pervchow import abgroup
 from pervchow.abgroup import (
     FpAbelianGroup,
     GroupMap,
+    Lattice,
     SmithForm,
     VerificationError,
     describe,
@@ -18,6 +19,7 @@ from pervchow.abgroup import (
     is_exact_at_middle,
     kernel_basis,
     lattice_solve,
+    lattice_subset,
     mat_mul,
     mat_vec,
     smith_normal_form,
@@ -630,6 +632,168 @@ class TestLattices:
         # with no rows every vector is a solution: the kernel is all of Z^n
         assert kernel_basis([], 0) == []
         assert kernel_basis([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+    def test_failed_witness_is_caught_in_lattice_solve(self, monkeypatch):
+        # coordinates that the lattice's own checks accept but that give a wrong witness
+        real = abgroup.Lattice._coordinates
+
+        def doubled(lattice, vector):
+            q = real(lattice, vector)
+            return None if q is None else [2 * k for k in q]
+
+        monkeypatch.setattr(abgroup.Lattice, "_coordinates", doubled)
+        with pytest.raises(VerificationError, match="lattice witness failed verification"):
+            lattice_solve([[2, 0], [0, 3]], [4, -3])
+
+
+# --- the Hermite-form lattice ---------------------------------------------------
+
+
+def reference_solver(generators, n):
+    """Lattice membership over one Smith form of the generators: the solver the Hermite basis replaced."""
+    gens = [list(g) for g in generators]
+    form = smith_normal_form(gens, ncols=n) if gens else None
+
+    def solve(target):
+        x = list(target)
+        if form is None:
+            return [] if not any(x) else None
+        b = vec_mat(x, form.V)
+        a = [0] * len(gens)
+        for j in range(n):
+            s = form.S[j][j] if j < len(gens) else 0
+            if s:
+                if b[j] % s:
+                    return None
+                a[j] = b[j] // s
+            elif b[j]:
+                return None
+        coeffs = vec_mat(a, form.U)
+        assert vec_mat(coeffs, gens) == x
+        return coeffs
+
+    return solve
+
+
+def reference_subset(inner, outer):
+    solve = reference_solver(outer, len(inner[0])) if inner else None
+    return all(solve(g) is not None for g in inner)
+
+
+def reference_exact(f, g):
+    """``image(f) == kernel(g)`` by membership in both directions over Smith forms."""
+    image = transpose(f.matrix) + [list(r) for r in f.target.relations]
+    b = g.source.rank
+    kernel = [vec[:b] for vec in kernel_basis(reference_stack(g), b + len(g.target.relations))]
+    return reference_subset(image, kernel) and reference_subset(kernel, image)
+
+
+def reference_stack(g):
+    """``[matrix | relations^T]``: ``(x, y)`` is in its kernel exactly when ``g(x) = -y . relations``."""
+    rel_t = transpose(g.target.relations) or [[] for _ in g.matrix]
+    return [list(row) + list(rel) for row, rel in zip(g.matrix, rel_t)]
+
+
+def independent_rows(rng, m, n, bound=6):
+    while True:
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+        if rational_rank(rows) == m:
+            return rows
+
+
+class TestLatticeForm:
+    def test_canonical_under_unimodular_changes(self):
+        rng = random.Random(1313)
+        for _ in range(60):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            gens = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+            lattice = Lattice(gens, n)
+            assert Lattice(mul(unimodular(rng, m, 3 * m), gens), n) == lattice
+            assert Lattice(rng.sample(gens, m), n) == lattice
+            assert Lattice(gens + [rng.choice(gens), [0] * n], n) == lattice
+
+    def test_doubling_a_generator_changes_the_index(self):
+        rng = random.Random(1414)
+        for _ in range(40):
+            m = rng.randint(1, 4)
+            gens = independent_rows(rng, m, rng.randint(m, 5))
+            doubled = [list(g) for g in gens]
+            i = rng.randrange(m)
+            doubled[i] = [2 * x for x in doubled[i]]
+            assert Lattice(doubled, len(gens[0])) != Lattice(gens, len(gens[0]))
+
+    def test_membership_matches_rational_elimination(self):
+        rng = random.Random(1515)
+        seen = set()
+        for _ in range(80):
+            m = rng.randint(1, 4)
+            n = rng.randint(m, 5)
+            gens = independent_rows(rng, m, n, bound=4)
+            lattice = Lattice(gens, n)
+            probes = [mul([[rng.randint(-3, 3) for _ in gens]], gens)[0], [rng.randint(-4, 4) for _ in range(n)]]
+            for probe in probes:
+                inside = probe in lattice
+                assert inside == in_row_lattice(gens, probe)
+                seen.add(inside)
+        assert seen == {True, False}
+
+    def test_answers_match_the_smith_form_reference(self):
+        rng = random.Random(1616)
+        seen = {"solve": set(), "subset": set(), "exact": set()}
+        for _ in range(60):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            gens = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+            inside = mul([[rng.randint(-2, 2) for _ in gens]], gens)[0]
+            for target in (inside, [rng.randint(-3, 3) for _ in range(n)]):
+                got = lattice_solve(gens, target)
+                assert (got is None) == (reference_solver(gens, n)(target) is None)
+                assert got is None or mul([got], gens)[0] == target
+                seen["solve"].add(got is None)
+            inner = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, 2))]
+            assert lattice_subset(inner, gens) == reference_subset(inner, gens)
+            seen["subset"].add(lattice_subset(inner, gens))
+            assert lattice_subset([inside], gens)
+        for _ in range(40):
+            a, b, c = rng.randint(1, 2), rng.randint(1, 3), rng.randint(1, 2)
+            middle = FpAbelianGroup(b)
+            relations = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(rng.randint(0, 2))]
+            target = FpAbelianGroup(c, tuple(map(tuple, relations)))
+            g = zmap([[rng.randint(-2, 2) for _ in range(b)] for _ in range(c)], middle, target)
+            if rng.random() < 0.5:  # f onto the kernel of g: exact by construction
+                kernel = [vec[:b] for vec in kernel_basis(reference_stack(g), b + len(target.relations))]
+                f = zmap(transpose(kernel) or [[] for _ in range(b)], FpAbelianGroup(len(kernel)), middle)
+            else:
+                f = zmap([[rng.randint(-2, 2) for _ in range(a)] for _ in range(b)], FpAbelianGroup(a), middle)
+            verdict = is_exact_at_middle(f, g)
+            assert verdict == reference_exact(f, g)
+            seen["exact"].add(verdict)
+        assert all(answers == {True, False} for answers in seen.values()), seen
+
+    @pytest.mark.parametrize("mutant, message", [
+        ("transform", "Hermite transform does not reproduce the basis"),
+        ("unreduced", "Hermite basis has an unreduced entry above a pivot"),
+        ("order", "Hermite pivots are not positive and in increasing columns"),
+    ])
+    def test_mutants_are_rejected(self, monkeypatch, mutant, message):
+        real = abgroup._hnf
+
+        def mutated(a, t):
+            h, w = real(a, t)
+            if mutant == "transform":
+                w[0][1] += 1
+            elif mutant == "unreduced":  # add row 1 to row 0: same lattice and product, entry above pivot too big
+                h[0] = [x + y for x, y in zip(h[0], h[1])]
+                w[0] = [x + y for x, y in zip(w[0], w[1])]
+            else:  # swap the first two rows: same lattice and product, pivots out of order
+                h[0], h[1], w[0], w[1] = h[1], h[0], w[1], w[0]
+            return h, w
+
+        gens = [[2, 1, 0], [0, 3, 1], [4, 0, 5]]
+        assert Lattice(gens, 3).basis == [[2, 0, 11], [0, 1, 6], [0, 0, 17]]
+        monkeypatch.setattr(abgroup, "_hnf", mutated)
+        with pytest.raises(VerificationError, match=message):
+            Lattice(gens, 3)
 
 
 # --- group maps and exactness -------------------------------------------------

@@ -2,6 +2,7 @@ import ast
 import itertools
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -361,6 +362,18 @@ class TestGenerators:
                     ("p", "p"): {"t": pp}}
         assert UncheckedRing("half", 4, basis, products, [1], [1])._generators() == ["h"]
         assert assert_check_matches_reference(4, basis, products) is accepted
+
+    def test_dense_level_fills_in_reduced_form(self):
+        # 64 dense product rows fill codimension 2; with the echelon left
+        # unreduced between rows, its entries grew until this took minutes
+        rng = random.Random(3)
+        level1, level2 = [f"a{i}" for i in range(32)], [f"p{i}" for i in range(64)]
+        pairs = list(itertools.combinations_with_replacement(level1, 2))
+        products = {pair: {s: rng.randint(-9, 9) for s in level2} for pair in rng.sample(pairs, 64)}
+        start = time.perf_counter()
+        ring = ChowRingPresentation("dense", 4, [["1"], level1, level2, ["t"], ["pt"]], products, [1] * 32, [1])
+        assert time.perf_counter() - start < 5.0
+        assert ring._level_generators(2) == []
 
 
 def random_sparse_table(rng):

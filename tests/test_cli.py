@@ -173,9 +173,43 @@ class TestGroupsCompareSnfExact:
         report = run(["groups", "--cone", cone, "--r", "1", "--p", "1"])
         assert report.values["group"]["name"] == "Z/2" and len(calls) == 1
         calls.clear()
-        # Z/2 -> Z/2: one form for each group and one for the map's relation check
+        # Z/2 -> Z/2: one form for each group; the map's relation check reads a Hermite basis
         report = run(["compare", "--cone", cone, "--r", "1", "--p-from", "1", "--p-to", "2"])
-        assert report.values["map"]["target"]["name"] == "Z/2" and len(calls) == 3
+        assert report.values["map"]["target"]["name"] == "Z/2" and len(calls) == 2
+
+    @staticmethod
+    def smith_calls(monkeypatch):
+        from pervchow import abgroup
+
+        calls = []
+        smith = abgroup.smith_normal_form
+        monkeypatch.setattr(abgroup, "smith_normal_form", lambda *a, **k: calls.append(a) or smith(*a, **k))
+        return calls
+
+    def test_relation_checks_run_no_smith_form(self, monkeypatch):
+        from pervchow.abgroup import FpAbelianGroup, GroupMap
+
+        calls = self.smith_calls(monkeypatch)
+        # h times the relation 2h is the relation 2p, and 2p has degree 0
+        ring = {
+            "dim": 2, "basis": [["1"], ["h"], ["p"]], "products": [{"a": "h", "b": "h", "value": {"p": 1}}],
+            "hyperplane": [1], "degree": [0], "relations": {"1": [[2]], "2": [[2]]},
+        }
+        assert run(["validate", "--ring", json.dumps(ring)]).exit_code == 0
+        # Z/2 + Z/3 -> Z/6 + Z, (x, y) -> (3x + 2y, 0)
+        source = FpAbelianGroup(2, ((2, 0), (0, 3)))
+        target = FpAbelianGroup(2, ((6, 0),))
+        GroupMap(source, target, ((3, 2), (0, 0)))
+        with pytest.raises(ValueError, match="does not send relation"):
+            GroupMap(source, target, ((1, 2), (0, 0)))
+        assert calls == []
+
+    def test_exact_runs_one_smith_form_for_the_kernel(self, monkeypatch):
+        calls = self.smith_calls(monkeypatch)
+        f = json.dumps({"source": {"rank": 1}, "target": {"rank": 1}, "matrix": [[2]]})
+        g = json.dumps({"source": {"rank": 1}, "target": {"rank": 1, "relations": [[2]]}, "matrix": [[1]]})
+        assert run(["exact", "--f", f, "--g", g]).values["exact"] is True
+        assert calls == [([[1, 2]],)]
 
     def test_snf(self):
         report = run(["snf", "--matrix", "[[2,4],[6,8]]"])
@@ -457,19 +491,21 @@ class TestSelfCheckFailure:
     def test_failed_lattice_witness_exits_1(self, monkeypatch):
         from pervchow import abgroup
 
-        real = abgroup.smith_normal_form
+        real = abgroup._hnf
 
-        def doubled(matrix, ncols=None):
-            form = real(matrix, ncols)  # a form that skipped its own check
-            return abgroup.SmithForm(tuple(tuple(2 * x for x in r) for r in form.U), form.S, form.V)
+        def corrupted(a, t):
+            h, w = real(a, t)
+            if w and w[0]:
+                w[0][0] += 1  # a transform that no longer gives the Hermite basis
+            return h, w
 
-        monkeypatch.setattr(abgroup, "smith_normal_form", doubled)
+        monkeypatch.setattr(abgroup, "_hnf", corrupted)
         g = json.dumps({"source": {"rank": 1}, "target": {"rank": 1, "relations": [[2]]}, "matrix": [[1]]})
         f = json.dumps({"source": {"rank": 1}, "target": {"rank": 1}, "matrix": [[2]]})
         report = run(["exact", "--f", f, "--g", g])
         assert report.exit_code == 1
         assert [(v.check, v.ok, v.explanation) for v in report.verdicts] == [
-            ("self-check", False, "lattice witness failed verification")
+            ("self-check", False, "Hermite transform does not reproduce the basis")
         ]
 
     def test_recursion_error_is_not_a_check_failure(self, monkeypatch):
@@ -663,6 +699,19 @@ class TestHostileInput:
         assert time.perf_counter() - start < 1.0
         assert report.exit_code == 2
         assert report.error == "a matrix takes at most 64 columns, got 100000000"
+
+    @pytest.mark.parametrize("rows, digits", [(8, 4000), (16, 302)], ids=["8x8-4000-digits", "16x16-1000-bits"])
+    def test_oversized_entries_exit_2_before_building(self, rows, digits):
+        # random entries: before the bit limit these took about 11 s and 3 s to answer
+        rng = random.Random(rows)
+        matrix = [[rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(rows)]
+                  for _ in range(rows)]
+        start = time.perf_counter()
+        report = run(["snf", "--matrix", json.dumps(matrix)])
+        assert time.perf_counter() - start < 1.0
+        assert report.exit_code == 2
+        bits = sum(x.bit_length() for row in matrix for x in row)
+        assert report.error == f"a matrix takes at most 32768 bits of entries, got {bits}"
 
     def test_matrix_limit_admits_64_and_rejects_65_rows(self):
         rng = random.Random(64)
