@@ -305,16 +305,16 @@ def _verify_smith(matrix: Sequence[Sequence[int]], n: int, form: SmithForm) -> N
         raise VerificationError("Smith transforms are not unimodular")
 
 
-class Lattice:
+class Lattice(Value, uncompared=("transform", "pivots")):
     """The lattice spanned by integer rows in ``Z^width``, held as its reduced Hermite basis.
 
     ``basis`` is the nonzero rows of :func:`_hnf` of the generators, unique for the
     lattice (Cohen, *A Course in Computational Algebraic Number Theory*, §2.4.3), so
-    ``==`` compares bases; ``transform`` holds the matching rows of the transform,
-    which give witnesses.  Construction checks exactly that the pivots are positive
-    in increasing columns with every entry above one in ``[0, pivot)``, that
-    ``transform * generators == basis``, and that each generator reduces to zero on
-    the basis; a failed check raises ``VerificationError``.
+    ``==`` compares widths and bases; ``transform`` holds the matching rows of the
+    transform, which give witnesses, and ``pivots`` the pivot columns.  Construction
+    checks exactly that the pivots are positive in increasing columns with every entry
+    above one in ``[0, pivot)``, that ``transform * generators == basis``, and that each
+    generator reduces to zero on the basis; a failed check raises ``VerificationError``.
     """
 
     __slots__ = ("width", "basis", "transform", "pivots")
@@ -325,16 +325,17 @@ class Lattice:
             raise ValueError("generator length mismatch")
         h, w = _hnf(gens, identity(len(gens)))
         rank = sum(1 for row in h if any(row))
-        self.width, self.basis, self.transform, self.pivots = width, h[:rank], w[:rank], []
-        for row in self.basis:
+        basis, pivots = h[:rank], []
+        for row in basis:
             c = next((j for j, x in enumerate(row) if x), width)
-            if c == width or row[c] < 0 or self.pivots and c <= self.pivots[-1]:
+            if c == width or row[c] < 0 or pivots and c <= pivots[-1]:
                 raise VerificationError("Hermite pivots are not positive and in increasing columns")
-            if any(not 0 <= above[c] < row[c] for above in self.basis[: len(self.pivots)]):
+            if any(not 0 <= above[c] < row[c] for above in basis[: len(pivots)]):
                 raise VerificationError("Hermite basis has an unreduced entry above a pivot")
-            self.pivots.append(c)
-        if mat_mul(self.transform, gens) != self.basis:
+            pivots.append(c)
+        if mat_mul(w[:rank], gens) != basis:
             raise VerificationError("Hermite transform does not reproduce the basis")
+        self._init(width, tuple(map(tuple, basis)), tuple(map(tuple, w[:rank])), tuple(pivots))
         if any(self._coordinates(g) is None for g in gens):
             raise VerificationError("a generator lies outside its Hermite basis")
 
@@ -356,10 +357,9 @@ class Lattice:
     def __contains__(self, vector: Sequence[int]) -> bool:
         return self._coordinates(vector) is not None
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Lattice):
-            return NotImplemented
-        return self.width == other.width and self.basis == other.basis
+    def __reduce__(self) -> tuple:
+        # the basis generates the lattice, so a copy is rebuilt, and checked, from it
+        return Lattice, (self.basis, self.width)
 
 
 def lattice_solve(generators: Sequence[Sequence[int]], target: Sequence[int]) -> list[int] | None:
@@ -404,7 +404,9 @@ class FpAbelianGroup(Value):
         self._init(rank, rel)
         for row in rel:
             if len(row) != rank:
-                raise ValueError(f"relation {list(row)} has length {len(row)}, expected rank {rank}")
+                raise ValueError(
+                    f"relation {list(row)} has length {len(row)}, expected rank {rank}"
+                )
 
     @classmethod
     def free(cls, rank: int) -> "FpAbelianGroup":
@@ -454,7 +456,9 @@ class GroupMap(Value):
         rows = tuple(tuple(int(x) for x in row) for row in matrix)
         self._init(source, target, rows)
         if len(rows) != self.target.rank:
-            raise ValueError(f"matrix has {len(rows)} rows, expected target rank {self.target.rank}")
+            raise ValueError(
+                f"matrix has {len(rows)} rows, expected target rank {self.target.rank}"
+            )
         for row in rows:
             if len(row) != self.source.rank:
                 raise ValueError(
@@ -465,7 +469,9 @@ class GroupMap(Value):
         relations = Lattice(self.target.relations, self.target.rank)
         for rel in self.source.relations:
             if mat_vec(rows, rel) not in relations:
-                raise ValueError(f"matrix does not send relation {list(rel)} into the target relations")
+                raise ValueError(
+                    f"matrix does not send relation {list(rel)} into the target relations"
+                )
 
 
 def is_exact_at_middle(f: GroupMap, g: GroupMap) -> bool:
@@ -481,7 +487,6 @@ def is_exact_at_middle(f: GroupMap, g: GroupMap) -> bool:
     image = Lattice(transpose(f.matrix) + [list(r) for r in f.target.relations], rank)
     # x is in the kernel iff g(x) lies in the relation lattice of the target,
     # i.e. (x, y) solves [matrix | relations^T] (x, y) = 0 for some y
-    rel_t = transpose(g.target.relations) or [[] for _ in g.matrix]
-    stacked = [list(row) + rel for row, rel in zip(g.matrix, rel_t)]
+    stacked = [list(row) + [rel[i] for rel in g.target.relations] for i, row in enumerate(g.matrix)]
     kernel = kernel_basis(stacked, rank + len(g.target.relations))
     return image == Lattice([vec[:rank] for vec in kernel], rank)

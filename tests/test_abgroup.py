@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import random
@@ -633,7 +634,6 @@ class TestLattices:
         assert kernel_basis([], 0) == []
         assert kernel_basis([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
-
     def test_failed_witness_is_caught_in_lattice_solve(self, monkeypatch):
         # coordinates that the lattice's own checks accept but that give a wrong witness
         real = abgroup.Lattice._coordinates
@@ -713,6 +713,16 @@ class TestLatticeForm:
             assert Lattice(rng.sample(gens, m), n) == lattice
             assert Lattice(gens + [rng.choice(gens), [0] * n], n) == lattice
 
+    def test_is_a_frozen_hashable_value(self):
+        lattice = Lattice([[2, 4], [0, 6]], 2)
+        assert lattice == Lattice([[2, -2], [2, 4]], 2)
+        assert hash(lattice) == hash(Lattice([[2, -2], [2, 4]], 2))
+        assert copy.deepcopy(lattice) == lattice
+        assert repr(lattice).startswith("Lattice(width=2, basis=((2, 4), (0, 6))")
+        assert Lattice([], 2) != Lattice([], 3)
+        with pytest.raises(AttributeError):
+            lattice.basis = ()
+
     def test_doubling_a_generator_changes_the_index(self):
         rng = random.Random(1414)
         for _ in range(40):
@@ -790,7 +800,7 @@ class TestLatticeForm:
             return h, w
 
         gens = [[2, 1, 0], [0, 3, 1], [4, 0, 5]]
-        assert Lattice(gens, 3).basis == [[2, 0, 11], [0, 1, 6], [0, 0, 17]]
+        assert Lattice(gens, 3).basis == ((2, 0, 11), (0, 1, 6), (0, 0, 17))
         monkeypatch.setattr(abgroup, "_hnf", mutated)
         with pytest.raises(VerificationError, match=message):
             Lattice(gens, 3)
