@@ -58,8 +58,12 @@ class ChowRingPresentation:
       which is that generator's condition.  ``{g, x, x}`` with ``x`` no
       generator needs nothing, so no multiset costs more expansions than
       comparing its three bracketings;
-    * the check reads the structure table directly rather than through
-      :meth:`pair_product`, which copies its result for the caller.
+    * the walk indexes the structure table once as symmetric per-symbol rows,
+      ``rows[a][b] = a*b``, local to the check, and reads each generator's
+      row once.  Where the left factor of a bracketing is one symbol ``t``
+      with coefficient 1, as every product of every built-in ring is, the
+      bracketing is a lookup in ``t``'s row; an empty factor gives the empty
+      side, and only other combinations are expanded, through the rows.
 
     ``hyperplane`` is the coefficient vector (over ``basis[1]``) of the
     hyperplane section of the chosen projective embedding, and
@@ -207,13 +211,6 @@ class ChowRingPresentation:
         """The stored product of two symbols, shared with the table: do not mutate."""
         return self._table.get((a, b) if a <= b else (b, a), _NO_TERMS)
 
-    def _expand(self, combo: Combo, sym: str) -> Combo:
-        acc: Combo = {}
-        for s, c in combo.items():
-            for out, k in self._entry(s, sym).items():
-                acc[out] = acc.get(out, 0) + c * k
-        return {s: c for s, c in acc.items() if c}
-
     def _generators(self) -> list[str]:
         """Basis symbols that generate the ring over Q, in basis order."""
         return [sym for k in range(1, self.dim + 1) for sym in self._level_generators(k)]
@@ -256,31 +253,61 @@ class ChowRingPresentation:
         # non-unit partners, so its condition is empty and it is not sought
         generators = [g for k in range(1, self.dim - 1) for g in self._level_generators(k)]
         is_generator = set(generators)
+        rows: dict[str, dict[str, Combo]] = {sym: {} for sym in codim}
+        for (a, b), combo in self._table.items():
+            if combo:
+                rows[a][b] = rows[b][a] = combo
+
+        def lead(combo: Combo) -> dict[str, Combo] | None:
+            """The row that holds ``combo * c`` for every ``c``: the row of ``t`` for
+            ``combo = {t: 1}``, empty for an empty one, None when it must be expanded."""
+            if len(combo) == 1:
+                ((t, k),) = combo.items()
+                return rows[t] if k == 1 else None
+            return None if combo else _NO_TERMS
+
+        def times(combo: Combo, sym: str) -> Combo:
+            row = lead(combo)
+            if row is not None:
+                return row.get(sym, _NO_TERMS)
+            acc: Combo = {}
+            for s, c in combo.items():
+                for out, k in rows[s].get(sym, _NO_TERMS).items():
+                    acc[out] = acc.get(out, 0) + c * k
+            return {s: c for s, c in acc.items() if c}
+
+        def fail(*triple: str) -> None:
+            a, b, c = sorted(triple, key=position.__getitem__)
+            raise ValueError(f"structure constants are not associative at ({a!r}, {b!r}, {c!r})")
+
         earlier: set[str] = set()
         for g in generators:
+            row_g = rows[g]
+            lead_g = {x: lead(gx) for x, gx in row_g.items()}  # a missing gx: the empty row
+            free = self.dim - codim[g]
             # non-unit symbols in basis order, hence by codimension, that are
             # not earlier generators and leave room for a third factor
-            free = self.dim - codim[g]
             partners = [s for s in symbols if codim[s] < free and s not in earlier]
+            depth = [codim[s] for s in partners]
             for ix, x in enumerate(partners):
-                gx = self._entry(g, x)
-                for y in partners[ix:]:
-                    if codim[x] + codim[y] > free:
-                        break
-                    if x == y:
-                        if x not in is_generator or x == g:
-                            continue  # {g, x, x}: (gx)x = (gx)x
-                        ok = self._expand(self._entry(x, x), g) == self._expand(gx, x)
-                    else:
-                        out_y = self._expand(gx, y)
-                        ok = out_y == self._expand(self._entry(g, y), x)
-                        if ok and g != x and g != y and (x in is_generator or y in is_generator):
-                            ok = out_y == self._expand(self._entry(x, y), g)
-                    if not ok:
-                        a, b, c = sorted((g, x, y), key=position.__getitem__)
-                        raise ValueError(
-                            f"structure constants are not associative at ({a!r}, {b!r}, {c!r})"
-                        )
+                row_x = rows[x]
+                # {g, x, x} with x no generator, or x = g, needs nothing: (gx)x = (gx)x
+                if 2 * codim[x] <= free and x in is_generator and x != g:
+                    if times(row_x.get(x, _NO_TERMS), g) != times(row_g.get(x, _NO_TERMS), x):
+                        fail(g, x, x)
+                gx_row = lead_g.get(x, _NO_TERMS)
+                third = x != g
+                x_generates = x in is_generator
+                # the partners after x with codim x + codim y <= free
+                for y in partners[ix + 1 : bisect.bisect_right(depth, free - codim[x], ix)]:
+                    out_y = times(row_g[x], y) if gx_row is None else gx_row.get(y, _NO_TERMS)
+                    gy_row = lead_g.get(y, _NO_TERMS)
+                    if out_y != (times(row_g[y], x) if gy_row is None else gy_row.get(x, _NO_TERMS)):
+                        fail(g, x, y)
+                    if third and y != g and (x_generates or y in is_generator):
+                        xy = row_x.get(y)
+                        if out_y != (times(xy, g) if xy else _NO_TERMS):
+                            fail(g, x, y)
             earlier.add(g)
 
     def _check_relations(self) -> None:
@@ -293,24 +320,28 @@ class ChowRingPresentation:
         Theory*, Ch. 8).  Multiplication by ``s`` is read from the structure
         table as a matrix, and each level's relations are one Hermite
         :class:`abgroup.Lattice`, so each product costs one triangular pass
-        and no Smith form; a ring without relations does no work here.
+        and no Smith form; a ring without relations does no work here.  Only
+        the Hermite basis rows of each level are multiplied, at most its rank
+        of them, since they span the same lattice as the rows given; when one
+        fails, so does a given row, and the error names that one.
         """
         for row in self.relations.get(self.dim, ()):
             if sum(c * w for c, w in zip(row, self.degree_functional)):
                 raise ValueError(f"relation {list(row)} in codim {self.dim} has nonzero degree")
-        levels = range(min(self.relations, default=self.dim) + 1, self.dim + 1)
+        levels = range(min(self.relations, default=self.dim), self.dim + 1)
         lattices = {n: Lattice(self.relations.get(n, ()), len(self.basis[n])) for n in levels}
         for k, rows in self.relations.items():
             for j in range(1, self.dim - k + 1):
+                target = lattices[k + j]
                 column = {sym: n for n, sym in enumerate(self.basis[k + j])}
                 for s in self.basis[j]:
                     times_s = [[0] * len(column) for _ in self.basis[k]]
                     for n, a in enumerate(self.basis[k]):
                         for sym, c in self._entry(a, s).items():
                             times_s[n][column[sym]] = c
-                    for row, product in zip(rows, mat_mul(rows, times_s)):
-                        if product not in lattices[k + j]:
-                            raise ValueError(f"relation {list(row)} in codim {k} times {s!r} is not a relation")
+                    if any(product not in target for product in mat_mul(lattices[k].basis, times_s)):
+                        row = next(row for row, product in zip(rows, mat_mul(rows, times_s)) if product not in target)
+                        raise ValueError(f"relation {list(row)} in codim {k} times {s!r} is not a relation")
 
     # -- equality --------------------------------------------------------
 

@@ -9,7 +9,7 @@ re-parse to equal values.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any
 
@@ -32,10 +32,11 @@ MAX_VERTEX_DIM = 1024
 
 # Largest row or column count of a matrix document, ``ncols`` included, and
 # largest rank or relation count of a group and relation count of a ring
-# codimension; and the largest total bit length of a matrix's entries.  Both are
-# checked before any Smith form, whose n³ steps grow with the entries: on a
-# 2-vCPU VM 64×64 in [-9, 9] (about 16,000 bits) takes 0.4 s, no shape up to
-# 64×64 at 32,768 bits took over 0.7 s, and 16×16 with 1000-bit entries 3.2 s.
+# codimension; and the largest total bit length of the entries of a matrix, of a
+# group's relations and of a group map's matrix.  Both are checked before any
+# Smith form, whose n³ steps grow with the entries: on a 2-vCPU VM 64×64 in
+# [-9, 9] (about 16,000 bits) takes 0.4 s, no shape up to 64×64 at 32,768 bits
+# took over 0.7 s, and 16×16 with 1000-bit entries 3.2 s.
 MAX_MATRIX_DIM = 64
 MAX_MATRIX_BITS = 32768
 
@@ -64,6 +65,11 @@ def _check_dim(count: int, what: str, unit: str, limit: int = MAX_MATRIX_DIM) ->
     """Reject a count of rows, columns, generators, relations or entry bits above its limit."""
     if count > limit:
         raise InputError(f"{what} takes at most {limit} {unit}, got {count}")
+
+
+def _check_bits(rows: Sequence[Sequence[int]], what: str) -> None:
+    """Reject integer rows whose entries hold more than :data:`MAX_MATRIX_BITS` bits in total."""
+    _check_dim(sum(x.bit_length() for row in rows for x in row), what, "bits of entries", MAX_MATRIX_BITS)
 
 
 def _int(x: Any) -> int:
@@ -403,6 +409,7 @@ def parse_group(data: Any) -> FpAbelianGroup:
         _check_dim(rank, "a group", "generators")
         relations = tuple(tuple(_int(x) for x in row) for row in data.get("relations", []))
         _check_dim(len(relations), "a group", "relations")
+        _check_bits(relations, "a group")
         return FpAbelianGroup(rank, relations)
 
 
@@ -420,11 +427,10 @@ def parse_group_map(data: Any) -> GroupMap:
     if not isinstance(data, Mapping):
         raise InputError("a group map must be an object")
     with _reading("group map"):
-        return GroupMap(
-            parse_group(data["source"]),
-            parse_group(data["target"]),
-            tuple(tuple(_int(x) for x in row) for row in data["matrix"]),
-        )
+        source, target = parse_group(data["source"]), parse_group(data["target"])
+        matrix = tuple(tuple(_int(x) for x in row) for row in data["matrix"])
+        _check_bits(matrix, "a group map")
+        return GroupMap(source, target, matrix)
 
 
 def parse_matrix(data: Any, ncols: int | None = None) -> list[list[int]]:
@@ -437,7 +443,7 @@ def parse_matrix(data: Any, ncols: int | None = None) -> list[list[int]]:
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise InputError("matrix rows have unequal lengths")
     _check_dim(max(len(rows[0]) if rows else 0, ncols or 0), "a matrix", "columns")
-    _check_dim(sum(x.bit_length() for row in rows for x in row), "a matrix", "bits of entries", MAX_MATRIX_BITS)
+    _check_bits(rows, "a matrix")
     return rows
 
 

@@ -112,6 +112,9 @@ class TestTorsionProbes:
         "dim": 2, "basis": [["1"], ["h"], ["p"]], "products": [{"a": "h", "b": "h", "value": {"p": 1}}],
         "hyperplane": [1], "degree": [1], "relations": {"1": [[2]]},
     }
+    # the same with relations 4h and 6h: the check multiplies their Hermite
+    # basis 2h, which was not written, and the error names the first row given
+    NOT_AN_IDEAL_TWO_ROWS = dict(NOT_AN_IDEAL, relations={"1": [[4], [6]]})
     # the relation 2a in the top codimension has degree 2
     NONZERO_DEGREE = {"dim": 1, "basis": [["1"], ["a"]], "hyperplane": [1], "degree": [1], "relations": {"1": [[2]]}}
 
@@ -125,8 +128,9 @@ class TestTorsionProbes:
 
     @pytest.mark.parametrize("ring, needle", [
         (NOT_AN_IDEAL, "relation [2] in codim 1 times 'h' is not a relation"),
+        (NOT_AN_IDEAL_TWO_ROWS, "relation [4] in codim 1 times 'h' is not a relation"),
         (NONZERO_DEGREE, "relation [2] in codim 1 has nonzero degree"),
-    ], ids=["not-an-ideal", "nonzero-degree"])
+    ], ids=["not-an-ideal", "not-an-ideal-two-rows", "nonzero-degree"])
     def test_probes_fail_validation(self, ring, needle):
         report = run(["validate", "--ring", json.dumps(ring)])
         assert report.exit_code == 1
@@ -746,6 +750,28 @@ class TestHostileInput:
         assert time.perf_counter() - start < 1.0
         assert report.exit_code == 2
         assert report.error.endswith(needle)
+
+    @pytest.mark.parametrize(
+        "relation_bits, needle",
+        [(3000, "a group takes at most 32768 bits of entries, got "),
+         (4, "a group map takes at most 32768 bits of entries, got ")],
+        ids=["3000-bit-relations", "3000-bit-map"],
+    )
+    def test_oversized_group_entries_exit_2_before_any_lattice(self, relation_bits, needle):
+        # a rank-8 map of 3000-bit entries into 8 relation rows: before the bit
+        # limit `exact` took 4-7 s to answer
+        rng = random.Random(8)
+
+        def entries(bits):
+            return [[rng.choice((-1, 1)) * rng.getrandbits(bits) for _ in range(8)] for _ in range(8)]
+
+        target = {"rank": 8, "relations": entries(relation_bits)}
+        g = json.dumps({"source": {"rank": 8}, "target": target, "matrix": entries(3000)})
+        start = time.perf_counter()
+        report = run(["exact", "--f", self.identity_map(8), "--g", g])
+        assert time.perf_counter() - start < 1.0
+        assert report.exit_code == 2
+        assert needle in report.error
 
     def test_group_limit_admits_64(self):
         # doubling on Z^64, then the quotient onto (Z/2)^64: exact, with 64 generators and 64 relations
