@@ -20,8 +20,9 @@ class Value:
     class keyword ``uncompared`` names), so a field that holds the same object
     on both sides is not compared by its own ``__eq__``; instances of different
     classes are never equal.  A frozen record sets its fields once, through
-    :meth:`_init`, and hashes that tuple; a mutable one is unhashable.  The repr
-    is ``Name(field=value, ...)`` over every field.
+    :meth:`_init`, and hashes that tuple, with each dict field taken as the set
+    of its items, which is what dict equality compares; a mutable one is
+    unhashable.  The repr is ``Name(field=value, ...)`` over every field.
     """
 
     __slots__ = ()
@@ -49,7 +50,7 @@ class Value:
         return key(self) == key(other)
 
     def __hash__(self) -> int:
-        return hash(self._key(self))
+        return hash(tuple(frozenset(v.items()) if isinstance(v, dict) else v for v in self._key(self)))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

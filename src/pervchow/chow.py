@@ -13,7 +13,7 @@ import re
 from collections.abc import Callable, Mapping, Sequence
 
 from ._value import Value
-from .abgroup import FpAbelianGroup, Lattice, _insert, mat_mul
+from .abgroup import FpAbelianGroup, Lattice, _insert
 
 Combo = dict[str, int]
 _NO_TERMS: Combo = {}  # shared read-only stand-in for a missing product
@@ -21,9 +21,10 @@ _NO_TERMS: Combo = {}  # shared read-only stand-in for a missing product
 # Largest basis, counted over all codimensions, that a built-in name or a ring
 # document may ask for.  The associativity check costs about |G|*N^2 table
 # lookups for |G| generators (one for P<n>, two for a product of two projective
-# spaces): on a 2-vCPU VM P127 builds in about 0.03 s and P500 in 0.3 s, but a
-# dense document costs about k^5 for k symbols per codimension (42 per level
-# take seconds), so the limit stays.
+# spaces), read from the row index the constructor builds: on a 2-vCPU VM P127
+# builds in about 0.015 s and P500 in 0.25-0.3 s, but a dense document costs
+# about k^5 for k symbols per codimension (42 per level take seconds), so the
+# limit stays.
 MAX_RING_BASIS = 128
 
 _PROJECTIVE = re.compile(r"P(\d+)")
@@ -58,12 +59,15 @@ class ChowRingPresentation:
       which is that generator's condition.  ``{g, x, x}`` with ``x`` no
       generator needs nothing, so no multiset costs more expansions than
       comparing its three bracketings;
-    * the walk indexes the structure table once as symmetric per-symbol rows,
-      ``rows[a][b] = a*b``, local to the check, and reads each generator's
-      row once.  Where the left factor of a bracketing is one symbol ``t``
-      with coefficient 1, as every product of every built-in ring is, the
-      bracketing is a lookup in ``t``'s row; an empty factor gives the empty
-      side, and only other combinations are expanded, through the rows.
+    * the walk reads the row index that the constructor builds while it
+      cleans the products, ``_rows[a][b] = a*b`` for both orders of every
+      nonzero product (the same combinations as the table, not copies), and
+      reads each generator's row once.  Where the left factor of a bracketing
+      is one symbol ``t`` with coefficient 1, as every product of every
+      built-in ring is, the bracketing is a lookup in ``t``'s row; an empty
+      factor gives the empty side, and only other combinations are expanded,
+      through the rows.  The generator search and the relation check read the
+      same index.
 
     ``hyperplane`` is the coefficient vector (over ``basis[1]``) of the
     hyperplane section of the chosen projective embedding, and
@@ -106,30 +110,34 @@ class ChowRingPresentation:
         self._codim = codim
         self.unit = levels[0][0]
 
+        # the structure table, keyed by sorted pairs, and the row index
+        # rows[a][b] = rows[b][a] = a*b over the nonzero products, sharing its combinations
         table: dict[tuple[str, str], Combo] = {}
+        rows: dict[str, dict[str, Combo]] = {sym: {} for sym in codim}
         for (a, b), value in products.items():
             if a not in codim or b not in codim:
                 raise ValueError(f"product ({a!r}, {b!r}) uses unknown symbols")
             total = codim[a] + codim[b]
             cleaned = {str(s): int(c) for s, c in value.items() if int(c) != 0}
+            # no symbol lies past the dimension, so this also rejects a product landing there
             for sym in cleaned:
                 if codim.get(sym) != total:
-                    raise ValueError(
-                        f"product ({a!r}, {b!r}) lands in codim {total}, got {sym!r}"
-                    )
-            if total > self.dim and cleaned:
-                raise ValueError(f"product ({a!r}, {b!r}) exceeds codimension {self.dim}")
+                    raise ValueError(f"product ({a!r}, {b!r}) lands in codim {total}, got {sym!r}")
             key = (a, b) if a <= b else (b, a)
             if key in table and table[key] != cleaned:
                 raise ValueError(f"inconsistent products for pair {key}")
             table[key] = cleaned
-        for sym, k in codim.items():
-            key = (self.unit, sym) if self.unit <= sym else (sym, self.unit)
+            if cleaned:
+                rows[a][b] = rows[b][a] = cleaned
+        unit, unit_row = self.unit, rows[self.unit]
+        for sym in codim:
+            key = (unit, sym) if unit <= sym else (sym, unit)
             expected = {sym: 1}
             if key in table and table[key] != expected:
                 raise ValueError(f"unit product for {sym!r} must be {sym!r} itself")
-            table[key] = expected
+            table[key] = unit_row[sym] = rows[sym][unit] = expected
         self._table = table
+        self._rows = rows
 
         hyper = tuple(int(c) for c in hyperplane)
         width = len(levels[1]) if self.dim >= 1 else 0
@@ -172,8 +180,7 @@ class ChowRingPresentation:
         return self._codim[sym]
 
     def pair_product(self, a: str, b: str) -> Combo:
-        key = (a, b) if a <= b else (b, a)
-        return dict(self._table.get(key, {}))
+        return dict(self._rows[a].get(b, _NO_TERMS))
 
     def group(self, k: int) -> FpAbelianGroup:
         """The abelian group underlying codimension ``k``."""
@@ -209,7 +216,7 @@ class ChowRingPresentation:
 
     def _entry(self, a: str, b: str) -> Combo:
         """The stored product of two symbols, shared with the table: do not mutate."""
-        return self._table.get((a, b) if a <= b else (b, a), _NO_TERMS)
+        return self._rows[a].get(b, _NO_TERMS)
 
     def _generators(self) -> list[str]:
         """Basis symbols that generate the ring over Q, in basis order."""
@@ -219,31 +226,46 @@ class ChowRingPresentation:
         """The generators in codimension ``k >= 1``, in basis order.
 
         The rows are the products ``a*b`` with ``codim a + codim b = k`` and
-        ``1 <= codim a <= k/2``.  They enter a Hermite echelon through
-        :func:`abgroup._insert`, the row step of every Hermite form, until the
-        pivots fill the level; the symbols in columns without a pivot are the
-        generators.  Those symbols and the product rows span the level over Q,
-        so by induction on ``k`` the generators of codimensions ``1..k`` and
-        the unit generate every class up to codimension ``k``.
+        ``1 <= codim a <= k/2``, read from the row index.  A one-term product
+        ``c*e_j`` covers column ``j``; the search ends once every column is
+        covered, as on every level of every built-in ring.  The other products,
+        with the covered coordinates dropped, enter a Hermite echelon through
+        :func:`abgroup._insert`.  Over Q the rows span the covered ``e_j`` plus
+        those reduced rows, so their pivot columns are the covered columns and
+        the echelon's, and the symbols in the other columns are the generators.
+        Those symbols and the product rows span the level over Q, so by
+        induction on ``k`` the generators of codimensions ``1..k`` and the unit
+        generate every class up to codimension ``k``.
         """
-        levels = self.basis
-        column = {sym: n for n, sym in enumerate(levels[k])}
-        products = (
-            self._entry(a, b)
-            for i in range(1, k // 2 + 1)
-            for ia, a in enumerate(levels[i])
-            for b in levels[k - i][ia if 2 * i == k else 0 :]
-        )
-        pivots: dict[int, list[int]] = {}  # leading column -> row
-        for combo in products:
-            if len(pivots) == len(column):
+        levels, rows, level = self.basis, self._rows, self.basis[k]
+        covered: set[str] = set()
+        rest: list[Combo] = []
+        for i in range(1, k // 2 + 1):
+            for ia, a in enumerate(levels[i]):
+                row_a = rows[a]
+                for b in levels[k - i][ia if 2 * i == k else 0 :]:
+                    combo = row_a.get(b)
+                    if combo is None:
+                        continue
+                    if len(combo) > 1:
+                        rest.append(combo)
+                        continue
+                    covered.update(combo)
+                    if len(covered) == len(level):
+                        return []
+        free = [sym for sym in level if sym not in covered]
+        place = {sym: m for m, sym in enumerate(free)}
+        pivots: dict[int, list[int]] = {}  # leading column, over the free columns -> row
+        for combo in rest:
+            if len(pivots) == len(free):
                 break
-            if combo:
-                row = [0] * len(column)
-                for sym, c in combo.items():
-                    row[column[sym]] = c
-                _insert(pivots, row, len(row))
-        return [sym for n, sym in enumerate(levels[k]) if n not in pivots]
+            row = [0] * len(free)
+            for sym, c in combo.items():
+                if sym in place:
+                    row[place[sym]] = c
+            _insert(pivots, row, len(row))
+        covered.update(free[m] for m in pivots)
+        return [sym for sym in level if sym not in covered]
 
     def _check_associativity(self) -> None:
         codim = self._codim
@@ -253,10 +275,7 @@ class ChowRingPresentation:
         # non-unit partners, so its condition is empty and it is not sought
         generators = [g for k in range(1, self.dim - 1) for g in self._level_generators(k)]
         is_generator = set(generators)
-        rows: dict[str, dict[str, Combo]] = {sym: {} for sym in codim}
-        for (a, b), combo in self._table.items():
-            if combo:
-                rows[a][b] = rows[b][a] = combo
+        rows = self._rows
 
         def lead(combo: Combo) -> dict[str, Combo] | None:
             """The row that holds ``combo * c`` for every ``c``: the row of ``t`` for
@@ -317,30 +336,40 @@ class ChowRingPresentation:
         in codimension ``j >= 1``, ``rho * s`` must lie in the relation lattice
         of codimension ``k + j`` (zero where that level has none), and each
         top-codimension relation must have degree 0 (Fulton, *Intersection
-        Theory*, Ch. 8).  Multiplication by ``s`` is read from the structure
-        table as a matrix, and each level's relations are one Hermite
-        :class:`abgroup.Lattice`, so each product costs one triangular pass
-        and no Smith form; a ring without relations does no work here.  Only
-        the Hermite basis rows of each level are multiplied, at most its rank
-        of them, since they span the same lattice as the rows given; when one
-        fails, so does a given row, and the error names that one.
+        Theory*, Ch. 8).  A ring without relations returns at once.  Otherwise
+        each level's relations are one Hermite :class:`abgroup.Lattice`, so
+        each product costs one triangular pass and no Smith form.  Only the
+        Hermite basis rows of each level are multiplied, at most its rank of
+        them, since they span the same lattice as the rows given; ``rho * s``
+        is ``sum rho_a (a*s)`` over the nonzero ``rho_a``, read from ``s``'s
+        row of the index.  When a basis row fails, so does a given row, and
+        the error names that one.
         """
+        if not self.relations:
+            return
         for row in self.relations.get(self.dim, ()):
             if sum(c * w for c, w in zip(row, self.degree_functional)):
                 raise ValueError(f"relation {list(row)} in codim {self.dim} has nonzero degree")
-        levels = range(min(self.relations, default=self.dim), self.dim + 1)
+        levels = range(min(self.relations), self.dim + 1)
         lattices = {n: Lattice(self.relations.get(n, ()), len(self.basis[n])) for n in levels}
-        for k, rows in self.relations.items():
+
+        def times(rho: Sequence[int], by_s: list[Combo], column: dict[str, int]) -> list[int]:
+            out = [0] * len(column)
+            for c, combo in zip(rho, by_s):
+                if c:
+                    for sym, x in combo.items():
+                        out[column[sym]] += c * x
+            return out
+
+        for k, given in self.relations.items():
             for j in range(1, self.dim - k + 1):
                 target = lattices[k + j]
                 column = {sym: n for n, sym in enumerate(self.basis[k + j])}
                 for s in self.basis[j]:
-                    times_s = [[0] * len(column) for _ in self.basis[k]]
-                    for n, a in enumerate(self.basis[k]):
-                        for sym, c in self._entry(a, s).items():
-                            times_s[n][column[sym]] = c
-                    if any(product not in target for product in mat_mul(lattices[k].basis, times_s)):
-                        row = next(row for row, product in zip(rows, mat_mul(rows, times_s)) if product not in target)
+                    row_s = self._rows[s]
+                    by_s = [row_s.get(a, _NO_TERMS) for a in self.basis[k]]  # a*s for each a
+                    if any(times(rho, by_s, column) not in target for rho in lattices[k].basis):
+                        row = next(row for row in given if times(row, by_s, column) not in target)
                         raise ValueError(f"relation {list(row)} in codim {k} times {s!r} is not a relation")
 
     # -- equality --------------------------------------------------------
@@ -481,17 +510,15 @@ def product_presentation(r1: ChowRingPresentation, r2: ChowRingPresentation) -> 
     pairs = [(k, a, b) for k, level in pairs_at.items() for a, b in level][1:]
     products: dict[tuple[str, str], Combo] = {}
     for n, (k1, a1, b1) in enumerate(pairs):
+        left_row, right_row = r1._rows[a1], r2._rows[b1]
         for k2, a2, b2 in pairs[n:]:
             if k1 + k2 > dim:
                 break
-            right = r2._entry(b1, b2)
-            value = {
-                tensor(sa, sb): ca * cb
-                for sa, ca in r1._entry(a1, a2).items()
-                for sb, cb in right.items()
-            }
-            if value:
-                products[(tensor(a1, b1), tensor(a2, b2))] = value
+            left, right = left_row.get(a2), right_row.get(b2)
+            if left and right:
+                products[(tensor(a1, b1), tensor(a2, b2))] = {
+                    tensor(sa, sb): ca * cb for sa, ca in left.items() for sb, cb in right.items()
+                }
 
     hyper: list[int] = []
     for a, b in pairs_at.get(1, []):

@@ -237,10 +237,12 @@ class ZobelCatalog(Value):
     comparison and pairing tables for verification: groups are keyed by
     ``(r, p)``, comparison maps by ``(r, p_from, p_to)``, and pairings by
     ``"<left>*<right>"`` class names; the rejected pair carries its two
-    operands under ``"operands"``.
+    operands under ``"operands"``.  The catalog is unhashable on purpose:
+    its pairing table nests dicts, and nothing keys on a catalog.
     """
 
     __slots__ = ("cone", "classes", "expected_groups", "expected_comparisons", "expected_pairings")
+    __hash__ = None
 
     def __init__(
         self,

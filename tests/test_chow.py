@@ -1,13 +1,17 @@
 import ast
+import importlib
 import itertools
 import random
 import re
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pervchow import abgroup, chow
+from pervchow.abgroup import _insert
 from pervchow.chow import (
     ChowRingPresentation,
     builtin,
@@ -500,3 +504,118 @@ def test_sparse_batch_walks_generators_above_codim_one():
         high += any(1 < ring.codim_of(g) <= dim - 2 for g in ring._generators())
     assert 0 < sum(verdicts) < len(verdicts)
     assert high > 0
+
+
+# -- the row index: generator search and relation check ----------------------
+
+
+def reference_generators(ring):
+    """The generator search as one Hermite echelon per level of every product row."""
+    generators = []
+    for k in range(1, ring.dim + 1):
+        level = ring.basis[k]
+        column = {sym: n for n, sym in enumerate(level)}
+        pivots = {}
+        for i in range(1, k // 2 + 1):
+            for ia, a in enumerate(ring.basis[i]):
+                for b in ring.basis[k - i][ia if 2 * i == k else 0 :]:
+                    row = [0] * len(level)
+                    for sym, c in ring.pair_product(a, b).items():
+                        row[column[sym]] = c
+                    _insert(pivots, row, len(row))
+        generators += [sym for n, sym in enumerate(level) if n not in pivots]
+    return generators
+
+
+def mixes_one_term_and_longer_products(ring):
+    """Whether some level is reached by both a one-term and a longer product."""
+    lengths = {}
+    for (a, b), combo in ring._table.items():
+        if combo and ring.unit not in (a, b):
+            lengths.setdefault(ring.codim_of(a) + ring.codim_of(b), set()).add(min(len(combo), 2))
+    return any(kinds == {1, 2} for kinds in lengths.values())
+
+
+TABLES = [random_graded_table, random_one_term_table, random_sparse_table]
+
+
+def assert_generators_match_reference(dim, basis, products):
+    ring = UncheckedRing("t", dim, basis, products, [0] * len(basis[1]), [1] * len(basis[dim]))
+    assert ring._generators() == reference_generators(ring)
+    return ring
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(TABLES), st.randoms(use_true_random=False))
+def test_generators_match_the_echelon_reference(table, rng):
+    assert_generators_match_reference(*table(rng))
+
+
+@pytest.mark.parametrize("table", TABLES, ids=lambda table: table.__name__)
+def test_generators_match_the_echelon_reference_seeded_batch(table):
+    rng = random.Random(20134)
+    rings = [assert_generators_match_reference(*table(rng)) for _ in range(200)]
+    if table is not random_one_term_table:
+        assert any(map(mixes_one_term_and_longer_products, rings))
+
+
+def test_builtin_rings_run_no_echelon_and_no_lattice(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    names = importlib.import_module("workloads").RING_NAMES
+    calls = []
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return call
+
+    insert, lattice = counted("_insert", abgroup._insert), counted("Lattice", abgroup.Lattice)
+    for module in (abgroup, chow):
+        monkeypatch.setattr(module, "_insert", insert)
+        monkeypatch.setattr(module, "Lattice", lattice)
+    for name in names:
+        builtin(name)
+    assert calls == []
+    # the counters see a ring with a longer product and one with relations
+    two = ChowRingPresentation("two", 2, [["1"], ["a", "b"], ["p", "q"]], {("a", "b"): {"p": 1, "q": 1}}, [1, 0], [0, 0])
+    assert two._generators() == ["a", "b", "q"] and calls == ["_insert"]
+    ChowRingPresentation("torsion", 1, [["1"], ["a"]], {}, [1], [0], relations={1: [[2]]})
+    assert "Lattice" in calls
+
+
+class TestRelationsAtTheLimits:
+    """Dim-2 documents at the relation limits: 63 and 64 symbols in codims 1-2,
+    64 products dense in codim 2 and 64 relations per level (1.0-1.5 s and
+    0.8-1.3 s when each level's Hermite basis was multiplied by a dense matrix
+    per symbol)."""
+
+    @staticmethod
+    def document(torsion):
+        rng = random.Random(5)
+        level1, level2 = [f"a{i}" for i in range(63)], [f"p{i}" for i in range(64)]
+        pairs = list(itertools.combinations_with_replacement(level1, 2))
+        products = [{"a": a, "b": b, "value": {s: rng.randint(-9, 9) or 1 for s in level2}}
+                    for a, b in rng.sample(pairs, 64)]
+        if torsion:
+            # 2 = 0 in codim 0, so every level is 2-torsion
+            relations = {"0": [[2]] * 64,
+                         "1": [[2 * (i == n) for i in range(63)] for n in range(63)],
+                         "2": [[2 * (i == n) for i in range(64)] for n in range(64)]}
+        else:
+            # random codim-1 relations; a unimodular codim-2 matrix, so codim 2 vanishes
+            relations = {"1": [[rng.randint(-9, 9) for _ in range(63)] for _ in range(64)],
+                         "2": [[0] * n + [1] + [rng.randint(-9, 9) for _ in range(63 - n)] for n in range(64)]}
+        return {"dim": 2, "basis": [["1"], level1, level2], "products": products,
+                "hyperplane": [1] * 63, "degree": [0] * 64, "relations": relations}
+
+    @pytest.mark.parametrize("torsion", [False, True], ids=["dense-relations", "torsion-from-codim-0"])
+    def test_relation_check_reads_in_under_a_second(self, torsion):
+        doc = self.document(torsion)
+        assert sum(len(entry["value"]) for entry in doc["products"]) == 4096
+        start = time.perf_counter()
+        ring = parse_ring(doc)
+        assert time.perf_counter() - start < 1.0
+        assert {k: len(rows) for k, rows in ring.relations.items()} == {
+            int(k): len(rows) for k, rows in doc["relations"].items()}

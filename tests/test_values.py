@@ -125,9 +125,32 @@ def test_model_and_label_take_no_part_in_equality_or_hash():
     assert generic == vertex and hash(generic) == hash(vertex)
     assert cycles.CyclePattern(generic, 1, {1: 0}, "A") == cycles.CyclePattern(vertex, 1, {1: 0}, "B")
     assert cycles.CyclePattern(vertex, 1, {1: 0}) != cycles.CyclePattern(vertex, 1, {1: 1})
-    # a pattern holds its incidence in a dict, so it was never hashable, label or not
-    with pytest.raises(TypeError, match="unhashable"):
-        hash(cycles.CyclePattern(vertex, 1, {1: 0}))
+    assert hash(cycles.CyclePattern(generic, 1, {1: 0}, "A")) == hash(cycles.CyclePattern(vertex, 1, {1: 0}, "B"))
+
+
+def test_patterns_hash_follows_equality_whatever_the_dict_order():
+    # the incidence, joint and excess tables are dicts, hashed as their items
+    v = strata.isolated_vertex(3)
+    forward = cycles.CyclePattern(v, 2, {1: 2, 2: 1, 3: None})
+    backward = cycles.CyclePattern(v, 2, {3: None, 2: 1, 1: 2})
+    assert list(forward.incidence) != list(backward.incidence)
+    other = cycles.CyclePattern(v, 2, {1: 2, 2: 0, 3: None})
+    pairs = [
+        (forward, backward),
+        (cycles.JointPattern(forward, forward, {1: 1, 2: 0, 3: None}, 1),
+         cycles.JointPattern(backward, backward, {3: None, 2: 0, 1: 1}, 1)),
+        (cycles.FamilyCertificate(forward, (("0", other),), (forward, other), True),
+         cycles.FamilyCertificate(backward, (("0", other),), (backward, other), True)),
+        (cocycles.CocyclePattern(v, 2, 2, {1: 2, 2: 1, 3: 0}), cocycles.CocyclePattern(v, 2, 2, {3: 0, 2: 1, 1: 2})),
+    ]
+    for left, right in pairs:
+        assert left == right and hash(left) == hash(right), type(left).__name__
+    assert len({forward, backward, other}) == 2
+
+
+def test_zobel_catalog_is_unhashable_on_purpose():
+    with pytest.raises(TypeError, match="unhashable type: 'ZobelCatalog'"):
+        hash(instances()["ZobelCatalog"])
 
 
 def test_hash_follows_equality():
