@@ -21,10 +21,11 @@ _NO_TERMS: Combo = {}  # shared read-only stand-in for a missing product
 # Largest basis, counted over all codimensions, that a built-in name or a ring
 # document may ask for.  The associativity check costs about |G|*N^2 table
 # lookups for |G| generators (one for P<n>, two for a product of two projective
-# spaces), read from the row index the constructor builds: on a 2-vCPU VM P127
-# builds in about 0.015 s and P500 in 0.25-0.3 s, but a dense document costs
-# about k^5 for k symbols per codimension (42 per level take seconds), so the
-# limit stays.
+# spaces), read from the row index the constructor builds in its one pass over
+# the structure constants.  On a 2-vCPU VM P127 builds in 0.010-0.012 s, about
+# three fifths of it that pass over its 4032 constants and a sixth the walk,
+# and P500 in 0.21-0.23 s; but a dense document costs about k^5 for k symbols
+# per codimension (42 per level take seconds), so the limit stays.
 MAX_RING_BASIS = 128
 
 _PROJECTIVE = re.compile(r"P(\d+)")
@@ -69,6 +70,14 @@ class ChowRingPresentation:
       through the rows.  The generator search and the relation check read the
       same index.
 
+    Construction reads each structure constant once.  One loop per product
+    looks up each factor's codimension, converts each coefficient with
+    ``int`` only when it is not an ``int`` already, drops zeros, checks where
+    each remaining term lands, and files the combination in the table and
+    the row index; the unit row is filled by one loop of the same kind.  So
+    an error in a product names the first bad term in its listed order.  The
+    table is filled in the order the products are given, then the unit row.
+
     ``hyperplane`` is the coefficient vector (over ``basis[1]``) of the
     hyperplane section of the chosen projective embedding, and
     ``degree_functional`` the vector over ``basis[dim]`` evaluating the
@@ -93,7 +102,7 @@ class ChowRingPresentation:
         self.dim = int(dim)
         if self.dim < 0:
             raise ValueError("dimension must be nonnegative")
-        levels = tuple(tuple(str(s) for s in level) for level in basis)
+        levels = tuple(tuple(map(str, level)) for level in basis)
         if len(levels) != self.dim + 1:
             raise ValueError(f"need basis lists for codimensions 0..{self.dim}")
         if len(levels[0]) != 1:
@@ -115,37 +124,46 @@ class ChowRingPresentation:
         table: dict[tuple[str, str], Combo] = {}
         rows: dict[str, dict[str, Combo]] = {sym: {} for sym in codim}
         for (a, b), value in products.items():
-            if a not in codim or b not in codim:
-                raise ValueError(f"product ({a!r}, {b!r}) uses unknown symbols")
-            total = codim[a] + codim[b]
-            cleaned = {str(s): int(c) for s, c in value.items() if int(c) != 0}
-            # no symbol lies past the dimension, so this also rejects a product landing there
-            for sym in cleaned:
-                if codim.get(sym) != total:
-                    raise ValueError(f"product ({a!r}, {b!r}) lands in codim {total}, got {sym!r}")
+            try:
+                total = codim[a] + codim[b]
+            except KeyError:
+                raise ValueError(f"product ({a!r}, {b!r}) uses unknown symbols") from None
+            cleaned: Combo = {}
+            for sym, c in value.items():
+                if type(c) is not int:
+                    c = int(c)
+                if c:
+                    if type(sym) is not str:
+                        sym = str(sym)
+                    # no symbol lies past the dimension, so this also rejects a product landing there
+                    if codim.get(sym) != total:
+                        raise ValueError(f"product ({a!r}, {b!r}) lands in codim {total}, got {sym!r}")
+                    cleaned[sym] = c
             key = (a, b) if a <= b else (b, a)
-            if key in table and table[key] != cleaned:
+            old = table.get(key)
+            if old is not None and old != cleaned:
                 raise ValueError(f"inconsistent products for pair {key}")
             table[key] = cleaned
             if cleaned:
                 rows[a][b] = rows[b][a] = cleaned
         unit, unit_row = self.unit, rows[self.unit]
-        for sym in codim:
+        for sym, row in rows.items():
             key = (unit, sym) if unit <= sym else (sym, unit)
             expected = {sym: 1}
-            if key in table and table[key] != expected:
+            old = table.get(key)
+            if old is not None and old != expected:
                 raise ValueError(f"unit product for {sym!r} must be {sym!r} itself")
-            table[key] = unit_row[sym] = rows[sym][unit] = expected
+            table[key] = unit_row[sym] = row[unit] = expected
         self._table = table
         self._rows = rows
 
-        hyper = tuple(int(c) for c in hyperplane)
+        hyper = tuple(map(int, hyperplane))
         width = len(levels[1]) if self.dim >= 1 else 0
         if len(hyper) != width:
             raise ValueError(f"hyperplane vector must have length {width}")
         self.hyperplane = hyper
 
-        deg = tuple(int(c) for c in degree_functional)
+        deg = tuple(map(int, degree_functional))
         if len(deg) != len(levels[self.dim]):
             raise ValueError(
                 f"degree functional must have length {len(levels[self.dim])}"
@@ -270,7 +288,7 @@ class ChowRingPresentation:
     def _check_associativity(self) -> None:
         codim = self._codim
         symbols = [sym for level in self.basis[1:] for sym in level]
-        position = {sym: n for n, sym in enumerate(symbols)}
+        depths = [codim[sym] for sym in symbols]
         # a generator above codimension dim - 2 leaves no room for two
         # non-unit partners, so its condition is empty and it is not sought
         generators = [g for k in range(1, self.dim - 1) for g in self._level_generators(k)]
@@ -296,7 +314,7 @@ class ChowRingPresentation:
             return {s: c for s, c in acc.items() if c}
 
         def fail(*triple: str) -> None:
-            a, b, c = sorted(triple, key=position.__getitem__)
+            a, b, c = sorted(triple, key=symbols.index)
             raise ValueError(f"structure constants are not associative at ({a!r}, {b!r}, {c!r})")
 
         earlier: set[str] = set()
@@ -306,8 +324,9 @@ class ChowRingPresentation:
             free = self.dim - codim[g]
             # non-unit symbols in basis order, hence by codimension, that are
             # not earlier generators and leave room for a third factor
-            partners = [s for s in symbols if codim[s] < free and s not in earlier]
-            depth = [codim[s] for s in partners]
+            cut = bisect.bisect_left(depths, free)
+            partners = [s for s in symbols[:cut] if s not in earlier] if earlier else symbols[:cut]
+            depth = [codim[s] for s in partners] if earlier else depths[:cut]
             for ix, x in enumerate(partners):
                 row_x = rows[x]
                 # {g, x, x} with x no generator, or x = g, needs nothing: (gx)x = (gx)x
@@ -470,10 +489,9 @@ def projective_space(n: int) -> ChowRingPresentation:
     syms = ["1", "h"] + [f"h^{k}" for k in range(2, n + 1)]
     basis = [[s] for s in syms]
     products: dict[tuple[str, str], Combo] = {}
-    for a in range(1, n + 1):
-        for b in range(a, n + 1):
-            if a + b <= n:
-                products[(syms[a], syms[b])] = {syms[a + b]: 1}
+    for a in range(1, n // 2 + 1):
+        for b in range(a, n - a + 1):
+            products[syms[a], syms[b]] = {syms[a + b]: 1}
     return ChowRingPresentation(f"P{n}", n, basis, products, [1], [1])
 
 
@@ -491,10 +509,9 @@ def product_presentation(r1: ChowRingPresentation, r2: ChowRingPresentation) -> 
         raise ValueError("product presentations need torsion-free factors")
     dim = r1.dim + r2.dim
 
-    def tensor(a: str, b: str) -> str:
-        return f"{a}|{b}"
-
+    # each basis pair's tensor symbol, named once
     pairs_at: dict[int, list[tuple[str, str]]] = {}
+    tensor: dict[tuple[str, str], str] = {}
     basis: list[list[str]] = []
     for k in range(dim + 1):
         level: list[tuple[str, str]] = []
@@ -502,22 +519,23 @@ def product_presentation(r1: ChowRingPresentation, r2: ChowRingPresentation) -> 
             for a in r1.basis_at(k1):
                 for b in r2.basis_at(k - k1):
                     level.append((a, b))
+                    tensor[a, b] = f"{a}|{b}"
         pairs_at[k] = level
-        basis.append([tensor(a, b) for a, b in level])
+        basis.append([tensor[pair] for pair in level])
 
     # non-unit pairs in basis order, hence by codimension; the unit row is
     # filled in by the constructor
-    pairs = [(k, a, b) for k, level in pairs_at.items() for a, b in level][1:]
+    pairs = [(k, a, b, tensor[a, b]) for k, level in pairs_at.items() for a, b in level][1:]
     products: dict[tuple[str, str], Combo] = {}
-    for n, (k1, a1, b1) in enumerate(pairs):
+    for n, (k1, a1, b1, ab1) in enumerate(pairs):
         left_row, right_row = r1._rows[a1], r2._rows[b1]
-        for k2, a2, b2 in pairs[n:]:
+        for k2, a2, b2, ab2 in pairs[n:]:
             if k1 + k2 > dim:
                 break
             left, right = left_row.get(a2), right_row.get(b2)
             if left and right:
-                products[(tensor(a1, b1), tensor(a2, b2))] = {
-                    tensor(sa, sb): ca * cb for sa, ca in left.items() for sb, cb in right.items()
+                products[ab1, ab2] = {
+                    tensor[sa, sb]: ca * cb for sa, ca in left.items() for sb, cb in right.items()
                 }
 
     hyper: list[int] = []

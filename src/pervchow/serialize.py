@@ -41,10 +41,12 @@ MAX_MATRIX_DIM = 64
 MAX_MATRIX_BITS = 32768
 
 # Most nonzero structure constants a ring document may list, counted before the
-# ring is built.  Associativity costs about k⁵ in a document whose products are
-# full combinations of k symbols per codimension: 42 per level (112,014
-# constants) took 9.6 s on a 2-vCPU VM.  Every built-in within the basis limit
-# fits: ``P127`` is the largest, with 4032.
+# ring is built, once per distinct listed pair: a pair listed again in the same
+# order (with an equal combination) is not counted again, the other order is.
+# Associativity costs about k⁵ in a document whose products are full
+# combinations of k symbols per codimension: 42 per level (112,014 constants)
+# took 9.6 s on a 2-vCPU VM.  Every built-in within the basis limit fits:
+# ``P127`` is the largest, with 4032.
 MAX_RING_CONSTANTS = 4096
 
 
@@ -254,12 +256,15 @@ def parse_cocycle(data: Any, strata: Stratification) -> CocyclePattern:
 
 
 def ring_to_json(ring: ChowRingPresentation) -> dict:
-    # emit each stored pair once, in sorted order; unit rows are implicit
-    products = [
-        {"a": a, "b": b, "value": dict(sorted(value.items()))}
-        for (a, b), value in sorted(ring._table.items())
-        if value and a != ring.unit and b != ring.unit
-    ]
+    # emit each stored pair once, in sorted order; unit rows are implicit, and
+    # a one-term combination needs no sorting, only a copy
+    table, unit = ring._table, ring.unit
+    products = []
+    for a, b in sorted(table):
+        value = table[a, b]
+        if value and a != unit and b != unit:
+            value = dict(value) if len(value) == 1 else dict(sorted(value.items()))
+            products.append({"a": a, "b": b, "value": value})
     doc = {
         "name": ring.name,
         "dim": ring.dim,
@@ -275,8 +280,63 @@ def ring_to_json(ring: ChowRingPresentation) -> dict:
     return doc
 
 
+def _check_basis(basis: Any, name: str) -> None:
+    """Reject a document ``basis`` that is not a list of string lists or is over the basis limit.
+
+    Levels are checked and counted before any symbol is read, so an
+    over-long basis is rejected at its size.
+    """
+    from .chow import check_basis_size
+
+    if not isinstance(basis, (list, tuple)):
+        raise InputError(f"basis must be a list of symbol lists, got {type(basis).__name__}")
+    for k, level in enumerate(basis):
+        if not isinstance(level, (list, tuple)):
+            raise InputError(f"basis level {k} must be a list of symbols, got {type(level).__name__}")
+    check_basis_size(sum(map(len, basis)), name)
+    for k, level in enumerate(basis):
+        for sym in level:
+            if not isinstance(sym, str):
+                raise InputError(f"basis symbol {sym!r} in codim {k} must be a string")
+
+
+def _products(entries: Any) -> tuple[dict[tuple[str, str], dict[str, int]], int]:
+    """A document's ``products`` as a table of nonzero constants, and their count.
+
+    One pass reads each constant once; ``_int`` runs only on values that are
+    not already integers.  A pair listed twice in the same order must give
+    equal combinations and is counted once; the constructor compares the two
+    orders of a pair.
+    """
+    if not isinstance(entries, (list, tuple)):
+        raise InputError(f"products must be a list of objects, got {type(entries).__name__}")
+    products: dict[tuple[str, str], dict[str, int]] = {}
+    constants = 0
+    for n, entry in enumerate(entries):
+        if not isinstance(entry, (dict, Mapping)):  # dict first, to skip the ABC check
+            raise InputError(f"products entry {n} must be an object, got {type(entry).__name__}")
+        a, b = str(entry["a"]), str(entry["b"])
+        value = entry["value"]
+        if not isinstance(value, (dict, Mapping)):
+            raise InputError(f"value of product ({a!r}, {b!r}) must be an object, got {type(value).__name__}")
+        combo: dict[str, int] = {}
+        for sym, c in value.items():
+            if type(c) is not int:
+                c = _int(c)
+            if c:
+                combo[str(sym)] = c
+        pair = (a, b)
+        old = products.get(pair)
+        if old is None:
+            products[pair] = combo
+            constants += len(combo)
+        elif old != combo:
+            raise InputError(f"inconsistent products for pair {pair if a <= b else (b, a)}")
+    return products, constants
+
+
 def parse_ring(data: Any) -> ChowRingPresentation:
-    from .chow import ChowRingPresentation, builtin, check_basis_size
+    from .chow import ChowRingPresentation, builtin
 
     if isinstance(data, str):
         try:
@@ -287,14 +347,8 @@ def parse_ring(data: Any) -> ChowRingPresentation:
         raise InputError("a ring must be a built-in name or a presentation object")
     with _reading("ring presentation"):
         name = str(data.get("name", "user"))
-        check_basis_size(sum(len(level) for level in data.get("basis", ())), name)
-        products = {
-            (str(entry["a"]), str(entry["b"])): {
-                str(s): _int(c) for s, c in entry["value"].items()
-            }
-            for entry in data.get("products", [])
-        }
-        constants = sum(1 for value in products.values() for c in value.values() if c)
+        _check_basis(data.get("basis", ()), name)
+        products, constants = _products(data.get("products", []))
         if constants > MAX_RING_CONSTANTS:
             raise InputError(
                 f"ring {name!r} has {constants} nonzero structure constants; the limit is {MAX_RING_CONSTANTS}"
