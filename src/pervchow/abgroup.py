@@ -115,8 +115,12 @@ def _insert(pivots: dict[int, list[int]], r: list[int], n: int) -> list[int] | N
     Columns past ``n`` (a transform) ride along.  Subtractions and 2x2
     extended-gcd steps clear ``r`` and keep the rows' lattice; the first column
     left nonzero takes it as a new positive pivot, else it is returned.  Then
-    every entry above a pivot is reduced into ``[0, pivot)``.
+    every entry above a pivot is reduced into ``[0, pivot)``, starting at the
+    first pivot this row changed or added: the pivots before it and the rows
+    above them are untouched and were reduced after the previous row, so every
+    quotient there is 0.
     """
+    first = n  # the first pivot column whose row changed or was added
     for c in range(n):
         b = r[c]
         if not b:
@@ -124,15 +128,20 @@ def _insert(pivots: dict[int, list[int]], r: list[int], n: int) -> list[int] | N
         p = pivots.get(c)
         if p is None:
             pivots[c], r = (r if b > 0 else [-x for x in r]), None
+            first = min(first, c)
             break
         if b % p[c]:
             g, x, y = _xgcd(p[c], b)
             pivots[c], r = _mix(p, r, x, y, p[c] // g, b // g)
+            first = min(first, c)
         else:
             q = b // p[c]
             r = [f - q * e for e, f in zip(p, r)]
+    if first == n:
+        return r
     cols = sorted(pivots)
-    for j, c in enumerate(cols):
+    for j in range(cols.index(first), len(cols)):
+        c = cols[j]
         p = pivots[c]
         for above in cols[:j]:
             q = pivots[above][c] // p[c]
@@ -305,19 +314,20 @@ def _verify_smith(matrix: Sequence[Sequence[int]], n: int, form: SmithForm) -> N
         raise VerificationError("Smith transforms are not unimodular")
 
 
-class Lattice(Value, uncompared=("transform", "pivots")):
+class Lattice(Value, uncompared=("transform", "terms")):
     """The lattice spanned by integer rows in ``Z^width``, held as its reduced Hermite basis.
 
     ``basis`` is the nonzero rows of :func:`_hnf` of the generators, unique for the
     lattice (Cohen, *A Course in Computational Algebraic Number Theory*, §2.4.3), so
     ``==`` compares widths and bases; ``transform`` holds the matching rows of the
-    transform, which give witnesses, and ``pivots`` the pivot columns.  Construction
-    checks exactly that the pivots are positive in increasing columns with every entry
-    above one in ``[0, pivot)``, that ``transform * generators == basis``, and that each
-    generator reduces to zero on the basis; a failed check raises ``VerificationError``.
+    transform, which give witnesses, and ``terms`` each basis row's nonzero ``(column,
+    entry)`` pairs, its pivot first.  Construction checks exactly that the pivots are
+    positive in increasing columns with every entry above one in ``[0, pivot)``, that
+    ``transform * generators == basis``, and that each generator reduces to zero on
+    the basis; a failed check raises ``VerificationError``.
     """
 
-    __slots__ = ("width", "basis", "transform", "pivots")
+    __slots__ = ("width", "basis", "transform", "terms")
 
     def __init__(self, generators: Sequence[Sequence[int]], width: int) -> None:
         gens = [[int(x) for x in g] for g in generators]
@@ -325,32 +335,39 @@ class Lattice(Value, uncompared=("transform", "pivots")):
             raise ValueError("generator length mismatch")
         h, w = _hnf(gens, identity(len(gens)))
         rank = sum(1 for row in h if any(row))
-        basis, pivots = h[:rank], []
+        basis, pivots, terms = h[:rank], [], []
         for row in basis:
-            c = next((j for j, x in enumerate(row) if x), width)
+            nonzero = tuple([(j, x) for j, x in enumerate(row) if x])
+            c = nonzero[0][0] if nonzero else width
             if c == width or row[c] < 0 or pivots and c <= pivots[-1]:
                 raise VerificationError("Hermite pivots are not positive and in increasing columns")
             if any(not 0 <= above[c] < row[c] for above in basis[: len(pivots)]):
                 raise VerificationError("Hermite basis has an unreduced entry above a pivot")
             pivots.append(c)
+            terms.append(nonzero)
         if mat_mul(w[:rank], gens) != basis:
             raise VerificationError("Hermite transform does not reproduce the basis")
-        self._init(width, tuple(map(tuple, basis)), tuple(map(tuple, w[:rank])), tuple(pivots))
+        self._init(width, tuple(map(tuple, basis)), tuple(map(tuple, w[:rank])), tuple(terms))
         if any(self._coordinates(g) is None for g in gens):
             raise VerificationError("a generator lies outside its Hermite basis")
 
     def _coordinates(self, vector: Sequence[int]) -> list[int] | None:
-        """``q`` with ``q * basis == vector``, or ``None`` when ``vector`` is outside the lattice."""
+        """``q`` with ``q * basis == vector``, or ``None`` when ``vector`` is outside the lattice.
+
+        Each basis row is subtracted over its nonzero entries only.
+        """
         x = [int(v) for v in vector]
         if len(x) != self.width:
             raise ValueError(f"a vector of length {len(x)} is not in Z^{self.width}")
         q = []
-        for row, c in zip(self.basis, self.pivots):
-            k, rest = divmod(x[c], row[c])
+        for terms in self.terms:
+            c, pivot = terms[0]
+            k, rest = divmod(x[c], pivot)
             if rest:
                 return None
             if k:
-                x = [e - k * f for e, f in zip(x, row)]
+                for j, e in terms:
+                    x[j] -= k * e
             q.append(k)
         return None if any(x) else q
 
@@ -386,10 +403,33 @@ def lattice_subset(inner: Sequence[Sequence[int]], outer: Sequence[Sequence[int]
     return all(g in lattice for g in inner)
 
 
-def kernel_basis(matrix: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
-    """Vectors spanning the integer solutions of ``M x = 0`` (x of length ncols)."""
-    form = smith_normal_form(matrix, ncols=ncols)
-    return [[form.V[i][j] for i in range(ncols)] for j in range(form.rank, ncols)]
+def _kernel(matrix: Sequence[Sequence[int]], ncols: int) -> Matrix:
+    """Rows spanning the integer solutions of ``M x = 0`` (x of length ``ncols``), from one Hermite form.
+
+    ``H = W * Mᵀ`` by :func:`_hnf`; the rows of ``W`` at the zero rows of ``H``
+    are the kernel rows.  They are returned only after an exact certificate
+    that they span the whole kernel: ``W * Mᵀ == H`` (a plain product, as
+    ``Mᵀ`` has the input's small entries), the nonzero rows of ``H`` come first
+    with their leading columns increasing, so they are independent, and
+    ``|det W| = 1`` (:func:`det`, as ``_verify_smith`` tests its transforms).
+    Then every solution ``x`` is ``y * W`` for an integer ``y``, and ``y * H =
+    x * Mᵀ = 0`` forces the entries of ``y`` at the nonzero rows of ``H`` to
+    vanish.  A failed check raises ``VerificationError``.
+    """
+    m = len(matrix)
+    mt = [[int(row[j]) for row in matrix] for j in range(ncols)]
+    h, w = _hnf(mt, identity(ncols))
+    if len(h) != ncols or len(w) != ncols or any(len(row) != ncols for row in w):
+        raise VerificationError("kernel transform has the wrong shape")
+    lead = [next((j for j, x in enumerate(row) if x), m) for row in h]
+    rank = lead.index(m) if m in lead else ncols
+    if any(a >= b for a, b in zip(lead, lead[1:rank])) or any(c != m for c in lead[rank:]):
+        raise VerificationError("kernel Hermite form is not in echelon form")
+    if mat_mul(w, mt) != h:
+        raise VerificationError("kernel transform does not reproduce the Hermite form")
+    if abs(det(w)) != 1:
+        raise VerificationError("kernel transform is not unimodular")
+    return w[rank:]
 
 
 class FpAbelianGroup(Value):
@@ -479,7 +519,8 @@ def is_exact_at_middle(f: GroupMap, g: GroupMap) -> bool:
 
     Both subgroups are compared as sublattices of ``Z^rank`` containing the
     middle group's relations, by their Hermite bases (which implies
-    ``g o f = 0``); only the kernel takes a Smith form.
+    ``g o f = 0``).  The kernel comes from one more Hermite form, certified
+    exactly by :func:`_kernel`; no Smith form runs.
     """
     if f.target != g.source:
         raise ValueError("middle groups do not match")
@@ -488,5 +529,5 @@ def is_exact_at_middle(f: GroupMap, g: GroupMap) -> bool:
     # x is in the kernel iff g(x) lies in the relation lattice of the target,
     # i.e. (x, y) solves [matrix | relations^T] (x, y) = 0 for some y
     stacked = [list(row) + [rel[i] for rel in g.target.relations] for i, row in enumerate(g.matrix)]
-    kernel = kernel_basis(stacked, rank + len(g.target.relations))
+    kernel = _kernel(stacked, rank + len(g.target.relations))
     return image == Lattice([vec[:rank] for vec in kernel], rank)

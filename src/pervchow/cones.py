@@ -14,14 +14,19 @@ from __future__ import annotations
 from collections.abc import Mapping
 from enum import Enum
 from types import MappingProxyType
+from typing import TYPE_CHECKING
 
 from . import chow
 from ._value import Value
 from .chow import ChowClass, ChowRingPresentation, quadric_surface
 from .abgroup import FpAbelianGroup, GroupMap, identity
-from .cycles import CyclePattern, empty_pattern
-from .perversity import GeneralizedBound
-from .strata import Stratification, isolated_vertex
+
+# The incidence calculus is imported by the three functions that build its
+# values, so that products, pairings, maps and groups on cones do not load it.
+if TYPE_CHECKING:
+    from .cycles import CyclePattern
+    from .perversity import GeneralizedBound
+    from .strata import Stratification
 
 
 class Mode(Enum):
@@ -52,6 +57,8 @@ class ConeVariety(Value):
 
     @property
     def stratification(self) -> Stratification:
+        from .strata import isolated_vertex
+
         return isolated_vertex(self.cone_dim)
 
     def hyperplane_class(self) -> ChowClass:
@@ -206,6 +213,8 @@ def class_to_pattern(a: ConeClass) -> CyclePattern:
     A nonzero class through the vertex meets every stratum in the vertex
     point (dimension 0); vertex-avoiding or zero classes miss all strata.
     """
+    from .cycles import CyclePattern, empty_pattern
+
     strata = a.cone.stratification
     if a.is_zero or a.mode is Mode.DISALLOWED:
         return empty_pattern(strata, a.r)
@@ -223,6 +232,8 @@ def vertex_bound(d: int, p: int) -> GeneralizedBound:
         raise ValueError("depth must be at least 1")
     if p < 0:
         raise ValueError("vertex bound must be nonnegative")
+    from .perversity import GeneralizedBound
+
     return GeneralizedBound(max(0, p - d + i) for i in range(1, d + 1))
 
 

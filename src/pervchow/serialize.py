@@ -300,6 +300,27 @@ def _check_basis(basis: Any, name: str) -> None:
                 raise InputError(f"basis symbol {sym!r} in codim {k} must be a string")
 
 
+def _int_list(data: Any, what: str) -> list[int]:
+    """A list of integers, as :func:`_int` reads each; ``what`` names the field when it is not a list."""
+    if not isinstance(data, (list, tuple)):
+        raise InputError(f"{what} must be a list of integers, got {type(data).__name__}")
+    return [_int(c) for c in data]
+
+
+def _relations(data: Any) -> dict[int, list[list[int]]]:
+    """A document's ``relations``: integer rows keyed by codimension, each level checked against the limit."""
+    if not isinstance(data, (dict, Mapping)):
+        raise InputError(f"relations must be an object keyed by codimension, got {type(data).__name__}")
+    relations = {}
+    for k, rows in data.items():
+        if not isinstance(rows, (list, tuple)):
+            raise InputError(f"relations in codim {k} must be a list of integer rows, got {type(rows).__name__}")
+        relations[_int(k)] = [_int_list(row, f"relation row {n} in codim {k}") for n, row in enumerate(rows)]
+    for k, rows in relations.items():
+        _check_dim(len(rows), f"ring codimension {k}", "relations")
+    return relations
+
+
 def _products(entries: Any) -> tuple[dict[tuple[str, str], dict[str, int]], int]:
     """A document's ``products`` as a table of nonzero constants, and their count.
 
@@ -315,7 +336,11 @@ def _products(entries: Any) -> tuple[dict[tuple[str, str], dict[str, int]], int]
     for n, entry in enumerate(entries):
         if not isinstance(entry, (dict, Mapping)):  # dict first, to skip the ABC check
             raise InputError(f"products entry {n} must be an object, got {type(entry).__name__}")
-        a, b = str(entry["a"]), str(entry["b"])
+        a, b = entry["a"], entry["b"]
+        if type(a) is not str or type(b) is not str:  # exact types first, to skip two calls per entry
+            for factor in (a, b):
+                if not isinstance(factor, str):
+                    raise InputError(f"factor {factor!r} of products entry {n} must be a string")
         value = entry["value"]
         if not isinstance(value, (dict, Mapping)):
             raise InputError(f"value of product ({a!r}, {b!r}) must be an object, got {type(value).__name__}")
@@ -353,19 +378,14 @@ def parse_ring(data: Any) -> ChowRingPresentation:
             raise InputError(
                 f"ring {name!r} has {constants} nonzero structure constants; the limit is {MAX_RING_CONSTANTS}"
             )
-        relations = {
-            _int(k): [list(map(_int, row)) for row in rows]
-            for k, rows in data.get("relations", {}).items()
-        }
-        for k, rows in relations.items():
-            _check_dim(len(rows), f"ring codimension {k}", "relations")
+        relations = _relations(data.get("relations", {}))
         return ChowRingPresentation(
             name,
             _int(data["dim"]),
             data["basis"],
             products,
-            [_int(c) for c in data.get("hyperplane", [])],
-            [_int(c) for c in data["degree"]],
+            _int_list(data.get("hyperplane", []), "hyperplane"),
+            _int_list(data["degree"], "degree"),
             relations or None,
         )
 

@@ -18,7 +18,6 @@ from pervchow.abgroup import (
     describe,
     invariant_factors,
     is_exact_at_middle,
-    kernel_basis,
     lattice_solve,
     lattice_subset,
     mat_mul,
@@ -254,7 +253,7 @@ def test_snf_contract_seeded_batch():
         assert_snf_contract(matrix, form)
         assert form.rank == rank
         ncols = len(matrix[0])
-        kernel = kernel_basis(matrix, ncols)
+        kernel = abgroup._kernel(matrix, ncols)
         assert len(kernel) == ncols - rank
         assert all(mul(matrix, [[x] for x in vec]) == [[0]] * len(matrix) for vec in kernel)
         if kernel:
@@ -623,7 +622,7 @@ class TestLattices:
         assert lattice_solve([], [1, 0]) is None
 
     def test_kernel_basis_spans_solutions(self):
-        basis = kernel_basis([[1, 1, 1]], 3)
+        basis = abgroup._kernel([[1, 1, 1]], 3)
         assert len(basis) == 2
         for vec in basis:
             assert sum(vec) == 0
@@ -631,8 +630,8 @@ class TestLattices:
         for target in ([1, -1, 0], [0, 1, -1]):
             assert lattice_solve(basis, target) is not None
         # with no rows every vector is a solution: the kernel is all of Z^n
-        assert kernel_basis([], 0) == []
-        assert kernel_basis([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert abgroup._kernel([], 0) == []
+        assert abgroup._kernel([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
     def test_failed_witness_is_caught_in_lattice_solve(self, monkeypatch):
         # coordinates that the lattice's own checks accept but that give a wrong witness
@@ -676,6 +675,12 @@ def reference_solver(generators, n):
     return solve
 
 
+def smith_kernel(matrix, ncols):
+    """Vectors spanning the integer solutions of ``M x = 0``: the last columns of the Smith form's ``V``."""
+    form = smith_normal_form(matrix, ncols=ncols)
+    return [[form.V[i][j] for i in range(ncols)] for j in range(form.rank, ncols)]
+
+
 def reference_subset(inner, outer):
     solve = reference_solver(outer, len(inner[0])) if inner else None
     return all(solve(g) is not None for g in inner)
@@ -685,7 +690,7 @@ def reference_exact(f, g):
     """``image(f) == kernel(g)`` by membership in both directions over Smith forms."""
     image = transpose(f.matrix) + [list(r) for r in f.target.relations]
     b = g.source.rank
-    kernel = [vec[:b] for vec in kernel_basis(reference_stack(g), b + len(g.target.relations))]
+    kernel = [vec[:b] for vec in smith_kernel(reference_stack(g), b + len(g.target.relations))]
     return reference_subset(image, kernel) and reference_subset(kernel, image)
 
 
@@ -771,7 +776,7 @@ class TestLatticeForm:
             target = FpAbelianGroup(c, tuple(map(tuple, relations)))
             g = zmap([[rng.randint(-2, 2) for _ in range(b)] for _ in range(c)], middle, target)
             if rng.random() < 0.5:  # f onto the kernel of g: exact by construction
-                kernel = [vec[:b] for vec in kernel_basis(reference_stack(g), b + len(target.relations))]
+                kernel = [vec[:b] for vec in smith_kernel(reference_stack(g), b + len(target.relations))]
                 f = zmap(transpose(kernel) or [[] for _ in range(b)], FpAbelianGroup(len(kernel)), middle)
             else:
                 f = zmap([[rng.randint(-2, 2) for _ in range(a)] for _ in range(b)], FpAbelianGroup(a), middle)
@@ -935,3 +940,173 @@ def pb_inverse(m):
     out = [[x for x in row[n:]] for row in a]
     assert all(x.denominator == 1 for row in out for x in row)
     return [[int(x) for x in row] for row in out]
+
+
+# --- the Hermite step and the Hermite kernel -----------------------------------
+
+
+def full_sweep_insert(pivots, r, n):
+    """``abgroup._insert`` reducing above every pivot after every row, as it did before it skipped unchanged pivots."""
+    for c in range(n):
+        b = r[c]
+        if not b:
+            continue
+        p = pivots.get(c)
+        if p is None:
+            pivots[c], r = (r if b > 0 else [-x for x in r]), None
+            break
+        if b % p[c]:
+            g, x, y = abgroup._xgcd(p[c], b)
+            pivots[c], r = abgroup._mix(p, r, x, y, p[c] // g, b // g)
+        else:
+            q = b // p[c]
+            r = [f - q * e for e, f in zip(p, r)]
+    cols = sorted(pivots)
+    for j, c in enumerate(cols):
+        p = pivots[c]
+        for above in cols[:j]:
+            q = pivots[above][c] // p[c]
+            if q:
+                pivots[above] = [f - q * e for e, f in zip(p, pivots[above])]
+    return r
+
+
+def full_sweep_hnf(a, t):
+    """``abgroup._hnf`` over :func:`full_sweep_insert`."""
+    n = len(a[0]) if a else 0
+    pivots, zero = {}, []
+    for row, trow in zip(a, t):
+        r = full_sweep_insert(pivots, list(row) + list(trow), n)
+        if r is not None:
+            zero.append(r)
+    rows = [pivots[c] for c in sorted(pivots)] + zero
+    return [r[:n] for r in rows], [r[n:] for r in rows]
+
+
+def hermite_inputs():
+    """Seeded matrices: square, wide, tall, rank-deficient, with zero rows, and 24 x 24 in [-9, 9]."""
+    rng = random.Random(1717)
+    out = []
+    for m, n, bound in ((4, 4, 9), (3, 7, 9), (7, 3, 9), (6, 6, 30), (1, 5, 9), (5, 1, 9)) * 5:
+        out.append([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)])
+    for m, r, n in ((8, 3, 8), (10, 2, 6), (5, 4, 12), (12, 5, 9)):  # rank r
+        out.append(mul([[rng.randint(-3, 3) for _ in range(r)] for _ in range(m)],
+                       [[rng.randint(-4, 4) for _ in range(n)] for _ in range(r)]))
+    out.append([[0, 0, 0], [2, 4, 6], [0, 0, 0], [1, 2, 3]])
+    for _ in range(3):
+        out.append([[rng.randint(-9, 9) for _ in range(24)] for _ in range(24)])
+    return out
+
+
+class TestHermiteStep:
+    def test_sweep_from_the_changed_pivot_gives_the_full_sweep_form(self):
+        for matrix in hermite_inputs():
+            m = len(matrix)
+            assert abgroup._hnf(matrix, abgroup.identity(m)) == full_sweep_hnf(matrix, abgroup.identity(m))
+            # a transform that is not the identity rides along the same way
+            t = [[i + 2 * j for j in range(3)] for i in range(m)]
+            assert abgroup._hnf(matrix, t) == full_sweep_hnf(matrix, t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 6).flatmap(
+            lambda rows: st.integers(1, 6).flatmap(
+                lambda cols: st.lists(
+                    st.lists(st.integers(-12, 12), min_size=cols, max_size=cols), min_size=rows, max_size=rows
+                )
+            )
+        )
+    )
+    def test_sweep_from_the_changed_pivot_property(self, matrix):
+        t = abgroup.identity(len(matrix))
+        assert abgroup._hnf(matrix, t) == full_sweep_hnf(matrix, t)
+
+
+class TestHermiteKernel:
+    def test_kernel_lattice_matches_the_smith_form_kernel(self):
+        rng = random.Random(1818)
+        matrices = []
+        for _ in range(150):
+            m, n = rng.randint(0, 5), rng.randint(0, 6)
+            if rng.random() < 0.3 and m and n:  # rank-deficient
+                r = rng.randint(0, min(m, n) - 1)
+                matrices.append(mul([[rng.randint(-3, 3) for _ in range(r)] for _ in range(m)],
+                                    [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]) if r else [[0] * n] * m)
+            else:
+                matrices.append([[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)])
+        matrices.append([[rng.randint(-9, 9) for _ in range(24)] for _ in range(12)])
+        for matrix in matrices:
+            m, n = len(matrix), len(matrix[0]) if matrix else rng.randint(0, 3)
+            kernel = abgroup._kernel(matrix, n)
+            assert all(mul(matrix, [[x] for x in vec]) == [[0]] * m for vec in kernel)
+            assert len(kernel) == n - (rational_rank(matrix) if matrix and n else 0)
+            assert Lattice(kernel, n) == Lattice(smith_kernel(matrix, n), n)
+
+    @staticmethod
+    def mutated_hnf(monkeypatch, mutant):
+        real = abgroup._hnf
+
+        def mutated(a, t):
+            h, w = real(a, t)
+            if mutant == "tampered-row":
+                w[-1][0] += 1
+            elif mutant == "doubled-kernel-row":  # still in the kernel, so only the determinant sees it
+                if h and not any(h[-1]):
+                    w[-1] = [2 * x for x in w[-1]]
+            elif mutant == "dropped-kernel-row":
+                h.pop(), w.pop()
+            elif mutant == "zeroed-kernel-row":
+                w[-1] = [0] * len(w[-1])
+            else:  # the first two rows swapped: the same product, no longer an echelon
+                h[0], h[1], w[0], w[1] = h[1], h[0], w[1], w[0]
+            return h, w
+
+        monkeypatch.setattr(abgroup, "_hnf", mutated)
+
+    @pytest.mark.parametrize("mutant, message", [
+        ("tampered-row", "kernel transform does not reproduce the Hermite form"),
+        ("doubled-kernel-row", "kernel transform is not unimodular"),
+        ("dropped-kernel-row", "kernel transform has the wrong shape"),
+        ("zeroed-kernel-row", "kernel transform is not unimodular"),
+        ("swapped", "kernel Hermite form is not in echelon form"),
+    ])
+    def test_mutants_are_rejected(self, monkeypatch, mutant, message):
+        matrix = [[1, 2, 3, 4], [2, 0, 1, 5]]
+        assert len(abgroup._kernel(matrix, 4)) == 2
+        self.mutated_hnf(monkeypatch, mutant)
+        with pytest.raises(VerificationError, match=message):
+            abgroup._kernel(matrix, 4)
+
+    def test_exactness_accepts_the_kernel_only_after_its_certificate(self, monkeypatch):
+        # a Lattice never reads the transform rows at zero rows, so only the kernel sees this mutant
+        f = zmap([[2]], Z, Z)
+        g = zmap([[1]], Z, FpAbelianGroup.cyclic(4))
+        assert not is_exact_at_middle(f, g)
+        self.mutated_hnf(monkeypatch, "doubled-kernel-row")
+        with pytest.raises(VerificationError, match="kernel transform is not unimodular"):
+            is_exact_at_middle(f, g)
+
+
+def test_lattice_answers_run_no_smith_form(monkeypatch):
+    from pervchow.serialize import parse_ring
+
+    calls = []
+    real = abgroup.smith_normal_form
+    monkeypatch.setattr(abgroup, "smith_normal_form", lambda *a, **k: calls.append(a) or real(*a, **k))
+    z4 = FpAbelianGroup.cyclic(4)
+    assert is_exact_at_middle(zmap([[4]], Z, Z), zmap([[1]], Z, z4))
+    assert not is_exact_at_middle(zmap([[2]], Z, Z), zmap([[1]], Z, z4))
+    assert lattice_solve([[2, 0], [0, 3]], [4, -3]) is not None
+    assert lattice_solve([[2, 0], [0, 3]], [1, 0]) is None
+    assert lattice_subset([[4, 6]], [[2, 0], [0, 3]])
+    zmap([[2]], FpAbelianGroup.cyclic(2), z4)
+    with pytest.raises(ValueError, match="does not send relation"):
+        zmap([[1]], FpAbelianGroup.cyclic(2), z4)
+    ring = {"dim": 2, "basis": [["1"], ["h"], ["p"]], "products": [{"a": "h", "b": "h", "value": {"p": 1}}],
+            "hyperplane": [1], "degree": [0], "relations": {"1": [[2]], "2": [[2]]}}
+    assert parse_ring(ring).relations == {1: ((2,),), 2: ((2,),)}
+    assert calls == []
+    # the two answers that are Smith forms still take one each
+    abgroup.smith_normal_form([[2, 4], [6, 8]])
+    assert invariant_factors(z4) == (0, (4,))
+    assert len(calls) == 2

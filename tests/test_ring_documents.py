@@ -376,6 +376,13 @@ def test_combinations_of_several_terms_are_emitted_sorted():
 P2 = {"dim": 2, "basis": [["1"], ["h"], ["p"]], "hyperplane": [1], "degree": [1]}
 
 
+# dim 2 with two codim-1 symbols and one point class: a*a = a*b = b*b = p
+TWO_SYMBOLS = {
+    "dim": 2, "basis": [["1"], ["a", "b"], ["p"]], "hyperplane": [1, 1], "degree": [1],
+    "products": [{"a": x, "b": y, "value": {"p": 1}} for x, y in (("a", "a"), ("a", "b"), ("b", "b"))],
+}
+
+
 def p2_with(*products):
     return dict(P2, products=[{"a": a, "b": b, "value": value} for a, b, value in products])
 
@@ -443,10 +450,23 @@ SHAPES = [
     (dict(P2, products=["h"]), "products entry 0 must be an object, got str"),
     (p2_with(("h", "h", [1])), "value of product ('h', 'h') must be an object, got list"),
     (p2_with(("h", "h", "p")), "value of product ('h', 'h') must be an object, got str"),
+    # the factor 1 must not be read as the unit symbol "1"
+    (p2_with((1, "h", {"h": 1})), "factor 1 of products entry 0 must be a string"),
+    (p2_with(("h", ["h"], {"p": 1})), "factor ['h'] of products entry 0 must be a string"),
+    # a digit string is not a list of digits: "11" is not (1, 1)
+    (dict(TWO_SYMBOLS, hyperplane="11"), "hyperplane must be a list of integers, got str"),
+    (dict(TWO_SYMBOLS, degree="1"), "degree must be a list of integers, got str"),
+    (dict(P2, hyperplane=5), "hyperplane must be a list of integers, got int"),
+    (dict(P2, degree={"p": 1}), "degree must be a list of integers, got dict"),
+    (dict(P2, relations=[1]), "relations must be an object keyed by codimension, got list"),
+    (dict(P2, relations={"1": 2}), "relations in codim 1 must be a list of integer rows, got int"),
+    (dict(P2, relations={"1": ["2"]}), "relation row 0 in codim 1 must be a list of integers, got str"),
 ]
 SHAPE_IDS = [
     "string-basis", "dict-basis", "string-level", "list-symbol", "int-symbol",
     "products-object", "products-entry-string", "value-list", "value-string",
+    "int-factor", "list-factor", "string-hyperplane", "string-degree", "int-hyperplane", "dict-degree",
+    "relations-list", "relations-level-int", "relations-row-string",
 ]
 
 
@@ -466,6 +486,12 @@ class TestShapes:
         assert report.exit_code == 1
         assert [(v.check, v.ok) for v in report.verdicts] == [("valid-ring", False)]
         assert message in report.verdicts[0].explanation
+
+    def test_digit_strings_still_read_as_entries(self):
+        doc = dict(TWO_SYMBOLS, hyperplane=["1", 1], degree=("1",), relations={"1": [("2", "-2")]})
+        ring = parse_ring(doc)
+        assert ring.hyperplane == (1, 1) and ring.degree_functional == (1,)
+        assert ring.relations == {1: ((2, -2),)}
 
     def test_tuples_and_mappings_still_read(self):
         doc = {
