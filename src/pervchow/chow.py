@@ -232,10 +232,6 @@ class ChowRingPresentation:
 
     # -- validation ------------------------------------------------------
 
-    def _entry(self, a: str, b: str) -> Combo:
-        """The stored product of two symbols, shared with the table: do not mutate."""
-        return self._rows[a].get(b, _NO_TERMS)
-
     def _generators(self) -> list[str]:
         """Basis symbols that generate the ring over Q, in basis order."""
         return [sym for k in range(1, self.dim + 1) for sym in self._level_generators(k)]

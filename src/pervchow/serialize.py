@@ -9,7 +9,7 @@ re-parse to equal values.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any
 
@@ -69,9 +69,11 @@ def _check_dim(count: int, what: str, unit: str, limit: int = MAX_MATRIX_DIM) ->
         raise InputError(f"{what} takes at most {limit} {unit}, got {count}")
 
 
-def _check_bits(rows: Sequence[Sequence[int]], what: str) -> None:
-    """Reject integer rows whose entries hold more than :data:`MAX_MATRIX_BITS` bits in total."""
-    _check_dim(sum(x.bit_length() for row in rows for x in row), what, "bits of entries", MAX_MATRIX_BITS)
+def _shape(data: Any, types: type | tuple[type, ...], what: str, shape: str) -> Any:
+    """``data`` if it is one of ``types``; otherwise the error ``<what> must be <shape>, got <type>``."""
+    if not isinstance(data, types):
+        raise InputError(f"{what} must be {shape}, got {type(data).__name__}")
+    return data
 
 
 def _int(x: Any) -> int:
@@ -79,6 +81,28 @@ def _int(x: Any) -> int:
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise InputError(f"expected an integer, got {x!r}")
     return int(x)
+
+
+def _int_list(data: Any, what: str) -> list[int]:
+    """Every integer array of a document: a list, each entry read by :func:`_int`; ``"11"`` is not ``[1, 1]``."""
+    if not isinstance(data, (list, tuple)):  # not _shape: this runs once per matrix row
+        raise InputError(f"{what} must be a list of integers, got {type(data).__name__}")
+    try:
+        return [_int(c) for c in data]
+    except ValueError as exc:
+        raise InputError(f"{what}: {exc}") from None
+
+
+def _int_rows(
+    data: Any, what: str, owner: str, unit: str, row: Callable[[int], str] | None = None, bits: bool = True
+) -> list[list[int]]:
+    """Every list of integer rows: ``owner``'s ``unit``, counted before any row ``row(n)`` is read, then its bits."""
+    _shape(data, (list, tuple), what, "a list of integer rows")
+    _check_dim(len(data), owner, unit)
+    rows = [_int_list(r, row(n) if row else f"{what} row {n}") for n, r in enumerate(data)]
+    if bits:
+        _check_dim(sum(x.bit_length() for r in rows for x in r), owner, "bits of entries", MAX_MATRIX_BITS)
+    return rows
 
 
 # -- bounds ------------------------------------------------------------
@@ -91,10 +115,8 @@ def bound_to_json(bound: GeneralizedBound) -> list[int]:
 def parse_bound(data: Any, *, perversity: bool = False) -> GeneralizedBound:
     from .perversity import GeneralizedBound, Perversity
 
-    if not isinstance(data, (list, tuple)):
-        raise InputError(f"a bound must be an integer array, got {type(data).__name__}")
+    entries = _int_list(data, "bound")
     try:
-        entries = [_int(v) for v in data]
         return Perversity(entries) if perversity else GeneralizedBound(entries)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
@@ -152,10 +174,11 @@ def parse_stratification(data: Any) -> Stratification:
     if not isinstance(data, Mapping):
         raise InputError("a stratification must be an object or a shorthand string")
     with _reading("stratification document"):
-        strata = tuple(
-            StratumSpec(_int(st["i"]), _int(st["codim"]), str(st.get("label", "")))
-            for st in data["strata"]
-        )
+        specs = _shape(data["strata"], (list, tuple), "strata", "a list of stratum objects")
+        for n, st in enumerate(specs):
+            _shape(st, Mapping, f"stratum {n}", "an object")
+            _shape(st.get("label", ""), str, f"label of stratum {n}", "a string")
+        strata = tuple(StratumSpec(_int(st["i"]), _int(st["codim"]), st.get("label", "")) for st in specs)
         return Stratification(_int(data["dim"]), strata, _model_from_json(data.get("model")))
 
 
@@ -167,8 +190,7 @@ def _incidence_to_json(table: Mapping[int, int | None]) -> dict:
 
 
 def _incidence_from_json(data: Any, what: str) -> dict[int, int | None]:
-    if not isinstance(data, Mapping):
-        raise InputError(f"{what} must be an object keyed by stratum index")
+    _shape(data, Mapping, what, "an object keyed by stratum index")
     table: dict[int, int | None] = {}
     for key, value in data.items():
         try:
@@ -202,7 +224,7 @@ def parse_pattern(data: Any, strata: Stratification) -> CyclePattern:
             strata,
             _int(data["dim"]),
             _incidence_from_json(data["incidence"], "incidence"),
-            data.get("label"),
+            _shape(data.get("label"), (str, type(None)), "label", "a string"),
         )
 
 
@@ -248,7 +270,8 @@ def parse_cocycle(data: Any, strata: Stratification) -> CocyclePattern:
     if not isinstance(data, Mapping):
         raise InputError("a cocycle pattern must be an object")
     with _reading("cocycle pattern"):
-        excess = {_int(k): _int(v) for k, v in data["excess"].items()}
+        excess = _shape(data["excess"], Mapping, "excess", "an object keyed by stratum index")
+        excess = {_int(k): _int(v) for k, v in excess.items()}
         return CocyclePattern(strata, _int(data["t"]), _int(data["targetDim"]), excess)
 
 
@@ -288,10 +311,8 @@ def _check_basis(basis: Any, name: str) -> None:
     """
     from .chow import check_basis_size
 
-    if not isinstance(basis, (list, tuple)):
-        raise InputError(f"basis must be a list of symbol lists, got {type(basis).__name__}")
-    for k, level in enumerate(basis):
-        if not isinstance(level, (list, tuple)):
+    for k, level in enumerate(_shape(basis, (list, tuple), "basis", "a list of symbol lists")):
+        if not isinstance(level, (list, tuple)):  # no per-level call: P127 has 128 levels
             raise InputError(f"basis level {k} must be a list of symbols, got {type(level).__name__}")
     check_basis_size(sum(map(len, basis)), name)
     for k, level in enumerate(basis):
@@ -300,25 +321,16 @@ def _check_basis(basis: Any, name: str) -> None:
                 raise InputError(f"basis symbol {sym!r} in codim {k} must be a string")
 
 
-def _int_list(data: Any, what: str) -> list[int]:
-    """A list of integers, as :func:`_int` reads each; ``what`` names the field when it is not a list."""
-    if not isinstance(data, (list, tuple)):
-        raise InputError(f"{what} must be a list of integers, got {type(data).__name__}")
-    return [_int(c) for c in data]
-
-
 def _relations(data: Any) -> dict[int, list[list[int]]]:
     """A document's ``relations``: integer rows keyed by codimension, each level checked against the limit."""
-    if not isinstance(data, (dict, Mapping)):
-        raise InputError(f"relations must be an object keyed by codimension, got {type(data).__name__}")
-    relations = {}
-    for k, rows in data.items():
-        if not isinstance(rows, (list, tuple)):
-            raise InputError(f"relations in codim {k} must be a list of integer rows, got {type(rows).__name__}")
-        relations[_int(k)] = [_int_list(row, f"relation row {n} in codim {k}") for n, row in enumerate(rows)]
-    for k, rows in relations.items():
-        _check_dim(len(rows), f"ring codimension {k}", "relations")
-    return relations
+    _shape(data, Mapping, "relations", "an object keyed by codimension")
+    return {
+        _int(k): _int_rows(
+            rows, f"relations in codim {k}", f"ring codimension {k}", "relations",
+            lambda n: f"relation row {n} in codim {k}", bits=False,
+        )
+        for k, rows in data.items()
+    }
 
 
 def _products(entries: Any) -> tuple[dict[tuple[str, str], dict[str, int]], int]:
@@ -329,8 +341,7 @@ def _products(entries: Any) -> tuple[dict[tuple[str, str], dict[str, int]], int]
     equal combinations and is counted once; the constructor compares the two
     orders of a pair.
     """
-    if not isinstance(entries, (list, tuple)):
-        raise InputError(f"products must be a list of objects, got {type(entries).__name__}")
+    _shape(entries, (list, tuple), "products", "a list of objects")
     products: dict[tuple[str, str], dict[str, int]] = {}
     constants = 0
     for n, entry in enumerate(entries):
@@ -402,9 +413,9 @@ def parse_cone(data: Any) -> ConeVariety:
     raise InputError("a cone must be 'zobel', a base ring name, or {'base': ...}")
 
 
-_CLASS_RE = re.compile(
-    r"(allowed|disallowed):(\d+)(?::(\d+))?:\(([-0-9,\s]*)\)"
-)
+# The coefficients are comma-separated integers ("(1,,0)" and "(1-2)" are not a
+# payload); each run of spaces has one place to go, so no input backtracks quadratically.
+_CLASS_RE = re.compile(r"(allowed|disallowed):(\d+)(?::(\d+))?:\(\s*(?:(-?\d+(?:\s*,\s*-?\d+)*)\s*)?\)")
 
 
 def cone_class_to_json(c: ConeClass) -> dict:
@@ -430,7 +441,7 @@ def parse_cone_class(data: Any, cone: ConeVariety) -> ConeClass:
             p = _int(m.group(3))
         else:
             p = max(0, d - r) if mode == "allowed" else 0
-        coeffs = [_int(x) for x in m.group(4).split(",") if x.strip()] if m.group(4).strip() else []
+        coeffs = [int(x) for x in m.group(4).split(",")] if m.group(4) else []
         try:
             cls = cone.cls(r, p, coeffs)
         except ValueError as exc:
@@ -446,7 +457,7 @@ def parse_cone_class(data: Any, cone: ConeVariety) -> ConeClass:
             if isinstance(payload, Mapping):
                 payload = {s: _int(c) for s, c in payload.items()}
             else:
-                payload = [_int(c) for c in payload]
+                payload = _int_list(payload, "payload")
             cls = cone.cls(_int(data["r"]), _int(data["p"]), payload)
         declared = data.get("mode")
         if declared is not None and declared != cls.mode.value:
@@ -481,9 +492,7 @@ def parse_group(data: Any) -> FpAbelianGroup:
     with _reading("group presentation"):
         rank = _int(data["rank"])
         _check_dim(rank, "a group", "generators")
-        relations = tuple(tuple(_int(x) for x in row) for row in data.get("relations", []))
-        _check_dim(len(relations), "a group", "relations")
-        _check_bits(relations, "a group")
+        relations = _int_rows(data.get("relations", []), "relations", "a group", "relations")
         return FpAbelianGroup(rank, relations)
 
 
@@ -502,22 +511,16 @@ def parse_group_map(data: Any) -> GroupMap:
         raise InputError("a group map must be an object")
     with _reading("group map"):
         source, target = parse_group(data["source"]), parse_group(data["target"])
-        matrix = tuple(tuple(_int(x) for x in row) for row in data["matrix"])
-        _check_bits(matrix, "a group map")
+        matrix = _int_rows(data["matrix"], "matrix", "a group map", "rows")
         return GroupMap(source, target, matrix)
 
 
 def parse_matrix(data: Any, ncols: int | None = None) -> list[list[int]]:
     """Integer rows of equal length; ``ncols`` is the width of a matrix with no rows."""
-    if not isinstance(data, (list, tuple)):
-        raise InputError("a matrix must be an array of integer rows")
-    _check_dim(len(data), "a matrix", "rows")
-    with _reading("matrix"):
-        rows = [[_int(x) for x in row] for row in data]
+    rows = _int_rows(data, "matrix", "a matrix", "rows")
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise InputError("matrix rows have unequal lengths")
     _check_dim(max(len(rows[0]) if rows else 0, ncols or 0), "a matrix", "columns")
-    _check_bits(rows, "a matrix")
     return rows
 
 

@@ -2,9 +2,11 @@
 
 Every command of ``cli.COMMANDS`` is drawn with inputs from a pool of valid
 documents of the kind the command table declares, mutated ones (a key or
-element dropped, an array and an object swapped, a scalar of the wrong type),
-documents of another kind, and oversized ones.  Whatever the input, the report
-exits 0, 1 or 2, renders as JSON with the schema key, and no exception escapes.
+element dropped, an array and an object swapped, a scalar of the wrong type,
+an integer array or row list written as a string of its digits), documents of
+another kind, and oversized ones.  Whatever the input, the report exits 0, 1
+or 2, renders as JSON with the schema key, and no exception escapes; a
+document with a digit string where an integer array belongs never exits 0.
 ``run`` builds only the chosen command's parser; a differential property
 checks that it answers every argv, usage errors and help included, as the
 full parser does.
@@ -83,6 +85,43 @@ OVERSIZED = [
 
 WRONG_SCALARS = ["x", 1.5, True, None, -1, [], {}]
 
+
+def _is_int_array(doc):
+    return isinstance(doc, list) and all(isinstance(x, int) for x in doc)
+
+
+def array_places(doc, path=()):
+    """Paths to the integer arrays and lists of integer rows inside ``doc``."""
+    if _is_int_array(doc) or isinstance(doc, list) and all(map(_is_int_array, doc)):
+        yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from array_places(value, (*path, key))
+
+
+def digits(doc):
+    """The string of an integer array's or row list's digits: [[2, 4], [6, 8]] is "2468"."""
+    return "".join(digits(x) if isinstance(x, list) else str(x) for x in doc)
+
+
+def replaced(doc, path, value):
+    if not path:
+        return value
+    out = dict(doc) if isinstance(doc, dict) else list(doc)
+    out[path[0]] = replaced(doc[path[0]], path[1:], value)
+    return out
+
+
+@st.composite
+def digit_string(draw, doc):
+    """``doc`` with one integer array or row list inside it written as the string of its digits."""
+    path = draw(st.sampled_from(list(array_places(doc))))
+    at = doc
+    for key in path:
+        at = at[key]
+    return replaced(doc, path, digits(at))
+
+
 @st.composite
 def mutated(draw, doc):
     """``doc`` with one change at a drawn place inside it."""
@@ -91,7 +130,9 @@ def mutated(draw, doc):
         out = dict(doc) if isinstance(doc, dict) else list(doc)
         out[key] = draw(mutated(doc[key]))
         return out
-    op = draw(st.sampled_from(["drop", "swap", "scalar"]))
+    op = draw(st.sampled_from(["drop", "swap", "scalar", "digits"]))
+    if op == "digits" and () in array_places(doc):
+        return digits(doc)
     if op == "drop" and doc and isinstance(doc, dict):
         key = draw(st.sampled_from(list(doc)))
         return {k: v for k, v in doc.items() if k != key}
@@ -157,6 +198,57 @@ def test_every_argv_keeps_the_exit_code_contract(argv):
         # the run-wide guard is a net for faults, not a rule any input relies on
         assert not report.error.startswith("unexpected "), argv
     report.render(True)
+
+
+def has_arrays(doc):
+    return next(array_places(doc), None) is not None  # the path of a top-level array is ()
+
+
+# the document kinds whose valid pool holds an integer array or row list
+ARRAY_KINDS = sorted(kind for kind, docs in VALID.items() if any(map(has_arrays, docs)))
+
+
+@st.composite
+def digit_argvs(draw):
+    """An argv of valid documents but one, which has a digit string where an integer array or row list belongs."""
+    targets = [
+        (name, flag)
+        for name, command in COMMANDS.items()
+        for flag, (_, kind, _) in command.inputs.items()
+        if (kind or flag.lstrip("-")) in ARRAY_KINDS
+    ]
+    command, target = draw(st.sampled_from(targets))
+    argv = [command]
+    for flag, (_, kind, keywords) in COMMANDS[command].inputs.items():
+        pool = VALID.get(kind or flag.lstrip("-"), [])
+        if flag == target:
+            value = _text(draw(digit_string(draw(st.sampled_from([d for d in pool if has_arrays(d)])))))
+        elif keywords.get("action") == "store_true":
+            if draw(st.booleans()):
+                argv.append(flag)
+            continue
+        elif keywords.get("type") is int:
+            value = str(draw(st.integers(-2, 4)))
+        elif not keywords.get("required") and draw(st.booleans()):
+            continue
+        else:
+            value = _text(draw(st.sampled_from(pool)))
+        argv += [value] if flag == "name" else [flag, value]
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(digit_argvs())
+def test_a_digit_string_for_an_integer_array_never_exits_0(argv):
+    # "11" is not [1, 1]: no command reads a string as a list of digits
+    assert run(argv).exit_code in (1, 2), argv
+
+
+def test_digit_strings_reach_every_array_kind():
+    assert ARRAY_KINDS == ["bound", "class", "cone", "map", "matrix", "perversity", "ring"]
+    assert digits([[2, -4], [6, 8]]) == "2-468" and digits([]) == ""
+    ring = VALID["ring"][2]
+    assert list(array_places(ring)) == [("hyperplane",), ("degree",), ("relations", "1"), ("relations", "1", 0)]
 
 
 def test_command_table_declares_readable_kinds():

@@ -1,0 +1,270 @@
+"""Documents of the wrong shape, for every document kind but rings.
+
+Every integer array of a document is read by ``serialize._int_list`` and every
+list of integer rows by ``serialize._int_rows``, so a string is never read as
+a list of digits.  Each case below gives a document with one field of the
+wrong shape: the command that reads it exits 2 with a message naming the
+field, and ``validate`` fails the verdict for the kinds it reads.
+(``tests/test_ring_documents.py`` holds the same table for rings.)
+"""
+
+import json
+import time
+from unittest import mock
+
+import pytest
+
+from pervchow import serialize
+from pervchow.cli import run
+from pervchow.serialize import InputError, parse_group, parse_matrix
+
+STRATA = "vertex3"
+PATTERN = {"dim": 1, "incidence": {"1": 0, "2": 0, "3": 0}}
+COCYCLE = {"t": 1, "targetDim": 1, "excess": {"1": 0, "2": 0, "3": 1}}
+JOINT = {"a": PATTERN, "b": PATTERN, "joint": {"1": 0, "2": 0, "3": 0}, "total": 0}
+STRATIFICATION = {
+    "dim": 3, "strata": [{"i": 1, "codim": 1, "label": "curve"}, {"i": 2, "codim": 2}, {"i": 3, "codim": 3}]
+}
+BOUND = [0, 0, 0]
+CLASS = {"r": 2, "p": 1, "payload": [1, 0]}
+F = {"source": {"rank": 2}, "target": {"rank": 1}, "matrix": [[1, 0]]}
+G = {"source": {"rank": 1}, "target": {"rank": 1}, "matrix": [[0]]}
+
+
+def _text(doc):
+    return doc if isinstance(doc, str) else json.dumps(doc)
+
+
+# The command that reads each kind, with the document in place of ``doc``.
+COMMANDS = {
+    "bound": lambda doc: ["check-cycle", "--pattern", _text(PATTERN), "--perversity", doc, "--strata", STRATA],
+    "perversity": lambda doc: ["push", "--pattern", _text(PATTERN), "--c", doc, "--strata", STRATA],
+    "strata": lambda doc: ["check-cycle", "--pattern", _text(PATTERN), "--perversity", _text(BOUND), "--strata", doc],
+    "pattern": lambda doc: ["check-cycle", "--pattern", doc, "--perversity", _text(BOUND), "--strata", STRATA],
+    "cocycle": lambda doc: ["check-cocycle", "--cocycle", doc, "--perversity", _text(BOUND), "--strata", STRATA],
+    "joint": lambda doc: ["check-star", "--joint", doc, "--c", _text(BOUND), "--strata", STRATA],
+    "class": lambda doc: ["intersect", "--cone", "zobel", "--a", doc, "--b", "allowed:2:(0,1)"],
+    "map": lambda doc: ["exact", "--f", doc, "--g", _text(G)],
+    "matrix": lambda doc: ["snf", "--matrix", doc],
+}
+VALIDATED = {"bound", "perversity", "strata", "pattern", "cocycle", "joint"}
+
+
+def with_(doc, **fields):
+    return {**doc, **fields}
+
+
+def stratum_label(label):
+    strata = [dict(STRATIFICATION["strata"][0], label=label), *STRATIFICATION["strata"][1:]]
+    return with_(STRATIFICATION, strata=strata)
+
+
+SHAPES = [
+    # a digit string is not a list of digits: "000" is not [0, 0, 0]
+    ("bound", "000", "bound must be a list of integers, got str"),
+    ("bound", {"1": 0}, "bound must be a list of integers, got dict"),
+    ("bound", [0, [0], 0], "bound: expected an integer, got [0]"),
+    ("perversity", "012", "bound must be a list of integers, got str"),
+    ("perversity", [0, "x", 2], "bound: invalid literal for int() with base 10: 'x'"),
+    ("strata", with_(STRATIFICATION, strata="ab"), "strata must be a list of stratum objects, got str"),
+    ("strata", with_(STRATIFICATION, strata={"1": {"i": 1}}), "strata must be a list of stratum objects, got dict"),
+    ("strata", with_(STRATIFICATION, strata=["a", "b", "c"]), "stratum 0 must be an object, got str"),
+    ("strata", stratum_label([3]), "label of stratum 0 must be a string, got list"),
+    ("strata", stratum_label(3), "label of stratum 0 must be a string, got int"),
+    ("pattern", with_(PATTERN, label=[1, 2]), "label must be a string, got list"),
+    ("pattern", with_(PATTERN, label=7), "label must be a string, got int"),
+    ("pattern", with_(PATTERN, incidence=[0, 0, 0]), "incidence must be an object keyed by stratum index, got list"),
+    ("cocycle", with_(COCYCLE, excess=[0]), "excess must be an object keyed by stratum index, got list"),
+    ("cocycle", with_(COCYCLE, excess="001"), "excess must be an object keyed by stratum index, got str"),
+    ("joint", with_(JOINT, joint=[0, 0, 0]), "joint must be an object keyed by stratum index, got list"),
+    ("joint", with_(JOINT, a=with_(PATTERN, label={"x": 1})), "label must be a string, got dict"),
+    ("class", with_(CLASS, payload="10"), "payload must be a list of integers, got str"),
+    ("class", with_(CLASS, payload=10), "payload must be a list of integers, got int"),
+    ("map", with_(F, matrix=["10"]), "matrix row 0 must be a list of integers, got str"),
+    ("map", with_(F, source={"rank": 1}, matrix=["1"]), "matrix row 0 must be a list of integers, got str"),
+    ("map", with_(F, matrix="10"), "matrix must be a list of integer rows, got str"),
+    ("map", with_(F, matrix=[[1, "y"]]), "matrix row 0: invalid literal for int() with base 10: 'y'"),
+    ("map", with_(F, target={"rank": 1, "relations": ["2"]}), "relations row 0 must be a list of integers, got str"),
+    ("map", with_(F, target={"rank": 1, "relations": "2"}), "relations must be a list of integer rows, got str"),
+    ("map", with_(F, source={"rank": 2, "relations": [[0, 0], 1]}),
+     "relations row 1 must be a list of integers, got int"),
+    ("matrix", ["12", "34"], "matrix row 0 must be a list of integers, got str"),
+    ("matrix", "1234", "matrix must be a list of integer rows, got str"),
+    ("matrix", {"0": [1, 2]}, "matrix must be a list of integer rows, got dict"),
+    ("matrix", [[1, 2], 3], "matrix row 1 must be a list of integers, got int"),
+    ("matrix", [[1, 2], [3, 4.5]], "matrix row 1: expected an integer, got 4.5"),
+]
+SHAPE_IDS = [
+    "bound-digits", "bound-object", "bound-list-entry", "perversity-digits", "perversity-letter",
+    "strata-string", "strata-object", "stratum-string", "stratum-label-list", "stratum-label-int",
+    "pattern-label-list", "pattern-label-int", "incidence-list", "excess-list", "excess-string",
+    "joint-list", "joint-factor-label-object", "payload-digits", "payload-int",
+    "map-row-string", "map-row-digits", "map-matrix-string", "map-entry-letter", "relation-row-string",
+    "relations-string", "relation-row-int",
+    "matrix-row-strings", "matrix-string", "matrix-object", "matrix-row-int", "matrix-entry-float",
+]
+
+
+class TestShapes:
+    def test_the_base_documents_are_read(self):
+        for kind, argv in COMMANDS.items():
+            base = {"bound": BOUND, "perversity": BOUND, "strata": STRATIFICATION, "pattern": PATTERN,
+                    "cocycle": COCYCLE, "joint": JOINT, "class": CLASS, "map": F, "matrix": [[1, 2], [3, 4]]}[kind]
+            report = run(argv(_text(base)))
+            assert report.exit_code in (0, 1), (kind, report.error)
+
+    @pytest.mark.parametrize("kind, doc, message", SHAPES, ids=SHAPE_IDS)
+    def test_the_command_exits_2_and_names_the_field(self, kind, doc, message):
+        report = run(COMMANDS[kind](_text(doc)))
+        assert report.exit_code == 2
+        assert report.error.endswith(message), report.error
+        assert json.loads(report.render(False))["schema"] == 1
+
+    @pytest.mark.parametrize("kind, doc, message", [s for s in SHAPES if s[0] in VALIDATED],
+                             ids=[i for i, s in zip(SHAPE_IDS, SHAPES) if s[0] in VALIDATED])
+    def test_validate_fails_the_verdict(self, kind, doc, message):
+        argv = ["validate", f"--{kind}", _text(doc)]
+        if kind in ("pattern", "cocycle", "joint"):
+            argv += ["--strata", STRATA]
+        report = run(argv)
+        assert report.exit_code == 1
+        failed = [v for v in report.verdicts if not v.ok]
+        assert [v.check for v in failed] == [f"valid-{kind}"]
+        assert failed[0].explanation.endswith(message)
+
+
+def group_map(source, target, matrix):
+    return json.dumps({"source": source, "target": target, "matrix": matrix})
+
+
+class TestProbes:
+    """Documents that got answers while their readers iterated any iterable."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["snf", "--matrix", '["12","34"]'], "matrix row 0 must be a list of integers, got str"),
+            (["exact", "--f", group_map({"rank": 1}, {"rank": 2}, ["1", "0"]),
+              "--g", group_map({"rank": 2}, {"rank": 1}, [[0, 1]])],
+             "matrix row 0 must be a list of integers, got str"),
+            (["exact", "--f", group_map({"rank": 2}, {"rank": 1}, ["01"]),
+              "--g", group_map({"rank": 1}, {"rank": 1}, [[0]])],
+             "matrix row 0 must be a list of integers, got str"),
+            (["exact", "--f", group_map({"rank": 1}, {"rank": 2, "relations": ["02"]}, [[1], [0]]),
+              "--g", group_map({"rank": 2}, {"rank": 1}, [[0, 1]])],
+             "relations row 0 must be a list of integers, got str"),
+            (["exact", "--f", group_map({"rank": 1}, {"rank": 0}, ""),
+              "--g", group_map({"rank": 0}, {"rank": 1}, [[]])],
+             "matrix must be a list of integer rows, got str"),
+            (["intersect", "--cone", "zobel", "--a", '{"r": 2, "p": 1, "payload": "10"}', "--b", "allowed:2:(0,1)"],
+             "payload must be a list of integers, got str"),
+            (["pairing", "--cone", "zobel", "--a", '{"r": 2, "p": 1, "payload": "10"}', "--b", "allowed:2:(0,1)"],
+             "payload must be a list of integers, got str"),
+            (["check-cocycle", "--cocycle", '{"t": 1, "targetDim": 1, "excess": [0]}', "--perversity", "[0,0,0]",
+              "--strata", STRATA], "excess must be an object keyed by stratum index, got list"),
+            (["check-cycle", "--pattern", json.dumps(PATTERN), "--perversity", "[0,0,0]",
+              "--strata", '{"dim": 3, "strata": "ab"}'], "strata must be a list of stratum objects, got str"),
+            (["check-cycle", "--pattern", json.dumps(with_(PATTERN, label=[1, 2])), "--perversity", "[0,0,0]",
+              "--strata", STRATA], "label must be a string, got list"),
+        ],
+        ids=["snf-digit-rows", "map-digit-rows", "map-digit-row", "relation-digits", "rank-0-empty-string",
+             "intersect-payload", "pairing-payload", "excess-list", "strata-string", "pattern-label-list"],
+    )
+    def test_probe_exits_2_and_names_the_field(self, argv, message):
+        report = run(argv)
+        assert report.exit_code == 2
+        assert report.error.endswith(message), report.error
+
+
+class TestRowsAreCountedFirst:
+    LIMIT = serialize.MAX_MATRIX_DIM
+
+    def count_row_reads(self, read):
+        with mock.patch.object(serialize, "_int_list", wraps=serialize._int_list) as rows:
+            with pytest.raises(InputError) as exc:
+                read()
+        return rows.call_count, str(exc.value)
+
+    def test_group_relations(self):
+        doc = {"rank": 1, "relations": [[2]] * self.LIMIT + ["x"]}
+        reads, message = self.count_row_reads(lambda: parse_group(doc))
+        assert message == "bad group presentation: a group takes at most 64 relations, got 65"
+        assert reads == 0
+        report = run(["exact", "--f", json.dumps({"source": {"rank": 1}, "target": doc, "matrix": [[1]]}),
+                      "--g", json.dumps({"source": doc, "target": {"rank": 1}, "matrix": [[1]]})])
+        assert report.exit_code == 2
+        assert report.error.endswith("a group takes at most 64 relations, got 65")
+
+    def test_matrix_rows(self):
+        reads, message = self.count_row_reads(lambda: parse_matrix([[1]] * self.LIMIT + ["x"]))
+        assert (reads, message) == (0, "a matrix takes at most 64 rows, got 65")
+
+    def test_map_rows(self):
+        doc = {"source": {"rank": 1}, "target": {"rank": 1}, "matrix": [[1]] * self.LIMIT + ["x"]}
+        report = run(["exact", "--f", json.dumps(doc), "--g", json.dumps(doc)])
+        assert report.error == "bad group map: a group map takes at most 64 rows, got 65"
+
+    def test_ring_relations(self):
+        ring = {"dim": 1, "basis": [["1"], ["a"]], "hyperplane": [1], "degree": [1],
+                "relations": {"1": [[2]] * self.LIMIT + ["x"]}}
+        reads, message = self.count_row_reads(lambda: serialize.parse_ring(ring))
+        assert message == "bad ring presentation: ring codimension 1 takes at most 64 relations, got 65"
+        assert reads == 0
+
+    def test_rows_at_the_limit_are_read(self):
+        assert len(parse_matrix([["1"]] * self.LIMIT)) == self.LIMIT
+        assert parse_group({"rank": 1, "relations": [["2"]] * self.LIMIT}).relations == ((2,),) * self.LIMIT
+
+
+class TestLabels:
+    EMPTY = {"dim": 1, "incidence": {"1": "empty", "2": "empty", "3": "empty"}}  # passes every bound
+
+    def check_cycle(self, pattern, strata=STRATA):
+        return run(["check-cycle", "--pattern", json.dumps(pattern), "--perversity", "[0,0,0]", "--strata",
+                    _text(strata)])
+
+    def test_a_string_pattern_label_is_echoed(self):
+        report = self.check_cycle(with_(self.EMPTY, label="curve"))
+        assert report.exit_code == 0 and report.values["pattern"]["label"] == "curve"
+
+    @pytest.mark.parametrize("label", [{}, {"label": None}, {"label": ""}], ids=["absent", "null", "empty"])
+    def test_no_pattern_label_is_echoed_as_none(self, label):
+        report = self.check_cycle({**self.EMPTY, **label})
+        assert report.exit_code == 0 and "label" not in report.values["pattern"]
+
+    def test_stratum_labels_are_kept_as_strings(self):
+        report = run(["push", "--pattern", json.dumps(PATTERN), "--c", "[0,0,0]", "--strata",
+                      json.dumps(STRATIFICATION)])
+        assert report.exit_code == 0
+        assert [st["label"] for st in report.values["strata"]["strata"]] == ["curve", "", ""]
+        assert run(["validate", "--strata", json.dumps(stratum_label("3"))]).exit_code == 0
+
+    def test_a_non_string_stratum_label_is_not_converted(self):
+        # it used to be str()-converted, so [3] became "[3]"
+        report = self.check_cycle(PATTERN, stratum_label([3]))
+        assert report.exit_code == 2
+        assert report.error == "bad stratification document: label of stratum 0 must be a string, got list"
+
+
+class TestCompactClasses:
+    """The compact ``mode:r[:p]:(c1,c2)`` string takes comma-separated integers only."""
+
+    def intersect(self, a):
+        return run(["intersect", "--cone", "zobel", "--a", a, "--b", "allowed:2:(0,1)"])
+
+    @pytest.mark.parametrize("spec", ["allowed:2:(1,,0)", "allowed:2:(1,0,)", "allowed:2:(,1,0)", "allowed:2:(1-0)",
+                                      "allowed:2:(-)", "allowed:2:(1 0)"])
+    def test_a_malformed_coefficient_list_exits_2(self, spec):
+        # "(1,,0)" and "(1,0,)" used to read as (1, 0)
+        report = self.intersect(spec)
+        assert report.exit_code == 2
+        assert report.error == f"bad class spec {spec!r}; expected mode:r[:p]:(coeffs) or a JSON object"
+
+    @pytest.mark.parametrize("spec", ["allowed:2:(1,0)", "allowed:2:( 1 , 0 )", "allowed:2:1:(1, 0)"])
+    def test_spaced_coefficients_still_read(self, spec):
+        assert self.intersect(spec).to_json() == self.intersect("allowed:2:(1,0)").to_json()
+
+    def test_a_long_run_of_spaces_is_rejected_at_once(self):
+        start = time.perf_counter()
+        assert self.intersect("allowed:2:(" + " " * 100_000 + "x)").exit_code == 2
+        assert time.perf_counter() - start < 1.0
