@@ -28,7 +28,7 @@ _NO_TERMS: Combo = {}  # shared read-only stand-in for a missing product
 # per codimension (42 per level take seconds), so the limit stays.
 MAX_RING_BASIS = 128
 
-_PROJECTIVE = re.compile(r"P(\d+)")
+_PROJECTIVE = re.compile(r"P0*(\d+)")
 
 
 class ChowRingPresentation:
@@ -38,8 +38,8 @@ class ChowRingPresentation:
     ``0 <= k <= dim``; codimension 0 must be spanned by a single unit symbol.
     ``products`` maps symbol pairs to integer combinations in the sum
     codimension: omitted pairs multiply to zero and the unit row is filled in
-    automatically.  The table is keyed by sorted pairs, so the ring is
-    commutative by construction, and associativity is checked at
+    automatically.  Each product is stored under both orders of its pair, so
+    the ring is commutative by construction, and associativity is checked at
     construction through a generating set (Light's associativity test):
 
     * the set ``T`` of classes ``t`` with ``(xt)y = x(ty)`` for all
@@ -62,21 +62,19 @@ class ChowRingPresentation:
       comparing its three bracketings;
     * the walk reads the row index that the constructor builds while it
       cleans the products, ``_rows[a][b] = a*b`` for both orders of every
-      nonzero product (the same combinations as the table, not copies), and
-      reads each generator's row once.  Where the left factor of a bracketing
-      is one symbol ``t`` with coefficient 1, as every product of every
-      built-in ring is, the bracketing is a lookup in ``t``'s row; an empty
-      factor gives the empty side, and only other combinations are expanded,
-      through the rows.  The generator search and the relation check read the
-      same index.
+      nonzero product, and reads each generator's row once.  Where the left
+      factor of a bracketing is one symbol ``t`` with coefficient 1, as every
+      product of every built-in ring is, the bracketing is a lookup in ``t``'s
+      row; an empty factor gives the empty side, and only other combinations
+      are expanded, through the rows.  The generator search and the relation
+      check read the same index.
 
-    Construction reads each structure constant once.  One loop per product
-    looks up each factor's codimension, converts each coefficient with
-    ``int`` only when it is not an ``int`` already, drops zeros, checks where
-    each remaining term lands, and files the combination in the table and
-    the row index; the unit row is filled by one loop of the same kind.  So
-    an error in a product names the first bad term in its listed order.  The
-    table is filled in the order the products are given, then the unit row.
+    Construction reads each structure constant once, in listed order, so an
+    error in a product names its first bad term; it files each cleaned
+    combination in the row index, the ring's only store of structure
+    constants, and remembers a pair listed as zero only to reject a nonzero
+    listing of its other order or of a unit product.  :meth:`products` is the
+    canonical listing of the index, which equality and the JSON document read.
 
     ``hyperplane`` is the coefficient vector (over ``basis[1]``) of the
     hyperplane section of the chosen projective embedding, and
@@ -119,10 +117,10 @@ class ChowRingPresentation:
         self._codim = codim
         self.unit = levels[0][0]
 
-        # the structure table, keyed by sorted pairs, and the row index
-        # rows[a][b] = rows[b][a] = a*b over the nonzero products, sharing its combinations
-        table: dict[tuple[str, str], Combo] = {}
+        # the row index rows[a][b] = rows[b][a] = a*b, the one store of the nonzero products;
+        # the pairs listed as zero are kept only to check their other order and the unit row
         rows: dict[str, dict[str, Combo]] = {sym: {} for sym in codim}
+        zeros: set[tuple[str, str]] = set()
         for (a, b), value in products.items():
             try:
                 total = codim[a] + codim[b]
@@ -139,22 +137,19 @@ class ChowRingPresentation:
                     if codim.get(sym) != total:
                         raise ValueError(f"product ({a!r}, {b!r}) lands in codim {total}, got {sym!r}")
                     cleaned[sym] = c
-            key = (a, b) if a <= b else (b, a)
-            old = table.get(key)
+            old = rows[a].get(b, _NO_TERMS if zeros and (b, a) in zeros else None)
             if old is not None and old != cleaned:
-                raise ValueError(f"inconsistent products for pair {key}")
-            table[key] = cleaned
+                raise ValueError(f"inconsistent products for pair {(a, b) if a <= b else (b, a)}")
             if cleaned:
                 rows[a][b] = rows[b][a] = cleaned
+            else:
+                zeros.add((a, b))
         unit, unit_row = self.unit, rows[self.unit]
         for sym, row in rows.items():
-            key = (unit, sym) if unit <= sym else (sym, unit)
             expected = {sym: 1}
-            old = table.get(key)
-            if old is not None and old != expected:
+            if row.get(unit, expected) != expected or (zeros and ((unit, sym) in zeros or (sym, unit) in zeros)):
                 raise ValueError(f"unit product for {sym!r} must be {sym!r} itself")
-            table[key] = unit_row[sym] = row[unit] = expected
-        self._table = table
+            unit_row[sym] = row[unit] = expected
         self._rows = rows
 
         hyper = tuple(map(int, hyperplane))
@@ -389,13 +384,20 @@ class ChowRingPresentation:
 
     # -- equality --------------------------------------------------------
 
+    def products(self) -> tuple[tuple[str, str, tuple[tuple[str, int], ...]], ...]:
+        """The canonical listing, which equality and the JSON document read: each nonzero
+        product of two non-unit symbols once (unit products are fixed by the basis), as
+        ``(a, b, terms)`` with ``a <= b``, in sorted order and with sorted terms."""
+        unit = self.unit
+        return tuple(sorted(
+            (a, b, tuple(combo.items()) if len(combo) == 1 else tuple(sorted(combo.items())))
+            for a, row in self._rows.items() if a != unit
+            for b, combo in row.items() if a <= b and b != unit
+        ))
+
     def _key(self):
         rel = tuple(sorted((k, rows) for k, rows in self.relations.items()))
-        # explicit zero entries are the same as missing ones
-        table = tuple(
-            sorted((pair, tuple(sorted(v.items()))) for pair, v in self._table.items() if v)
-        )
-        return (self.dim, self.basis, table, self.hyperplane, self.degree_functional, rel)
+        return (self.dim, self.basis, self.products(), self.hyperplane, self.degree_functional, rel)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChowRingPresentation):
@@ -591,6 +593,8 @@ def _parse_builtin(name: str) -> tuple[int, Callable[[], ChowRingPresentation]]:
                 return 4, quadric_surface
         m = _PROJECTIVE.fullmatch(name, start, end)
         if m:
+            if len(m.group(1)) > MAX_RING_BASIS:  # far past the limit, and perhaps past what int() reads
+                raise ValueError(f"P<n> with a {len(m.group(1))}-digit n has over {MAX_RING_BASIS} basis symbols")
             n = int(m.group(1))
             return n + 1, lambda: projective_space(n)
         # "product(", a body of at least one character, ")"

@@ -103,26 +103,24 @@ class Report(Value, mutable=True):
 
 
 def _load(text: str) -> Any:
-    """Inline JSON, a path to a JSON file, or a shorthand string."""
-    s = text.strip()
-    if s.startswith(("{", "[")):
+    """Inline JSON, a path to a JSON file, or a shorthand string; all JSON is parsed in one place."""
+    s, where = text.strip(), ""
+    if not s.startswith(("{", "[")):
+        path = Path(s)
         try:
-            return json.loads(s)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise InputError(f"invalid JSON: {exc}") from exc
-    path = Path(s)
-    try:
-        is_file = path.is_file()
-    except OSError:  # a name the file system cannot hold, such as an over-long one
-        is_file = False
-    if path.suffix == ".json" or is_file:
+            is_file = path.is_file()
+        except OSError:  # a name the file system cannot hold, such as an over-long one
+            is_file = False
+        if path.suffix != ".json" and not is_file:
+            return s
         try:
-            return json.loads(path.read_text())
+            where, s = f" in {s!r}", path.read_text()
         except OSError as exc:
             raise InputError(f"cannot read {s!r}: {exc}") from exc
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise InputError(f"invalid JSON in {s!r}: {exc}") from exc
-    return s
+    try:
+        return json.loads(s, parse_int=serialize.json_int)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InputError(f"invalid JSON{where}: {exc}") from exc
 
 
 # How each kind of document is read, on what it needs of ``args``: the strata

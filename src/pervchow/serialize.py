@@ -9,6 +9,7 @@ re-parse to equal values.
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Callable, Iterator, Mapping
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any
@@ -53,6 +54,8 @@ MAX_RING_CONSTANTS = 4096
 class InputError(ValueError):
     """A document does not match the expected schema."""
 
+    detail = ""  # the message without the ``bad <document>:`` that :func:`_reading` puts first
+
 
 @contextmanager
 def _reading(what: str) -> Iterator[None]:
@@ -60,7 +63,17 @@ def _reading(what: str) -> Iterator[None]:
     try:
         yield
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise InputError(f"bad {what}: {exc}") from exc
+        error = InputError(f"bad {what}: {exc}")
+        error.detail = str(exc)
+        raise error from exc
+
+
+def _part(data: Mapping, field: str, read: Callable[..., Any], *args: Any) -> Any:
+    """``read`` on the ``field`` document inside another: an error reads ``<field>: <message>``."""
+    try:
+        return read(data[field], *args)  # a missing field is the outer reader's KeyError
+    except InputError as exc:
+        raise InputError(f"{field}: {exc.detail or exc}") from exc
 
 
 def _check_dim(count: int, what: str, unit: str, limit: int = MAX_MATRIX_DIM) -> None:
@@ -76,11 +89,20 @@ def _shape(data: Any, types: type | tuple[type, ...], what: str, shape: str) -> 
     return data
 
 
-def _int(x: Any) -> int:
-    """An integer field: a JSON integer or a digit string, never a bool or float."""
+def _int(x: Any, what: str = "integer") -> int:
+    """An integer field ``what``: a JSON integer or a digit string within the digit limit, never a bool or float."""
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise InputError(f"expected an integer, got {x!r}")
+    if isinstance(x, str):
+        limit = sys.get_int_max_str_digits()
+        if limit and len(x) > limit and (digits := sum(map(str.isdigit, x))) > limit:
+            raise InputError(f"{what} has {digits} digits; the limit is {limit}")
     return int(x)
+
+
+def json_int(literal: str) -> int:
+    """A JSON integer literal, for ``json.loads(..., parse_int=json_int)``: measured as :func:`_int` measures."""
+    return _int(literal, "JSON integer")
 
 
 def _int_list(data: Any, what: str) -> list[int]:
@@ -143,7 +165,7 @@ def _model_from_json(data: Any) -> ModelTag:
     if isinstance(data, Mapping) and data.get("kind") == "product":
         return ModelTag(
             "product",
-            fiber_dim=_int(data["fiber_dim"]),
+            fiber_dim=_int(data["fiber_dim"], "fiber_dim"),
             base=_model_from_json(data.get("base", "generic")),
         )
     raise InputError(f"unknown stratification model {data!r}")
@@ -178,8 +200,10 @@ def parse_stratification(data: Any) -> Stratification:
         for n, st in enumerate(specs):
             _shape(st, Mapping, f"stratum {n}", "an object")
             _shape(st.get("label", ""), str, f"label of stratum {n}", "a string")
-        strata = tuple(StratumSpec(_int(st["i"]), _int(st["codim"]), st.get("label", "")) for st in specs)
-        return Stratification(_int(data["dim"]), strata, _model_from_json(data.get("model")))
+        strata = tuple(
+            StratumSpec(_int(st["i"], "i"), _int(st["codim"], "codim"), st.get("label", "")) for st in specs
+        )
+        return Stratification(_int(data["dim"], "dim"), strata, _model_from_json(data.get("model")))
 
 
 # -- cycle/joint patterns ----------------------------------------------
@@ -222,7 +246,7 @@ def parse_pattern(data: Any, strata: Stratification) -> CyclePattern:
     with _reading("cycle pattern"):
         return CyclePattern(
             strata,
-            _int(data["dim"]),
+            _int(data["dim"], "dim"),
             _incidence_from_json(data["incidence"], "incidence"),
             _shape(data.get("label"), (str, type(None)), "label", "a string"),
         )
@@ -244,10 +268,10 @@ def parse_joint(data: Any, strata: Stratification) -> JointPattern:
         raise InputError("a joint pattern must be an object")
     with _reading("joint pattern"):
         total = data["total"]
-        total = None if total in ("empty", None) else _int(total)
+        total = None if total in ("empty", None) else _int(total, "total")
         return JointPattern(
-            parse_pattern(data["a"], strata),
-            parse_pattern(data["b"], strata),
+            _part(data, "a", parse_pattern, strata),
+            _part(data, "b", parse_pattern, strata),
             _incidence_from_json(data["joint"], "joint"),
             total,
         )
@@ -271,28 +295,19 @@ def parse_cocycle(data: Any, strata: Stratification) -> CocyclePattern:
         raise InputError("a cocycle pattern must be an object")
     with _reading("cocycle pattern"):
         excess = _shape(data["excess"], Mapping, "excess", "an object keyed by stratum index")
-        excess = {_int(k): _int(v) for k, v in excess.items()}
-        return CocyclePattern(strata, _int(data["t"]), _int(data["targetDim"]), excess)
+        excess = {_int(k, "excess key"): _int(v, "excess value") for k, v in excess.items()}
+        return CocyclePattern(strata, _int(data["t"], "t"), _int(data["targetDim"], "targetDim"), excess)
 
 
 # -- ring presentations and cones ----------------------------------------
 
 
 def ring_to_json(ring: ChowRingPresentation) -> dict:
-    # emit each stored pair once, in sorted order; unit rows are implicit, and
-    # a one-term combination needs no sorting, only a copy
-    table, unit = ring._table, ring.unit
-    products = []
-    for a, b in sorted(table):
-        value = table[a, b]
-        if value and a != unit and b != unit:
-            value = dict(value) if len(value) == 1 else dict(sorted(value.items()))
-            products.append({"a": a, "b": b, "value": value})
     doc = {
         "name": ring.name,
         "dim": ring.dim,
         "basis": [list(level) for level in ring.basis],
-        "products": products,
+        "products": [{"a": a, "b": b, "value": dict(terms)} for a, b, terms in ring.products()],
         "hyperplane": list(ring.hyperplane),
         "degree": list(ring.degree_functional),
     }
@@ -325,7 +340,7 @@ def _relations(data: Any) -> dict[int, list[list[int]]]:
     """A document's ``relations``: integer rows keyed by codimension, each level checked against the limit."""
     _shape(data, Mapping, "relations", "an object keyed by codimension")
     return {
-        _int(k): _int_rows(
+        _int(k, "relations key"): _int_rows(
             rows, f"relations in codim {k}", f"ring codimension {k}", "relations",
             lambda n: f"relation row {n} in codim {k}", bits=False,
         )
@@ -358,7 +373,7 @@ def _products(entries: Any) -> tuple[dict[tuple[str, str], dict[str, int]], int]
         combo: dict[str, int] = {}
         for sym, c in value.items():
             if type(c) is not int:
-                c = _int(c)
+                c = _int(c, f"coefficient of {sym!r} in product ({a!r}, {b!r})")
             if c:
                 combo[str(sym)] = c
         pair = (a, b)
@@ -392,7 +407,7 @@ def parse_ring(data: Any) -> ChowRingPresentation:
         relations = _relations(data.get("relations", {}))
         return ChowRingPresentation(
             name,
-            _int(data["dim"]),
+            _int(data["dim"], "dim"),
             data["basis"],
             products,
             _int_list(data.get("hyperplane", []), "hyperplane"),
@@ -436,12 +451,12 @@ def parse_cone_class(data: Any, cone: ConeVariety) -> ConeClass:
             raise InputError(
                 f"bad class spec {data!r}; expected mode:r[:p]:(coeffs) or a JSON object"
             )
-        mode, r = m.group(1), _int(m.group(2))
+        mode, r = m.group(1), _int(m.group(2), "r")
         if m.group(3) is not None:
-            p = _int(m.group(3))
+            p = _int(m.group(3), "p")
         else:
             p = max(0, d - r) if mode == "allowed" else 0
-        coeffs = [int(x) for x in m.group(4).split(",")] if m.group(4) else []
+        coeffs = [_int(x, f"payload entry {n}") for n, x in enumerate(m.group(4).split(","))] if m.group(4) else []
         try:
             cls = cone.cls(r, p, coeffs)
         except ValueError as exc:
@@ -455,10 +470,10 @@ def parse_cone_class(data: Any, cone: ConeVariety) -> ConeClass:
         with _reading("cone class"):
             payload = data["payload"]
             if isinstance(payload, Mapping):
-                payload = {s: _int(c) for s, c in payload.items()}
+                payload = {s: _int(c, f"payload entry {s!r}") for s, c in payload.items()}
             else:
                 payload = _int_list(payload, "payload")
-            cls = cone.cls(_int(data["r"]), _int(data["p"]), payload)
+            cls = cone.cls(_int(data["r"], "r"), _int(data["p"], "p"), payload)
         declared = data.get("mode")
         if declared is not None and declared != cls.mode.value:
             raise InputError(
@@ -490,7 +505,7 @@ def parse_group(data: Any) -> FpAbelianGroup:
     if not isinstance(data, Mapping):
         raise InputError("a group must be an object with rank and relations")
     with _reading("group presentation"):
-        rank = _int(data["rank"])
+        rank = _int(data["rank"], "rank")
         _check_dim(rank, "a group", "generators")
         relations = _int_rows(data.get("relations", []), "relations", "a group", "relations")
         return FpAbelianGroup(rank, relations)
@@ -510,7 +525,7 @@ def parse_group_map(data: Any) -> GroupMap:
     if not isinstance(data, Mapping):
         raise InputError("a group map must be an object")
     with _reading("group map"):
-        source, target = parse_group(data["source"]), parse_group(data["target"])
+        source, target = _part(data, "source", parse_group), _part(data, "target", parse_group)
         matrix = _int_rows(data["matrix"], "matrix", "a group map", "rows")
         return GroupMap(source, target, matrix)
 

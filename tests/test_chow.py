@@ -530,9 +530,10 @@ def reference_generators(ring):
 def mixes_one_term_and_longer_products(ring):
     """Whether some level is reached by both a one-term and a longer product."""
     lengths = {}
-    for (a, b), combo in ring._table.items():
-        if combo and ring.unit not in (a, b):
-            lengths.setdefault(ring.codim_of(a) + ring.codim_of(b), set()).add(min(len(combo), 2))
+    for a, row in ring._rows.items():
+        for b, combo in row.items():
+            if ring.unit not in (a, b):
+                lengths.setdefault(ring.codim_of(a) + ring.codim_of(b), set()).add(min(len(combo), 2))
     return any(kinds == {1, 2} for kinds in lengths.values())
 
 
@@ -619,3 +620,98 @@ class TestRelationsAtTheLimits:
         assert time.perf_counter() - start < 1.0
         assert {k: len(rows) for k, rows in ring.relations.items()} == {
             int(k): len(rows) for k, rows in doc["relations"].items()}
+
+
+# -- equality reads one sorted listing of the row index -----------------------
+
+
+def old_key(ring):
+    """The equality key read from the structure table the row index replaced:
+    every pair ``a <= b``, unit products included, each combination sorted."""
+    table = tuple(sorted(
+        ((a, b), tuple(sorted(combo.items()))) for a, row in ring._rows.items() for b, combo in row.items() if a <= b
+    ))
+    relations = tuple(sorted(ring.relations.items()))
+    return (ring.dim, ring.basis, table, ring.hyperplane, ring.degree_functional, relations)
+
+
+def relisted(rng, basis, products):
+    """The same table listed another way: pairs reversed and shuffled, zero
+    entries and zero coefficients added, unit products spelled out."""
+    symbols = [sym for level in basis for sym in level]
+    unit = symbols[0]
+    entries = []
+    for (a, b), combo in products.items():
+        combo = dict(combo)
+        if rng.random() < 0.3:
+            combo.setdefault(rng.choice(symbols), 0)
+        entries.append(((b, a) if rng.random() < 0.5 else (a, b), combo))
+    for a, b in itertools.combinations_with_replacement(symbols[1:], 2):
+        if (a, b) not in products and (b, a) not in products and rng.random() < 0.3:
+            entries.append(((a, b), {}))
+    entries += [((unit, sym) if rng.random() < 0.5 else (sym, unit), {sym: 1}) for sym in symbols if rng.random() < 0.3]
+    rng.shuffle(entries)
+    return dict(entries)
+
+
+def changed(rng, dim, basis, products):
+    """The table with one constant, the hyperplane or the degree changed."""
+    hyper, deg = [0] * len(basis[1]), [1] * len(basis[dim])
+    nonzero = [pair for pair, combo in products.items() if any(combo.values())]
+    kind = rng.randrange(3) if nonzero else rng.randrange(1, 3)
+    if kind == 0:
+        pair = rng.choice(nonzero)
+        sym = rng.choice([s for s, c in products[pair].items() if c])
+        products = {**products, pair: {**products[pair], sym: products[pair][sym] + rng.choice((-1, 1))}}
+    elif kind == 1:
+        hyper[rng.randrange(len(hyper))] = 1
+    else:
+        deg[rng.randrange(len(deg))] = 2
+    return UncheckedRing("t", dim, basis, products, hyper, deg)
+
+
+@pytest.mark.parametrize("table", TABLES, ids=lambda table: table.__name__)
+def test_equality_and_hash_agree_with_the_old_key(table):
+    rng = random.Random(20191)
+    rings = []
+    for _ in range(60):
+        dim, basis, products = table(rng)
+        hyper, deg = [0] * len(basis[1]), [1] * len(basis[dim])
+        ring = UncheckedRing("t", dim, basis, products, hyper, deg)
+        same = UncheckedRing("other", dim, basis, relisted(rng, basis, products), hyper, deg)
+        assert old_key(same) == old_key(ring)
+        assert same == ring and hash(same) == hash(ring)
+        rings += [ring, same, changed(rng, dim, basis, products)]
+    keys = [old_key(ring) for ring in rings]
+    unequal = 0
+    for (x, key_x), (y, key_y) in itertools.combinations(zip(rings, keys), 2):
+        assert (x == y) == (key_x == key_y)
+        if x == y:
+            assert hash(x) == hash(y)
+        unequal += x != y and x.basis == y.basis
+    assert unequal > 0
+
+
+class TestZeroListings:
+    """A pair listed as zero is remembered only to reject a nonzero listing of
+    its other order, or of a unit product."""
+
+    BASIS = [["1"], ["a", "b"], ["p"]]
+
+    @pytest.mark.parametrize("zero", [("a", "b"), ("b", "a")], ids=["zero-ab", "zero-ba"])
+    @pytest.mark.parametrize("zero_first", [True, False], ids=["zero-first", "zero-last"])
+    def test_zero_in_one_order_and_nonzero_in_the_other_is_rejected(self, zero, zero_first):
+        listings = [(zero, {}), (zero[::-1], {"p": 1})]
+        products = dict(listings if zero_first else listings[::-1])
+        with pytest.raises(ValueError, match=r"^inconsistent products for pair \('a', 'b'\)$"):
+            ChowRingPresentation("bad", 2, self.BASIS, products, [1, 0], [1])
+
+    @pytest.mark.parametrize("pair", [("1", "a"), ("a", "1"), ("1", "1")], ids=["unit-first", "unit-last", "unit-unit"])
+    def test_unit_product_listed_as_zero_is_rejected(self, pair):
+        sym = pair[0] if pair[1] == "1" else pair[1]
+        with pytest.raises(ValueError, match=rf"^unit product for '{sym}' must be '{sym}' itself$"):
+            ChowRingPresentation("bad", 2, self.BASIS, {pair: {}}, [1, 0], [1])
+
+    def test_zero_in_both_orders_is_accepted(self):
+        ring = ChowRingPresentation("ok", 2, self.BASIS, {("a", "b"): {}, ("b", "a"): {"p": 0}}, [1, 0], [1])
+        assert ring.pair_product("a", "b") == {} and "b" not in ring._rows["a"]

@@ -268,3 +268,76 @@ class TestCompactClasses:
         start = time.perf_counter()
         assert self.intersect("allowed:2:(" + " " * 100_000 + "x)").exit_code == 2
         assert time.perf_counter() - start < 1.0
+
+
+class TestNestedDocuments:
+    """A document read inside another gets one ``bad <document>:`` prefix, for
+    the document passed, then the inner field and the inner message."""
+
+    def test_group_map_names_the_group(self):
+        f = with_(F, target={"rank": 1, "relations": ["02"]})
+        report = run(COMMANDS["map"](_text(f)))
+        assert report.exit_code == 2
+        assert report.error == "bad group map: target: relations row 0 must be a list of integers, got str"
+        report = run(COMMANDS["map"](_text(with_(F, source=[2]))))
+        assert report.error == "bad group map: source: a group must be an object with rank and relations"
+
+    def test_joint_pattern_names_the_factor(self):
+        report = run(COMMANDS["joint"](_text(with_(JOINT, b=with_(PATTERN, label=5)))))
+        assert report.exit_code == 2
+        assert report.error == "bad joint pattern: b: label must be a string, got int"
+        report = run(["validate", "--joint", _text(with_(JOINT, a=with_(PATTERN, dim="x"))), "--strata", STRATA])
+        assert [v.explanation for v in report.verdicts if not v.ok] == [
+            "bad joint pattern: a: invalid literal for int() with base 10: 'x'"]
+
+    def test_a_missing_inner_document_is_named_as_before(self):
+        joint = {key: value for key, value in JOINT.items() if key != "a"}
+        assert run(COMMANDS["joint"](_text(joint))).error == "bad joint pattern: 'a'"
+
+    def test_documents_read_alone_keep_their_prefix(self):
+        with pytest.raises(InputError) as exc:
+            parse_group({"rank": 1, "relations": ["02"]})
+        assert str(exc.value) == "bad group presentation: relations row 0 must be a list of integers, got str"
+        report = run(COMMANDS["pattern"](_text(with_(PATTERN, label=5))))
+        assert report.error == "bad cycle pattern: label must be a string, got int"
+
+
+class TestLongIntegers:
+    """Integers past the interpreter's 4300-digit conversion limit are measured
+    before ``int`` reads them, and the message names the limit and the field."""
+
+    NINES = "9" * 5000
+
+    def assert_rejected(self, argv, message):
+        report = run(argv)
+        assert report.exit_code == 2
+        assert report.error == message
+        assert "set_int_max_str_digits" not in report.render(False)
+
+    def test_digit_string_in_an_integer_field(self):
+        self.assert_rejected(COMMANDS["pattern"](_text(with_(PATTERN, dim=self.NINES))),
+                             "bad cycle pattern: dim has 5000 digits; the limit is 4300")
+        self.assert_rejected(COMMANDS["matrix"](_text([[1], [self.NINES]])),
+                             "matrix row 1: integer has 5000 digits; the limit is 4300")
+
+    def test_compact_class_coefficient(self):
+        self.assert_rejected(COMMANDS["class"](f"allowed:2:({self.NINES},0)"),
+                             "payload entry 0 has 5000 digits; the limit is 4300")
+
+    def test_json_integer_literal(self):
+        self.assert_rejected(["snf", "--matrix", f"[[-{self.NINES}]]"], "JSON integer has 5000 digits; the limit is 4300")
+
+    def test_projective_space_name(self):
+        self.assert_rejected(["groups", "--cone", f"P{self.NINES}", "--r", "1", "--p", "0"],
+                             "P<n> with a 5000-digit n has over 128 basis symbols")
+        # leading zeros are not digits of n, and a four-digit n still reports its basis size
+        assert run(["groups", "--cone", "P" + "0" * 5000 + "2", "--r", "1", "--p", "0"]).exit_code == 0
+        assert run(["groups", "--cone", "P2000", "--r", "1", "--p", "0"]).error.endswith(
+            "2001 basis symbols; the limit is 128")
+
+    def test_integers_at_the_limit_are_read(self):
+        at_limit = "9" * 4300
+        report = run(["snf", "--matrix", f"[[{at_limit}]]"])
+        assert report.exit_code == 0
+        report = run(COMMANDS["matrix"](_text([[at_limit]])))
+        assert report.exit_code == 0

@@ -150,10 +150,11 @@ def reference_parse_ring(data):
 
 
 def reference_ring_to_json(ring):
+    table = {(a, b): value for a, row in ring._rows.items() for b, value in row.items() if a <= b}
     products = [
         {"a": a, "b": b, "value": dict(sorted(value.items()))}
-        for (a, b), value in sorted(ring._table.items())
-        if value and a != ring.unit and b != ring.unit
+        for (a, b), value in sorted(table.items())
+        if a != ring.unit and b != ring.unit
     ]
     doc = {
         "name": ring.name,
@@ -171,13 +172,18 @@ def reference_ring_to_json(ring):
 # -- outcomes ------------------------------------------------------------------
 
 
+def in_fill_order(ring):
+    """The row index, each row's products in the order the constructor filed them."""
+    return [(a, list(row.items())) for a, row in ring._rows.items()]
+
+
 def outcome(parse, to_json, doc):
-    """``("rejected", message)``, or the emitted JSON text with the table and rows in fill order."""
+    """``("rejected", message)``, or the emitted JSON text with the rows in fill order."""
     try:
         ring = parse(copy.deepcopy(doc))
     except InputError as exc:
         return ("rejected", str(exc))
-    return ("accepted", json.dumps(to_json(ring)), list(ring._table.items()), ring._rows)
+    return ("accepted", json.dumps(to_json(ring)), in_fill_order(ring))
 
 
 def same_order_conflict(doc):
@@ -218,7 +224,7 @@ def constructor_outcome(cls, doc):
         ring = cls(doc["name"], doc["dim"], doc["basis"], products, doc["hyperplane"], doc["degree"])
     except ValueError as exc:
         return ("rejected", str(exc))
-    return ("accepted", list(ring._table.items()), ring._rows)
+    return ("accepted", in_fill_order(ring))
 
 
 # -- generated documents -----------------------------------------------------
@@ -359,7 +365,7 @@ def test_ring_build_names_round_trip_to_identical_json(monkeypatch):
         again = parse_ring(doc)
         assert json.dumps(ring_to_json(again)) == text, name
         reference = reference_parse_ring(doc)
-        assert again == reference and list(again._table.items()) == list(reference._table.items()), name
+        assert again == reference and in_fill_order(again) == in_fill_order(reference), name
 
 
 def test_combinations_of_several_terms_are_emitted_sorted():
@@ -502,3 +508,55 @@ class TestShapes:
             "degree": [1],
         }
         assert parse_ring(MappingProxyType(doc)) == builtin("P2")
+
+
+# -- equality: one sorted listing of the structure constants ----------------------
+
+# P3 listed another way: pairs reversed and out of order, zero entries and
+# zero coefficients, and correct unit products spelled out
+P3_RELISTED = {
+    "name": "mine",
+    "dim": 3,
+    "basis": [["1"], ["h"], ["h^2"], ["h^3"]],
+    "products": [
+        {"a": "h^2", "b": "h", "value": {"h^3": 1, "h^2": 0}},
+        {"a": "h", "b": "h^3", "value": {}},
+        {"a": "h^2", "b": "h^2", "value": {}},
+        {"a": "h", "b": "h", "value": {"h^2": "1"}},
+        {"a": "1", "b": "h^2", "value": {"h^2": 1}},
+        {"a": "h^3", "b": "1", "value": {"h^3": 1}},
+        {"a": "1", "b": "1", "value": {"1": 1}},
+    ],
+    "hyperplane": [1],
+    "degree": [1],
+}
+TORSION = {"dim": 1, "basis": [["1"], ["a"]], "hyperplane": [1], "degree": [0], "relations": {"1": [[2]]}}
+
+
+class TestEquality:
+    def test_a_relisted_document_equals_the_builtin(self):
+        ring, builtin_ring = parse_ring(P3_RELISTED), builtin("P3")
+        assert ring.name != builtin_ring.name
+        assert ring == builtin_ring and hash(ring) == hash(builtin_ring)
+        assert ring.products() == builtin_ring.products() == (
+            ("h", "h", (("h^2", 1),)), ("h", "h^2", (("h^3", 1),)))
+        assert parse_ring(dict(TORSION, relations={"1": [["2"]]}, name="other")) == parse_ring(TORSION)
+
+    @pytest.mark.parametrize(
+        "base, change",
+        [
+            (P3_RELISTED, dict(products=[{"a": "h", "b": "h", "value": {"h^2": 1}},
+                                         {"a": "h", "b": "h^2", "value": {"h^3": 2}}])),
+            (P3_RELISTED, dict(hyperplane=[2])),
+            (P3_RELISTED, dict(degree=[2])),
+            (TORSION, dict(relations={"1": [[3]]})),
+            (TORSION, dict(relations={})),
+        ],
+        ids=["constant", "hyperplane", "degree", "relation", "no-relation"],
+    )
+    def test_a_changed_ring_is_unequal(self, base, change):
+        assert parse_ring(dict(base, **change)) != parse_ring(base)
+
+    def test_several_terms_are_listed_sorted(self):
+        assert parse_ring(TWO_TERMS).products() == (
+            ("a", "a", (("p", 1), ("q", -1))), ("a", "b", (("p", 2), ("q", 1))))
