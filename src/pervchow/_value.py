@@ -1,4 +1,4 @@
-"""The base of the package's value classes.
+"""The base of the package's value classes, and how a message quotes an input value.
 
 A value class lists its fields in ``__slots__`` and sets them in its own
 ``__init__``; this base gives it equality, hashing and a field-by-field repr.
@@ -65,3 +65,12 @@ class Value:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+ECHO_CHARS = 64  # the most characters of an input value that an error message quotes
+
+
+def echo(x: Any) -> str:
+    """``repr(x)`` for an error message; a string (or repr) over ``ECHO_CHARS`` characters is cut and counted."""
+    text = x if isinstance(x, str) else repr(x)
+    return repr(x) if len(text) <= ECHO_CHARS else f"{text[:ECHO_CHARS]!r}... ({len(text)} characters)"

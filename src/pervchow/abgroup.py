@@ -314,26 +314,32 @@ def _verify_smith(matrix: Sequence[Sequence[int]], n: int, form: SmithForm) -> N
         raise VerificationError("Smith transforms are not unimodular")
 
 
-class Lattice(Value, uncompared=("transform", "terms")):
+class Lattice(Value, uncompared=("transform", "syzygies", "terms")):
     """The lattice spanned by integer rows in ``Z^width``, held as its reduced Hermite basis.
 
-    ``basis`` is the nonzero rows of :func:`_hnf` of the generators, unique for the
-    lattice (Cohen, *A Course in Computational Algebraic Number Theory*, §2.4.3), so
-    ``==`` compares widths and bases; ``transform`` holds the matching rows of the
-    transform, which give witnesses, and ``terms`` each basis row's nonzero ``(column,
-    entry)`` pairs, its pivot first.  Construction checks exactly that the pivots are
-    positive in increasing columns with every entry above one in ``[0, pivot)``, that
-    ``transform * generators == basis``, and that each generator reduces to zero on
-    the basis; a failed check raises ``VerificationError``.
+    ``basis`` is the nonzero rows of ``H = W * generators`` from :func:`_hnf`, unique for
+    the lattice (Cohen, *A Course in Computational Algebraic Number Theory*, §2.4.3), so
+    ``==`` compares widths and bases.  ``transform`` is the rows of ``W`` that give the
+    basis (witnesses), ``syzygies`` those at the zero rows of ``H``, and ``terms`` each
+    basis row's nonzero ``(column, entry)`` pairs, its pivot first.  Construction checks
+    exactly that ``W`` is square with one row per generator, that ``W * generators == H``,
+    that the pivots are positive in increasing columns with every entry above one in
+    ``[0, pivot)`` and all later rows zero, and that each generator reduces to zero on the
+    basis; a failed check raises ``VerificationError``.
     """
 
-    __slots__ = ("width", "basis", "transform", "terms")
+    __slots__ = ("width", "basis", "transform", "syzygies", "terms")
 
     def __init__(self, generators: Sequence[Sequence[int]], width: int) -> None:
         gens = [[int(x) for x in g] for g in generators]
         if any(len(g) != width for g in gens):
             raise ValueError("generator length mismatch")
-        h, w = _hnf(gens, identity(len(gens)))
+        n = len(gens)
+        h, w = _hnf(gens, identity(n))
+        if len(h) != n or len(w) != n or any(len(row) != n for row in w):
+            raise VerificationError("Hermite transform has the wrong shape")
+        if mat_mul(w, gens) != h:
+            raise VerificationError("Hermite transform does not reproduce the basis")
         rank = sum(1 for row in h if any(row))
         basis, pivots, terms = h[:rank], [], []
         for row in basis:
@@ -345,9 +351,7 @@ class Lattice(Value, uncompared=("transform", "terms")):
                 raise VerificationError("Hermite basis has an unreduced entry above a pivot")
             pivots.append(c)
             terms.append(nonzero)
-        if mat_mul(w[:rank], gens) != basis:
-            raise VerificationError("Hermite transform does not reproduce the basis")
-        self._init(width, tuple(map(tuple, basis)), tuple(map(tuple, w[:rank])), tuple(terms))
+        self._init(width, *(tuple(map(tuple, rows)) for rows in (basis, w[:rank], w[rank:])), tuple(terms))
         if any(self._coordinates(g) is None for g in gens):
             raise VerificationError("a generator lies outside its Hermite basis")
 
@@ -404,32 +408,18 @@ def lattice_subset(inner: Sequence[Sequence[int]], outer: Sequence[Sequence[int]
 
 
 def _kernel(matrix: Sequence[Sequence[int]], ncols: int) -> Matrix:
-    """Rows spanning the integer solutions of ``M x = 0`` (x of length ``ncols``), from one Hermite form.
+    """Rows spanning the integer solutions of ``M x = 0`` (x of length ``ncols``): the syzygies of ``Mᵀ``.
 
-    ``H = W * Mᵀ`` by :func:`_hnf`; the rows of ``W`` at the zero rows of ``H``
-    are the kernel rows.  They are returned only after an exact certificate
-    that they span the whole kernel: ``W * Mᵀ == H`` (a plain product, as
-    ``Mᵀ`` has the input's small entries), the nonzero rows of ``H`` come first
-    with their leading columns increasing, so they are independent, and
-    ``|det W| = 1`` (:func:`det`, as ``_verify_smith`` tests its transforms).
-    Then every solution ``x`` is ``y * W`` for an integer ``y``, and ``y * H =
-    x * Mᵀ = 0`` forces the entries of ``y`` at the nonzero rows of ``H`` to
-    vanish.  A failed check raises ``VerificationError``.
+    ``Lattice(Mᵀ)`` certifies ``H = W * Mᵀ``, so its syzygies solve ``M x = 0``.  They
+    span every solution once ``|det W| = 1`` (:func:`det`), the one fact a kernel needs
+    that membership does not: each solution ``x`` is then ``y * W`` for an integer ``y``,
+    and ``y * H = 0`` forces the entries of ``y`` at the independent nonzero rows of ``H``
+    to vanish.  A failed check raises ``VerificationError``.
     """
-    m = len(matrix)
-    mt = [[int(row[j]) for row in matrix] for j in range(ncols)]
-    h, w = _hnf(mt, identity(ncols))
-    if len(h) != ncols or len(w) != ncols or any(len(row) != ncols for row in w):
-        raise VerificationError("kernel transform has the wrong shape")
-    lead = [next((j for j, x in enumerate(row) if x), m) for row in h]
-    rank = lead.index(m) if m in lead else ncols
-    if any(a >= b for a, b in zip(lead, lead[1:rank])) or any(c != m for c in lead[rank:]):
-        raise VerificationError("kernel Hermite form is not in echelon form")
-    if mat_mul(w, mt) != h:
-        raise VerificationError("kernel transform does not reproduce the Hermite form")
-    if abs(det(w)) != 1:
+    lattice = Lattice([[row[j] for row in matrix] for j in range(ncols)], len(matrix))
+    if abs(det(lattice.transform + lattice.syzygies)) != 1:
         raise VerificationError("kernel transform is not unimodular")
-    return w[rank:]
+    return [list(row) for row in lattice.syzygies]
 
 
 class FpAbelianGroup(Value):
@@ -519,8 +509,8 @@ def is_exact_at_middle(f: GroupMap, g: GroupMap) -> bool:
 
     Both subgroups are compared as sublattices of ``Z^rank`` containing the
     middle group's relations, by their Hermite bases (which implies
-    ``g o f = 0``).  The kernel comes from one more Hermite form, certified
-    exactly by :func:`_kernel`; no Smith form runs.
+    ``g o f = 0``).  The kernel is the syzygies of one more certified
+    :class:`Lattice`, read by :func:`_kernel`; no Smith form runs.
     """
     if f.target != g.source:
         raise ValueError("middle groups do not match")

@@ -12,7 +12,7 @@ import bisect
 import re
 from collections.abc import Callable, Mapping, Sequence
 
-from ._value import Value
+from ._value import Value, echo
 from .abgroup import FpAbelianGroup, Lattice, _insert
 
 Combo = dict[str, int]
@@ -554,9 +554,7 @@ def product_presentation(r1: ChowRingPresentation, r2: ChowRingPresentation) -> 
 def check_basis_size(size: int, name: str) -> None:
     """Reject a ring of ``size`` basis symbols above :data:`MAX_RING_BASIS`."""
     if size > MAX_RING_BASIS:
-        raise ValueError(
-            f"ring {name!r} has {size} basis symbols; the limit is {MAX_RING_BASIS}"
-        )
+        raise ValueError(f"ring {echo(name)} has {size} basis symbols; the limit is {MAX_RING_BASIS}")
 
 
 def _parse_builtin(name: str) -> tuple[int, Callable[[], ChowRingPresentation]]:
@@ -568,7 +566,7 @@ def _parse_builtin(name: str) -> tuple[int, Callable[[], ChowRingPresentation]]:
     and only error messages copy text.  No built-in name spans lines.
     """
     if "\n" in name.strip():
-        raise ValueError(f"unknown built-in presentation {name!r}")
+        raise ValueError(f"unknown built-in presentation {echo(name)}")
     commas: dict[int, list[int]] = {}
     depth = 0
     for pos, ch in enumerate(name):
@@ -603,12 +601,12 @@ def _parse_builtin(name: str) -> tuple[int, Callable[[], ChowRingPresentation]]:
             at_depth = commas.get(depth + 1, [])
             n = bisect.bisect_left(at_depth, body)
             if n == len(at_depth) or at_depth[n] >= stop:
-                raise ValueError(f"cannot split product arguments in {name[body:stop]!r}")
+                raise ValueError(f"cannot split product arguments in {echo(name[body:stop])}")
             comma = at_depth[n]
             left_size, left = parse(body, comma, depth + 1)
             right_size, right = parse(comma + 1, stop, depth + 1)
             return left_size * right_size, lambda: product_presentation(left(), right())
-        raise ValueError(f"unknown built-in presentation {name[lo:hi]!r}")
+        raise ValueError(f"unknown built-in presentation {echo(name[lo:hi])}")
 
     return parse(0, len(name), 0)
 

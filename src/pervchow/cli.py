@@ -21,7 +21,7 @@ from typing import Any, Callable, NoReturn
 # compiles and loads only those: ``snf`` never loads the cone model, ``schema``
 # no layer.
 from . import serialize
-from ._value import Value
+from ._value import Value, echo
 from .serialize import SCHEMA_VERSION, InputError
 
 
@@ -314,7 +314,7 @@ def _cmd_catalog(args: argparse.Namespace, report: Report) -> None:
     from . import cones
 
     if args.name != "zobel":
-        raise InputError(f"unknown catalog {args.name!r}; available: zobel")
+        raise InputError(f"unknown catalog {echo(args.name)}; available: zobel")
     catalog = cones.zobel()
     cone = catalog.cone
     verdicts = []
@@ -394,9 +394,19 @@ class Command(Value):
         self._init(handler, description, inputs)
 
 
+def _int_arg(text: str) -> int:
+    """An integer flag, measured as ``serialize`` measures an integer field; argparse names the flag first."""
+    try:
+        return serialize._int(text, "the value")
+    except InputError as exc:  # over the digit limit
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {echo(text)}") from None
+
+
 _PLAIN: dict[str, Any] = {}  # argparse defaults: an optional flag or a required positional
 _REQUIRED = {"required": True}
-_REQUIRED_INT = {"type": int, "required": True}
+_REQUIRED_INT = {"type": _int_arg, "required": True}
 _STRATA = ("stratification document or vertex<d>", "strata", _REQUIRED)
 _CONE = ("'zobel', a built-in base name, or {base: <ring>}", "cone", _REQUIRED)
 _COCYCLE = ("cocycle with t == targetDim", "cocycle", _REQUIRED)
@@ -453,7 +463,7 @@ COMMANDS: dict[str, Command] = {
     }),
     "slice": Command(_cmd_slice, "Slice a cocycle with t generic hyperplanes into a cycle pattern.", {
         "--cocycle": _COCYCLE,
-        "--count": ("optional hyperplane count (defaults to t; must equal t)", None, {"type": int}),
+        "--count": ("optional hyperplane count (defaults to t; must equal t)", None, {"type": _int_arg}),
         "--against": ("optional cycle pattern; adds a properness joint-pattern certificate", "pattern", _PLAIN),
         "--strata": _STRATA,
     }),
@@ -485,7 +495,7 @@ COMMANDS: dict[str, Command] = {
     }),
     "snf": Command(_cmd_snf, "Smith normal form of an integer matrix.", {
         "--matrix": ("array of integer rows", "matrix", _REQUIRED),
-        "--ncols": ("optional column count for matrices with no rows", None, {"type": int}),
+        "--ncols": ("optional column count for matrices with no rows", None, {"type": _int_arg}),
     }),
     "exact": Command(_cmd_exact, "Exactness of A -f-> B -g-> C at the middle group.", {
         "--f": _GROUP_MAP,
@@ -506,7 +516,7 @@ _HANDLERS = {name: command.handler for name, command in COMMANDS.items()}
 def emit_schema(name: str) -> dict:
     """The input schema document for command ``name``."""
     if name not in COMMANDS:
-        raise InputError(f"unknown command {name!r}")
+        raise InputError(f"unknown command {echo(name)}")
     command = COMMANDS[name]
     return {
         "schema": SCHEMA_VERSION,

@@ -14,6 +14,8 @@ from collections.abc import Callable, Iterator, Mapping
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any
 
+from ._value import ECHO_CHARS, echo
+
 # The layers are imported by the functions that build their values, so that
 # reading a matrix loads neither the cone model nor the incidence calculus.
 if TYPE_CHECKING:
@@ -92,7 +94,7 @@ def _shape(data: Any, types: type | tuple[type, ...], what: str, shape: str) -> 
 def _int(x: Any, what: str = "integer") -> int:
     """An integer field ``what``: a JSON integer or a digit string within the digit limit, never a bool or float."""
     if isinstance(x, bool) or not isinstance(x, (int, str)):
-        raise InputError(f"expected an integer, got {x!r}")
+        raise InputError(f"expected an integer, got {echo(x)}")
     if isinstance(x, str):
         limit = sys.get_int_max_str_digits()
         if limit and len(x) > limit and (digits := sum(map(str.isdigit, x))) > limit:
@@ -168,7 +170,7 @@ def _model_from_json(data: Any) -> ModelTag:
             fiber_dim=_int(data["fiber_dim"], "fiber_dim"),
             base=_model_from_json(data.get("base", "generic")),
         )
-    raise InputError(f"unknown stratification model {data!r}")
+    raise InputError(f"unknown stratification model {echo(data)}")
 
 
 def stratification_to_json(s: Stratification) -> dict:
@@ -190,9 +192,10 @@ def parse_stratification(data: Any) -> Stratification:
         if m:
             digits = m.group(1)
             if len(digits) > len(str(MAX_VERTEX_DIM)) or int(digits) > MAX_VERTEX_DIM:
-                raise InputError(f"vertex<d> takes d up to {MAX_VERTEX_DIM}, got {digits}")
+                shown = digits if len(digits) <= ECHO_CHARS else echo(digits)  # a short d is shown unquoted
+                raise InputError(f"vertex<d> takes d up to {MAX_VERTEX_DIM}, got {shown}")
             return isolated_vertex(int(digits))
-        raise InputError(f"unknown stratification shorthand {data!r} (expected vertex<d>)")
+        raise InputError(f"unknown stratification shorthand {echo(data)} (expected vertex<d>)")
     if not isinstance(data, Mapping):
         raise InputError("a stratification must be an object or a shorthand string")
     with _reading("stratification document"):
@@ -220,14 +223,14 @@ def _incidence_from_json(data: Any, what: str) -> dict[int, int | None]:
         try:
             i = _int(key)
         except (TypeError, ValueError) as exc:
-            raise InputError(f"{what} key {key!r} is not a stratum index") from exc
+            raise InputError(f"{what} key {echo(key)} is not a stratum index") from exc
         if value == "empty" or value is None:
             table[i] = None
         else:
             try:
                 table[i] = _int(value)
             except (TypeError, ValueError) as exc:
-                raise InputError(f"{what} value {value!r} is not an integer or 'empty'") from exc
+                raise InputError(f"{what} value {echo(value)} is not an integer or 'empty'") from exc
     return table
 
 
@@ -448,9 +451,7 @@ def parse_cone_class(data: Any, cone: ConeVariety) -> ConeClass:
     if isinstance(data, str):
         m = _CLASS_RE.fullmatch(data.strip())
         if not m:
-            raise InputError(
-                f"bad class spec {data!r}; expected mode:r[:p]:(coeffs) or a JSON object"
-            )
+            raise InputError(f"bad class spec {echo(data)}; expected mode:r[:p]:(coeffs) or a JSON object")
         mode, r = m.group(1), _int(m.group(2), "r")
         if m.group(3) is not None:
             p = _int(m.group(3), "p")
@@ -476,9 +477,7 @@ def parse_cone_class(data: Any, cone: ConeVariety) -> ConeClass:
             cls = cone.cls(_int(data["r"], "r"), _int(data["p"], "p"), payload)
         declared = data.get("mode")
         if declared is not None and declared != cls.mode.value:
-            raise InputError(
-                f"declared mode {declared!r} inconsistent with (r={cls.r}, p={cls.p})"
-            )
+            raise InputError(f"declared mode {echo(declared)} inconsistent with (r={cls.r}, p={cls.p})")
         return cls
     raise InputError("a cone class must be a compact string or an object")
 

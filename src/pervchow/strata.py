@@ -39,6 +39,8 @@ class ModelTag(Value):
             raise ValueError(f"unknown model kind {self.kind!r}")
         if (self.kind == "product") != (self.fiber_dim is not None):
             raise ValueError("product tags carry fiber_dim; other tags must not")
+        if self.fiber_dim is not None and self.fiber_dim < 0:
+            raise ValueError(f"fiber_dim must be nonnegative, got {self.fiber_dim}")
         if (self.kind == "product") != (self.base is not None):
             raise ValueError("product tags carry a base tag; other tags must not")
 

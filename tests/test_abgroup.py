@@ -1,5 +1,6 @@
 import copy
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -1022,6 +1023,16 @@ class TestHermiteStep:
         assert abgroup._hnf(matrix, t) == full_sweep_hnf(matrix, t)
 
 
+# each mutant of the kernel's Hermite form and the check that rejects it
+KERNEL_MUTANTS = [
+    ("tampered-row", "Hermite transform does not reproduce the basis"),
+    ("doubled-kernel-row", "kernel transform is not unimodular"),
+    ("dropped-kernel-row", "Hermite transform has the wrong shape"),
+    ("zeroed-kernel-row", "kernel transform is not unimodular"),
+    ("swapped", "Hermite pivots are not positive and in increasing columns"),
+]
+
+
 class TestHermiteKernel:
     def test_kernel_lattice_matches_the_smith_form_kernel(self):
         rng = random.Random(1818)
@@ -1043,17 +1054,20 @@ class TestHermiteKernel:
             assert Lattice(kernel, n) == Lattice(smith_kernel(matrix, n), n)
 
     @staticmethod
-    def mutated_hnf(monkeypatch, mutant):
+    def mutated_hnf(monkeypatch, mutant, rows=None):
+        """Patch ``abgroup._hnf`` to return the ``mutant`` form, for inputs of ``rows`` rows only when given."""
         real = abgroup._hnf
 
         def mutated(a, t):
             h, w = real(a, t)
+            if rows is not None and len(a) != rows:
+                return h, w
             if mutant == "tampered-row":
                 w[-1][0] += 1
             elif mutant == "doubled-kernel-row":  # still in the kernel, so only the determinant sees it
                 if h and not any(h[-1]):
                     w[-1] = [2 * x for x in w[-1]]
-            elif mutant == "dropped-kernel-row":
+            elif mutant == "dropped-kernel-row":  # the product still holds, so only the shape check sees it
                 h.pop(), w.pop()
             elif mutant == "zeroed-kernel-row":
                 w[-1] = [0] * len(w[-1])
@@ -1063,13 +1077,7 @@ class TestHermiteKernel:
 
         monkeypatch.setattr(abgroup, "_hnf", mutated)
 
-    @pytest.mark.parametrize("mutant, message", [
-        ("tampered-row", "kernel transform does not reproduce the Hermite form"),
-        ("doubled-kernel-row", "kernel transform is not unimodular"),
-        ("dropped-kernel-row", "kernel transform has the wrong shape"),
-        ("zeroed-kernel-row", "kernel transform is not unimodular"),
-        ("swapped", "kernel Hermite form is not in echelon form"),
-    ])
+    @pytest.mark.parametrize("mutant, message", KERNEL_MUTANTS)
     def test_mutants_are_rejected(self, monkeypatch, mutant, message):
         matrix = [[1, 2, 3, 4], [2, 0, 1, 5]]
         assert len(abgroup._kernel(matrix, 4)) == 2
@@ -1077,8 +1085,30 @@ class TestHermiteKernel:
         with pytest.raises(VerificationError, match=message):
             abgroup._kernel(matrix, 4)
 
+    @pytest.mark.parametrize("mutant, message", KERNEL_MUTANTS, ids=[mutant for mutant, _ in KERNEL_MUTANTS])
+    def test_mutants_fail_the_exact_command_self_check(self, monkeypatch, mutant, message):
+        from pervchow import cli
+
+        # g: Z^4 -> Z^2 and f onto its kernel; only the kernel's Hermite form (of Mᵀ, 4 rows) is mutated
+        g = {"source": {"rank": 4}, "target": {"rank": 2}, "matrix": [[1, 2, 3, 4], [2, 0, 1, 5]]}
+        f = {"source": {"rank": 2}, "target": {"rank": 4}, "matrix": [[-2, -1], [-5, 3], [4, -3], [0, 1]]}
+        argv = ["exact", "--f", json.dumps(f), "--g", json.dumps(g)]
+        assert cli.run(argv).exit_code == 0
+        self.mutated_hnf(monkeypatch, mutant, rows=4)
+        report = cli.run(argv)
+        assert report.exit_code == 1, report.error
+        assert [(v.check, v.ok, v.explanation) for v in report.verdicts] == [("self-check", False, message)]
+
+    def test_lattice_checks_the_transform_rows_at_zero_rows(self, monkeypatch):
+        # these generators have rank 1, so the tampered last transform row is a syzygy
+        assert Lattice([[1, 2], [2, 4], [3, 6]], 2).syzygies == ((-2, 1, 0), (-3, 0, 1))
+        self.mutated_hnf(monkeypatch, "tampered-row")
+        with pytest.raises(VerificationError, match="Hermite transform does not reproduce the basis"):
+            Lattice([[1, 2], [2, 4], [3, 6]], 2)
+
     def test_exactness_accepts_the_kernel_only_after_its_certificate(self, monkeypatch):
-        # a Lattice never reads the transform rows at zero rows, so only the kernel sees this mutant
+        # a Lattice checks its syzygies against the generators, but a doubled one still
+        # sends them to zero, so only the kernel's determinant sees this mutant
         f = zmap([[2]], Z, Z)
         g = zmap([[1]], Z, FpAbelianGroup.cyclic(4))
         assert not is_exact_at_middle(f, g)

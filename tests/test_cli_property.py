@@ -170,7 +170,7 @@ def argvs(draw):
         if keywords.get("action") == "store_true":
             argv.append(flag)
             continue
-        if keywords.get("type") is int:
+        if keywords.get("type") is cli._int_arg:
             value = str(draw(st.integers(-2, 4)))
         else:
             # a plain input draws from the pool named after it: validate's flags, a catalog or command name
@@ -227,7 +227,7 @@ def digit_argvs(draw):
             if draw(st.booleans()):
                 argv.append(flag)
             continue
-        elif keywords.get("type") is int:
+        elif keywords.get("type") is cli._int_arg:
             value = str(draw(st.integers(-2, 4)))
         elif not keywords.get("required") and draw(st.booleans()):
             continue

@@ -341,3 +341,67 @@ class TestLongIntegers:
         assert report.exit_code == 0
         report = run(COMMANDS["matrix"](_text([[at_limit]])))
         assert report.exit_code == 0
+
+
+COCYCLE_T0 = with_(COCYCLE, t=0, targetDim=0, excess={"1": 0, "2": 0, "3": 0})  # sliced by --count 0
+
+# Each integer flag with its value in place of ``n``.
+INT_FLAGS = {
+    "--r": lambda n: ["groups", "--cone", "P2", "--r", n, "--p", "0"],
+    "--p": lambda n: ["groups", "--cone", "P2", "--r", "0", "--p", n],
+    "--p-from": lambda n: ["compare", "--cone", "P2", "--r", "0", "--p-from", n, "--p-to", "1"],
+    "--p-to": lambda n: ["compare", "--cone", "P2", "--r", "0", "--p-from", "0", "--p-to", n],
+    "--ncols": lambda n: ["snf", "--matrix", "[]", "--ncols", n],
+    "--e": lambda n: ["pull", "--pattern", '{"dim":1,"incidence":{"1":"empty"}}', "--e", n, "--strata", "vertex1"],
+    "--count": lambda n: ["slice", "--cocycle", _text(COCYCLE_T0), "--count", n, "--strata", STRATA],
+}
+
+
+class TestLongValuesInMessages:
+    """An integer flag is measured as an integer field is, and a message quotes at
+    most a fixed prefix of an input value; short values are quoted whole, as before."""
+
+    NINES = "9" * 5000
+
+    def error(self, argv):
+        report = run(argv)
+        assert report.exit_code == 2
+        assert len(report.error) < 200, report.error[:300]
+        return report.error
+
+    @pytest.mark.parametrize("flag", INT_FLAGS)
+    def test_an_over_long_integer_flag_names_the_flag_and_the_limit(self, flag):
+        assert run(INT_FLAGS[flag]("0")).exit_code == 0
+        message = f"argument {flag}: the value has 5000 digits; the limit is 4300"
+        assert self.error(INT_FLAGS[flag](self.NINES)) == message
+
+    @pytest.mark.parametrize("flag", INT_FLAGS)
+    def test_a_short_bad_integer_flag_reads_as_before(self, flag):
+        assert self.error(INT_FLAGS[flag]("x1")) == f"argument {flag}: invalid int value: 'x1'"
+
+    def test_an_over_long_non_integer_flag_is_cut(self):
+        error = self.error(INT_FLAGS["--r"]("x" * 5000))
+        assert error == f"argument --r: invalid int value: {'x' * 64!r}... (5000 characters)"
+
+    def test_incidence_key(self):
+        error = self.error(COMMANDS["pattern"](_text(with_(PATTERN, incidence={self.NINES: 0}))))
+        assert error == f"bad cycle pattern: incidence key {'9' * 64!r}... (5000 characters) is not a stratum index"
+        assert self.error(COMMANDS["pattern"](_text(with_(PATTERN, incidence={"a": 0})))) == (
+            "bad cycle pattern: incidence key 'a' is not a stratum index")
+
+    def test_incidence_value(self):
+        error = self.error(COMMANDS["pattern"](_text(with_(PATTERN, incidence={"1": self.NINES}))))
+        cut = f"{'9' * 64!r}... (5000 characters)"
+        assert error == f"bad cycle pattern: incidence value {cut} is not an integer or 'empty'"
+        assert self.error(COMMANDS["pattern"](_text(with_(PATTERN, incidence={"1": "b"})))) == (
+            "bad cycle pattern: incidence value 'b' is not an integer or 'empty'")
+
+    def test_built_in_name(self):
+        error = self.error(["groups", "--cone", "Q" * 100000, "--r", "0", "--p", "0"])
+        assert error == f"unknown built-in presentation {'Q' * 64!r}... (100000 characters)"
+        assert self.error(["groups", "--cone", "Q", "--r", "0", "--p", "0"]) == "unknown built-in presentation 'Q'"
+
+    def test_vertex_shorthand(self):
+        assert self.error(COMMANDS["strata"]("vertex" + self.NINES)) == (
+            f"vertex<d> takes d up to 1024, got {'9' * 64!r}... (5000 characters)")
+        assert self.error(COMMANDS["strata"]("vertex2000")) == "vertex<d> takes d up to 1024, got 2000"

@@ -1,5 +1,7 @@
 """Each command loads only the layer modules it runs; the package exports stay the same and are read.
 
+The Hermite form of the lattice core runs in exactly two places, read from the source.
+
 The footprint is read in a fresh child process, because this one has long
 since imported every module.
 """
@@ -138,3 +140,33 @@ def test_every_other_export_is_read_outside_the_tests():
     assert {name for name in pervchow.__all__ if name not in read} == set(UNREAD_EXPORTS)
     with pytest.raises(AttributeError):
         pervchow.RankProfile
+
+
+def names_by_function(path):
+    """``(qualified name of the enclosing function or class, name)`` for every name and attribute read in ``path``."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}" if where else child.name)
+                continue
+            if isinstance(child, ast.Name):
+                found.append((where, child.id))
+            elif isinstance(child, ast.Attribute):
+                found.append((where, child.attr))
+            visit(child, where)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_hermite_form_runs_only_in_lattice_and_smith_form():
+    # the kernel is read from a Lattice's syzygies; no other code runs or certifies a Hermite form
+    callers = {
+        f"{path.stem}.{where}"
+        for path in (SRC / "pervchow").glob("*.py")
+        for where, name in names_by_function(path)
+        if name == "_hnf"
+    }
+    assert callers == {"abgroup.Lattice.__init__", "abgroup.smith_normal_form"}

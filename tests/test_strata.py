@@ -1,8 +1,12 @@
+import json
+
 import pytest
 
+from pervchow.cli import run
 from pervchow.serialize import parse_stratification, stratification_to_json
 from pervchow.strata import (
     GENERIC,
+    ModelTag,
     Stratification,
     StratumSpec,
     isolated_vertex,
@@ -122,3 +126,15 @@ class TestJson:
         s = parse_stratification(doc)
         assert s.ambient_dim == 3
         assert s.strata == (StratumSpec(1, 2, "sing"),)
+
+
+def test_a_negative_fiber_dimension_is_rejected():
+    with pytest.raises(ValueError, match="fiber_dim must be nonnegative, got -1"):
+        ModelTag("product", fiber_dim=-1, base=GENERIC)
+    doc = {"dim": 1, "strata": [{"i": 1, "codim": 1}], "model": {"kind": "product", "fiber_dim": -5}}
+    report = run(["suspend", "--strata", json.dumps(doc)])
+    assert report.exit_code == 2
+    assert report.error == "bad stratification document: fiber_dim must be nonnegative, got -5"
+    # a nonnegative fiber is still read, a zero one included
+    doc["model"]["fiber_dim"] = 0
+    assert run(["suspend", "--strata", json.dumps(doc)]).exit_code == 0
