@@ -12,7 +12,7 @@ from collections.abc import Sequence
 from itertools import chain
 from operator import mul
 
-from ._value import Value
+from ._value import Value, echo
 
 Matrix = list[list[int]]
 
@@ -189,7 +189,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], ncols: int | None = None)
     m = len(a)
     n = int(ncols) if ncols is not None else (len(a[0]) if a else 0)
     if n < 0:
-        raise ValueError(f"ncols must be nonnegative, got {n}")
+        raise ValueError(f"ncols must be nonnegative, got {echo(n)}")
     if any(len(row) != n for row in a):
         raise ValueError("ragged or mis-sized matrix")
 
@@ -314,21 +314,20 @@ def _verify_smith(matrix: Sequence[Sequence[int]], n: int, form: SmithForm) -> N
         raise VerificationError("Smith transforms are not unimodular")
 
 
-class Lattice(Value, uncompared=("transform", "syzygies", "terms")):
+class Lattice(Value, uncompared=("transform", "terms")):
     """The lattice spanned by integer rows in ``Z^width``, held as its reduced Hermite basis.
 
     ``basis`` is the nonzero rows of ``H = W * generators`` from :func:`_hnf`, unique for
     the lattice (Cohen, *A Course in Computational Algebraic Number Theory*, §2.4.3), so
     ``==`` compares widths and bases.  ``transform`` is the rows of ``W`` that give the
-    basis (witnesses), ``syzygies`` those at the zero rows of ``H``, and ``terms`` each
-    basis row's nonzero ``(column, entry)`` pairs, its pivot first.  Construction checks
-    exactly that ``W`` is square with one row per generator, that ``W * generators == H``,
-    that the pivots are positive in increasing columns with every entry above one in
-    ``[0, pivot)`` and all later rows zero, and that each generator reduces to zero on the
-    basis; a failed check raises ``VerificationError``.
+    basis (witnesses), and ``terms`` each basis row's nonzero ``(column, entry)`` pairs,
+    its pivot first.  Construction checks exactly that ``W`` is square with one row per
+    generator, that ``W * generators == H``, that the pivots are positive in increasing
+    columns with every entry above one in ``[0, pivot)`` and all later rows zero, and that
+    each generator reduces to zero on the basis; a failed check raises ``VerificationError``.
     """
 
-    __slots__ = ("width", "basis", "transform", "syzygies", "terms")
+    __slots__ = ("width", "basis", "transform", "terms")
 
     def __init__(self, generators: Sequence[Sequence[int]], width: int) -> None:
         gens = [[int(x) for x in g] for g in generators]
@@ -351,7 +350,7 @@ class Lattice(Value, uncompared=("transform", "syzygies", "terms")):
                 raise VerificationError("Hermite basis has an unreduced entry above a pivot")
             pivots.append(c)
             terms.append(nonzero)
-        self._init(width, *(tuple(map(tuple, rows)) for rows in (basis, w[:rank], w[rank:])), tuple(terms))
+        self._init(width, tuple(map(tuple, basis)), tuple(map(tuple, w[:rank])), tuple(terms))
         if any(self._coordinates(g) is None for g in gens):
             raise VerificationError("a generator lies outside its Hermite basis")
 
@@ -407,21 +406,6 @@ def lattice_subset(inner: Sequence[Sequence[int]], outer: Sequence[Sequence[int]
     return all(g in lattice for g in inner)
 
 
-def _kernel(matrix: Sequence[Sequence[int]], ncols: int) -> Matrix:
-    """Rows spanning the integer solutions of ``M x = 0`` (x of length ``ncols``): the syzygies of ``Mᵀ``.
-
-    ``Lattice(Mᵀ)`` certifies ``H = W * Mᵀ``, so its syzygies solve ``M x = 0``.  They
-    span every solution once ``|det W| = 1`` (:func:`det`), the one fact a kernel needs
-    that membership does not: each solution ``x`` is then ``y * W`` for an integer ``y``,
-    and ``y * H = 0`` forces the entries of ``y`` at the independent nonzero rows of ``H``
-    to vanish.  A failed check raises ``VerificationError``.
-    """
-    lattice = Lattice([[row[j] for row in matrix] for j in range(ncols)], len(matrix))
-    if abs(det(lattice.transform + lattice.syzygies)) != 1:
-        raise VerificationError("kernel transform is not unimodular")
-    return [list(row) for row in lattice.syzygies]
-
-
 class FpAbelianGroup(Value):
     """Cokernel presentation: ``Z^rank`` modulo the row span of ``relations``."""
 
@@ -434,9 +418,7 @@ class FpAbelianGroup(Value):
         self._init(rank, rel)
         for row in rel:
             if len(row) != rank:
-                raise ValueError(
-                    f"relation {list(row)} has length {len(row)}, expected rank {rank}"
-                )
+                raise ValueError(f"relation {echo(list(row))} has length {len(row)}, expected rank {rank}")
 
     @classmethod
     def free(cls, rank: int) -> "FpAbelianGroup":
@@ -486,38 +468,43 @@ class GroupMap(Value):
         rows = tuple(tuple(int(x) for x in row) for row in matrix)
         self._init(source, target, rows)
         if len(rows) != self.target.rank:
-            raise ValueError(
-                f"matrix has {len(rows)} rows, expected target rank {self.target.rank}"
-            )
+            raise ValueError(f"matrix has {len(rows)} rows, expected target rank {self.target.rank}")
         for row in rows:
             if len(row) != self.source.rank:
                 raise ValueError(
-                    f"matrix row {list(row)} has length {len(row)}, expected source rank {self.source.rank}"
+                    f"matrix row {echo(list(row))} has length {len(row)}, expected source rank {self.source.rank}"
                 )
         if not self.source.relations:
             return
         relations = Lattice(self.target.relations, self.target.rank)
         for rel in self.source.relations:
             if mat_vec(rows, rel) not in relations:
-                raise ValueError(
-                    f"matrix does not send relation {list(rel)} into the target relations"
-                )
+                raise ValueError(f"matrix does not send relation {echo(list(rel))} into the target relations")
+
+
+def _kernel(g: GroupMap) -> tuple[tuple[int, ...], ...]:
+    """The reduced Hermite basis of ``ker g = {x : g(x) is in the target's relations}``.
+
+    The :class:`Lattice` of ``g``'s graph, spanned by ``(g(e_i), e_i)`` and by ``(rho, 0)`` for
+    each target relation ``rho``, holds ``(0, x)`` exactly for ``x`` in ``ker g``.  Its echelon
+    rows with a pivot past the target's columns span those vectors and are reduced, so cut to
+    the source's columns they are the kernel's unique reduced Hermite basis (Cohen, §2.4),
+    covered by the lattice's own certificate.
+    """
+    t, s = g.target.rank, g.source.rank
+    graph = [[row[i] for row in g.matrix] + e for i, e in enumerate(identity(s))]
+    graph += [list(rel) + [0] * s for rel in g.target.relations]
+    return tuple(row[t:] for row in Lattice(graph, t + s).basis if not any(row[:t]))
 
 
 def is_exact_at_middle(f: GroupMap, g: GroupMap) -> bool:
     """Whether ``image(f) == kernel(g)`` as subgroups of the middle group.
 
-    Both subgroups are compared as sublattices of ``Z^rank`` containing the
-    middle group's relations, by their Hermite bases (which implies
-    ``g o f = 0``).  The kernel is the syzygies of one more certified
-    :class:`Lattice`, read by :func:`_kernel`; no Smith form runs.
+    Both are compared as sublattices of ``Z^rank`` containing the middle relations, by their
+    reduced Hermite bases (which implies ``g o f = 0``); the kernel holds those relations
+    because ``g`` sends them into the target's.  No Smith form runs.
     """
     if f.target != g.source:
         raise ValueError("middle groups do not match")
-    rank = f.target.rank
-    image = Lattice(transpose(f.matrix) + [list(r) for r in f.target.relations], rank)
-    # x is in the kernel iff g(x) lies in the relation lattice of the target,
-    # i.e. (x, y) solves [matrix | relations^T] (x, y) = 0 for some y
-    stacked = [list(row) + [rel[i] for rel in g.target.relations] for i, row in enumerate(g.matrix)]
-    kernel = _kernel(stacked, rank + len(g.target.relations))
-    return image == Lattice([vec[:rank] for vec in kernel], rank)
+    image = Lattice(transpose(f.matrix) + [list(r) for r in f.target.relations], f.target.rank)
+    return image.basis == _kernel(g)

@@ -102,7 +102,7 @@ class ChowRingPresentation:
             raise ValueError("dimension must be nonnegative")
         levels = tuple(tuple(map(str, level)) for level in basis)
         if len(levels) != self.dim + 1:
-            raise ValueError(f"need basis lists for codimensions 0..{self.dim}")
+            raise ValueError(f"need basis lists for codimensions 0..{echo(self.dim)}")
         if len(levels[0]) != 1:
             raise ValueError("codimension 0 must be spanned by a single unit symbol")
         self.basis = levels
@@ -112,7 +112,7 @@ class ChowRingPresentation:
                 raise ValueError(f"codimension {k} has no basis symbols")
             for sym in level:
                 if sym in codim:
-                    raise ValueError(f"duplicate basis symbol {sym!r}")
+                    raise ValueError(f"duplicate basis symbol {echo(sym)}")
                 codim[sym] = k
         self._codim = codim
         self.unit = levels[0][0]
@@ -125,7 +125,7 @@ class ChowRingPresentation:
             try:
                 total = codim[a] + codim[b]
             except KeyError:
-                raise ValueError(f"product ({a!r}, {b!r}) uses unknown symbols") from None
+                raise ValueError(f"product ({echo(a)}, {echo(b)}) uses unknown symbols") from None
             cleaned: Combo = {}
             for sym, c in value.items():
                 if type(c) is not int:
@@ -135,11 +135,11 @@ class ChowRingPresentation:
                         sym = str(sym)
                     # no symbol lies past the dimension, so this also rejects a product landing there
                     if codim.get(sym) != total:
-                        raise ValueError(f"product ({a!r}, {b!r}) lands in codim {total}, got {sym!r}")
+                        raise ValueError(f"product ({echo(a)}, {echo(b)}) lands in codim {total}, got {echo(sym)}")
                     cleaned[sym] = c
             old = rows[a].get(b, _NO_TERMS if zeros and (b, a) in zeros else None)
             if old is not None and old != cleaned:
-                raise ValueError(f"inconsistent products for pair {(a, b) if a <= b else (b, a)}")
+                raise ValueError(f"inconsistent products for pair {echo((a, b) if a <= b else (b, a))}")
             if cleaned:
                 rows[a][b] = rows[b][a] = cleaned
             else:
@@ -148,7 +148,7 @@ class ChowRingPresentation:
         for sym, row in rows.items():
             expected = {sym: 1}
             if row.get(unit, expected) != expected or (zeros and ((unit, sym) in zeros or (sym, unit) in zeros)):
-                raise ValueError(f"unit product for {sym!r} must be {sym!r} itself")
+                raise ValueError(f"unit product for {echo(sym)} must be {echo(sym)} itself")
             unit_row[sym] = row[unit] = expected
         self._rows = rows
 
@@ -169,11 +169,11 @@ class ChowRingPresentation:
         for k, rows in (relations or {}).items():
             k = int(k)
             if not 0 <= k <= self.dim:
-                raise ValueError(f"relations declared for impossible codimension {k}")
+                raise ValueError(f"relations declared for impossible codimension {echo(k)}")
             packed = tuple(tuple(int(x) for x in row) for row in rows)
             for row in packed:
                 if len(row) != len(levels[k]):
-                    raise ValueError(f"relation {list(row)} does not match codim {k} basis")
+                    raise ValueError(f"relation {echo(list(row))} does not match codim {k} basis")
             if packed:
                 rels[k] = packed
         self.relations = rels
@@ -206,7 +206,7 @@ class ChowRingPresentation:
         if isinstance(coeffs, Mapping):
             unknown = set(coeffs) - set(level)
             if unknown:
-                raise ValueError(f"coefficients name unknown symbols {sorted(unknown)}")
+                raise ValueError(f"coefficients name unknown symbols {echo(sorted(unknown))}")
             vector = tuple(int(coeffs.get(sym, 0)) for sym in level)
         else:
             vector = tuple(int(c) for c in coeffs)
@@ -306,7 +306,7 @@ class ChowRingPresentation:
 
         def fail(*triple: str) -> None:
             a, b, c = sorted(triple, key=symbols.index)
-            raise ValueError(f"structure constants are not associative at ({a!r}, {b!r}, {c!r})")
+            raise ValueError(f"structure constants are not associative at ({echo(a)}, {echo(b)}, {echo(c)})")
 
         earlier: set[str] = set()
         for g in generators:
@@ -359,7 +359,7 @@ class ChowRingPresentation:
             return
         for row in self.relations.get(self.dim, ()):
             if sum(c * w for c, w in zip(row, self.degree_functional)):
-                raise ValueError(f"relation {list(row)} in codim {self.dim} has nonzero degree")
+                raise ValueError(f"relation {echo(list(row))} in codim {self.dim} has nonzero degree")
         levels = range(min(self.relations), self.dim + 1)
         lattices = {n: Lattice(self.relations.get(n, ()), len(self.basis[n])) for n in levels}
 
@@ -380,7 +380,7 @@ class ChowRingPresentation:
                     by_s = [row_s.get(a, _NO_TERMS) for a in self.basis[k]]  # a*s for each a
                     if any(times(rho, by_s, column) not in target for rho in lattices[k].basis):
                         row = next(row for row in given if times(row, by_s, column) not in target)
-                        raise ValueError(f"relation {list(row)} in codim {k} times {s!r} is not a relation")
+                        raise ValueError(f"relation {echo(list(row))} in codim {k} times {echo(s)} is not a relation")
 
     # -- equality --------------------------------------------------------
 

@@ -114,9 +114,10 @@ def _load(text: str) -> Any:
         if path.suffix != ".json" and not is_file:
             return s
         try:
-            where, s = f" in {s!r}", path.read_text()
-        except OSError as exc:
-            raise InputError(f"cannot read {s!r}: {exc}") from exc
+            where, s = f" in {echo(s)}", path.read_text()
+        except OSError as exc:  # the message of exc would quote the path whole
+            reason = f"[Errno {exc.errno}] {exc.strerror}: {echo(exc.filename)}"
+            raise InputError(f"cannot read {echo(s)}: {reason}") from exc
     try:
         return json.loads(s, parse_int=serialize.json_int)
     except (json.JSONDecodeError, RecursionError) as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from ._value import Value
+from ._value import Value, echo
 from .cycles import CyclePattern, Incidence, JointPattern, _normalize_incidence, _require_depth
 from .cycles import _require_shared, _verdict
 from .perversity import GeneralizedBound
@@ -31,7 +31,7 @@ class CocyclePattern(Value):
     def __init__(self, strata: Stratification, t: int, target_dim: int, excess: Mapping[int, int]) -> None:
         if not 0 <= t <= target_dim:
             raise ValueError(
-                f"codimension t={t} must lie in 0..target_dim={target_dim}"
+                f"codimension t={echo(t)} must lie in 0..target_dim={echo(target_dim)}"
             )
         table = _normalize_incidence(strata, excess, "excess")
         for i, v in table.items():
@@ -39,7 +39,7 @@ class CocyclePattern(Value):
                 raise ValueError(f"excess at stratum {i} must be nonnegative")
             if v > t:
                 raise ValueError(
-                    f"excess {v} at stratum {i} pushes the fiber past the target dimension"
+                    f"excess {echo(v)} at stratum {i} pushes the fiber past the target dimension"
                 )
         self._init(strata, t, target_dim, table)
 
@@ -87,12 +87,12 @@ def slice_with_hyperplanes(pattern: CocyclePattern, count: int) -> CyclePattern:
     assumed, never certified.
     """
     if count != pattern.t:
-        raise ValueError(f"need exactly t={pattern.t} hyperplanes, got {count}")
+        raise ValueError(f"need exactly t={echo(pattern.t)} hyperplanes, got {echo(count)}")
     _require_projective(pattern, "slicing")
     d, t = pattern.strata.ambient_dim, pattern.t
     if t > d:
         raise ValueError(
-            f"slicing a codimension-{t} cocycle on a {d}-fold would land in negative dimension"
+            f"slicing a codimension-{echo(t)} cocycle on a {echo(d)}-fold would land in negative dimension"
         )
     # slicing is the cap product with the fundamental class, of incidence d - i
     fundamental = CyclePattern(pattern.strata, d, {i: d - i for i in pattern.strata.indices()})
@@ -131,7 +131,7 @@ def cap_pattern(a: CocyclePattern, b: CyclePattern) -> CyclePattern:
     _require_shared(a.strata, b.strata, "cap")
     _require_projective(a, "cap")
     if b.r < a.t:
-        raise ValueError(f"cycle dimension {b.r} is below the cocycle codimension {a.t}")
+        raise ValueError(f"cycle dimension {echo(b.r)} is below the cocycle codimension {echo(a.t)}")
     t = a.t
     r = b.r - t
     incidence: dict[int, Incidence] = {}
@@ -157,7 +157,7 @@ def morphism_fiber_pattern(
     """
     d = strata.ambient_dim
     if n < d:
-        raise ValueError(f"a dominant morphism needs dim Y = {n} >= dim X = {d}")
+        raise ValueError(f"a dominant morphism needs dim Y = {echo(n)} >= dim X = {echo(d)}")
     generic = n - d
     excess = {}
     for key, dim in fiber_dims.items():
@@ -165,7 +165,7 @@ def morphism_fiber_pattern(
         dim = int(dim)
         if dim < generic:
             raise ValueError(
-                f"fiber dimension {dim} at stratum {i} below the generic value {generic}"
+                f"fiber dimension {echo(dim)} at stratum {i} below the generic value {echo(generic)}"
             )
         excess[i] = dim - generic
     return CocyclePattern(strata, d, n, excess)

@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from . import chow
-from ._value import Value
+from ._value import Value, echo
 from .chow import ChowClass, ChowRingPresentation, quadric_surface
 from .abgroup import FpAbelianGroup, GroupMap, identity
 
@@ -80,7 +80,7 @@ class ConeVariety(Value):
 
 def _check_range(cone: ConeVariety, r: int, p: int) -> None:
     if not 0 <= r <= cone.cone_dim:
-        raise ValueError(f"cycle dimension {r} outside 0..{cone.cone_dim}")
+        raise ValueError(f"cycle dimension {echo(r)} outside 0..{cone.cone_dim}")
     if p < 0:
         raise ValueError("vertex bound must be nonnegative")
 
@@ -135,7 +135,7 @@ def comparison_map(cone: ConeVariety, r: int, p_from: int, p_to: int) -> GroupMa
     source = chow_group(cone, r, p_from)
     target = chow_group(cone, r, p_to)
     if p_from > p_to:
-        raise ValueError(f"bounds must relax: {p_from} > {p_to}")
+        raise ValueError(f"bounds must relax: {echo(p_from)} > {echo(p_to)}")
     if cone.mode(r, p_from) is cone.mode(r, p_to):
         matrix = identity(source.rank)
     else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from ._value import Value
+from ._value import Value, echo
 from .perversity import GeneralizedBound, collapse_index
 from .strata import Stratification, product_with_fiber
 from .strata import suspend as suspend_strata
@@ -23,9 +23,9 @@ EMPTY = None
 Incidence = int | None
 
 
-def _show(value: Incidence) -> int | str:
+def _show(value: Incidence) -> str:
     """An incidence value in messages, spelled as documents spell it."""
-    return "empty" if value is None else value
+    return "empty" if value is None else echo(value)
 
 
 def _normalize_incidence(
@@ -35,7 +35,7 @@ def _normalize_incidence(
     table = {int(key): (None if value is None else int(value)) for key, value in data.items()}
     if set(table) != set(strata.indices()):
         raise ValueError(
-            f"{what} must declare exactly the stratum indices {list(strata.indices())}, got {sorted(table)}"
+            f"{what} must declare exactly the stratum indices {echo(list(strata.indices()))}, got {echo(sorted(table))}"
         )
     return table
 
@@ -68,7 +68,7 @@ class CyclePattern(Value, uncompared=("label",)):
         for i, v in table.items():
             if v is not None and not 0 <= v <= r:
                 raise ValueError(
-                    f"incidence {v} at stratum {i} outside 0..r={r} (use EMPTY for no intersection)"
+                    f"incidence {echo(v)} at stratum {i} outside 0..r={echo(r)} (use EMPTY for no intersection)"
                 )
         self._init(strata, r, table, label)
 
@@ -142,12 +142,12 @@ class JointPattern(Value):
             if v < 0:
                 raise ValueError(f"joint dimension at stratum {i} must be nonnegative or EMPTY")
             if total is None or v > total:
-                raise ValueError(f"joint({i})={v} exceeds the declared total {_show(total)}")
+                raise ValueError(f"joint({i})={echo(v)} exceeds the declared total {_show(total)}")
             for side in (a, b):
                 cap = side.incidence[i]
                 if cap is None or v > cap:
                     raise ValueError(
-                        f"joint({i})={v} exceeds a factor's incidence {_show(cap)} at stratum {i}"
+                        f"joint({i})={echo(v)} exceeds a factor's incidence {_show(cap)} at stratum {i}"
                     )
         self._init(a, b, table, total)
 

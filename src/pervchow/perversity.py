@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
+from ._value import echo
+
 
 class GeneralizedBound:
     """A nondecreasing sequence of nonnegative excess bounds, one per stratum.
@@ -20,9 +22,9 @@ class GeneralizedBound:
     def __init__(self, entries: Iterable[int]) -> None:
         values = tuple(int(v) for v in entries)
         if any(v < 0 for v in values):
-            raise ValueError(f"bound entries must be nonnegative: {list(values)}")
+            raise ValueError(f"bound entries must be nonnegative: {echo(list(values))}")
         if any(b < a for a, b in zip(values, values[1:])):
-            raise ValueError(f"bound entries must be nondecreasing: {list(values)}")
+            raise ValueError(f"bound entries must be nondecreasing: {echo(list(values))}")
         self.entries = values
 
     @property
@@ -63,10 +65,10 @@ class Perversity(GeneralizedBound):
         if not self.entries:
             raise ValueError("a perversity needs at least one entry")
         if self.entries[0] != 0:
-            raise ValueError(f"p_1 must be 0: {list(self.entries)}")
+            raise ValueError(f"p_1 must be 0: {echo(list(self.entries))}")
         for a, b in zip(self.entries, self.entries[1:]):
             if b - a not in (0, 1):
-                raise ValueError(f"perversity steps must be 0 or 1: {list(self.entries)}")
+                raise ValueError(f"perversity steps must be 0 or 1: {echo(list(self.entries))}")
 
 
 def zero(d: int) -> Perversity:
@@ -98,7 +100,7 @@ def collapse_index(c: GeneralizedBound, i: int) -> int:
     """Index ``i - c_i`` of the stratum that collapse data ``c`` sends onto stratum ``i``."""
     j = i - c.at(i)
     if j < 1:
-        raise ValueError(f"collapse entry c_{i}={c.at(i)} exceeds {i - 1}")
+        raise ValueError(f"collapse entry c_{i}={echo(c.at(i))} exceeds {i - 1}")
     return j
 
 

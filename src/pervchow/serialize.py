@@ -99,7 +99,10 @@ def _int(x: Any, what: str = "integer") -> int:
         limit = sys.get_int_max_str_digits()
         if limit and len(x) > limit and (digits := sum(map(str.isdigit, x))) > limit:
             raise InputError(f"{what} has {digits} digits; the limit is {limit}")
-    return int(x)
+    try:
+        return int(x)
+    except ValueError:  # int() would quote at most 200 characters of x, and not say how many there were
+        raise ValueError(f"invalid literal for int() with base 10: {echo(x)}") from None
 
 
 def json_int(literal: str) -> int:
@@ -405,7 +408,7 @@ def parse_ring(data: Any) -> ChowRingPresentation:
         products, constants = _products(data.get("products", []))
         if constants > MAX_RING_CONSTANTS:
             raise InputError(
-                f"ring {name!r} has {constants} nonzero structure constants; the limit is {MAX_RING_CONSTANTS}"
+                f"ring {echo(name)} has {constants} nonzero structure constants; the limit is {MAX_RING_CONSTANTS}"
             )
         relations = _relations(data.get("relations", {}))
         return ChowRingPresentation(

@@ -9,7 +9,7 @@ The geometric content of a computation lives in the incidence patterns
 
 from __future__ import annotations
 
-from ._value import Value
+from ._value import Value, echo
 
 
 class StratumSpec(Value):
@@ -36,11 +36,11 @@ class ModelTag(Value):
     def __init__(self, kind: str, fiber_dim: int | None = None, base: ModelTag | None = None) -> None:
         self._init(kind, fiber_dim, base)
         if self.kind not in ("generic", "isolated_vertex", "product"):
-            raise ValueError(f"unknown model kind {self.kind!r}")
+            raise ValueError(f"unknown model kind {echo(self.kind)}")
         if (self.kind == "product") != (self.fiber_dim is not None):
             raise ValueError("product tags carry fiber_dim; other tags must not")
         if self.fiber_dim is not None and self.fiber_dim < 0:
-            raise ValueError(f"fiber_dim must be nonnegative, got {self.fiber_dim}")
+            raise ValueError(f"fiber_dim must be nonnegative, got {echo(self.fiber_dim)}")
         if (self.kind == "product") != (self.base is not None):
             raise ValueError("product tags carry a base tag; other tags must not")
 
@@ -64,14 +64,14 @@ class Stratification(Value, uncompared=("model",)):
             )
         for pos, s in enumerate(self.strata, start=1):
             if s.index != pos:
-                raise ValueError(f"stratum indices must run 1..depth, got {s.index} at position {pos}")
+                raise ValueError(f"stratum indices must run 1..depth, got {echo(s.index)} at position {pos}")
             if s.codim_lower_bound < s.index:
                 raise ValueError(
-                    f"stratum {s.index} codimension bound {s.codim_lower_bound} is below its index"
+                    f"stratum {s.index} codimension bound {echo(s.codim_lower_bound)} is below its index"
                 )
             if s.codim_lower_bound > self.ambient_dim:
                 raise ValueError(
-                    f"stratum {s.index} codimension bound {s.codim_lower_bound} exceeds the ambient dimension"
+                    f"stratum {s.index} codimension bound {echo(s.codim_lower_bound)} exceeds the ambient dimension"
                 )
 
     @property
@@ -85,7 +85,7 @@ class Stratification(Value, uncompared=("model",)):
 def isolated_vertex(d: int) -> Stratification:
     """Every stratum is a single point: codimension bound ``d`` at each index."""
     if d < 1:
-        raise ValueError(f"dimension must be at least 1, got {d}")
+        raise ValueError(f"dimension must be at least 1, got {echo(d)}")
     strata = tuple(StratumSpec(i, d, "vertex") for i in range(1, d + 1))
     return Stratification(d, strata, ISOLATED_VERTEX)
 
@@ -97,7 +97,7 @@ def product_with_fiber(s: Stratification, fiber_dim: int) -> Stratification:
     and then ``n`` yields the same descriptor as crossing once with ``m + n``.
     """
     if fiber_dim < 0:
-        raise ValueError(f"fiber dimension must be nonnegative, got {fiber_dim}")
+        raise ValueError(f"fiber dimension must be nonnegative, got {echo(fiber_dim)}")
     if fiber_dim == 0:
         return s
     if s.model.kind == "product":

@@ -243,6 +243,11 @@ def in_row_lattice(m, x):
     return all(a[i][-1].denominator == 1 for i in range(len(m)))
 
 
+def kernel_of(matrix, ncols):
+    """``abgroup._kernel`` of ``matrix`` as the map ``Z^ncols -> Z^len(matrix)``: the solutions of ``M x = 0``."""
+    return abgroup._kernel(GroupMap(FpAbelianGroup(ncols), FpAbelianGroup(len(matrix)), matrix))
+
+
 def test_snf_contract_seeded_batch():
     rng = random.Random(20210)
     for _ in range(500):
@@ -254,7 +259,7 @@ def test_snf_contract_seeded_batch():
         assert_snf_contract(matrix, form)
         assert form.rank == rank
         ncols = len(matrix[0])
-        kernel = abgroup._kernel(matrix, ncols)
+        kernel = kernel_of(matrix, ncols)
         assert len(kernel) == ncols - rank
         assert all(mul(matrix, [[x] for x in vec]) == [[0]] * len(matrix) for vec in kernel)
         if kernel:
@@ -623,7 +628,7 @@ class TestLattices:
         assert lattice_solve([], [1, 0]) is None
 
     def test_kernel_basis_spans_solutions(self):
-        basis = abgroup._kernel([[1, 1, 1]], 3)
+        basis = kernel_of([[1, 1, 1]], 3)
         assert len(basis) == 2
         for vec in basis:
             assert sum(vec) == 0
@@ -631,8 +636,8 @@ class TestLattices:
         for target in ([1, -1, 0], [0, 1, -1]):
             assert lattice_solve(basis, target) is not None
         # with no rows every vector is a solution: the kernel is all of Z^n
-        assert abgroup._kernel([], 0) == []
-        assert abgroup._kernel([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert kernel_of([], 0) == ()
+        assert kernel_of([], 3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     def test_failed_witness_is_caught_in_lattice_solve(self, monkeypatch):
         # coordinates that the lattice's own checks accept but that give a wrong witness
@@ -784,6 +789,40 @@ class TestLatticeForm:
             verdict = is_exact_at_middle(f, g)
             assert verdict == reference_exact(f, g)
             seen["exact"].add(verdict)
+        assert all(answers == {True, False} for answers in seen.values()), seen
+
+    def test_exactness_matches_the_reference_on_every_group_shape(self):
+        # groups of rank 0, torsion middle and target groups, sources with relations, and
+        # pairs whose composite is zero (f onto kernel vectors scaled by 1 or 2) but which
+        # need not be exact
+        rng = random.Random(1919)
+        seen = {"composite zero": set(), "random": set()}
+        for _ in range(200):
+            a, b, c = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 2)
+            middle = FpAbelianGroup(b, tuple(tuple(rng.randint(-3, 3) for _ in range(b)) for _ in range(rng.randint(0, 2))))
+            gm = [[rng.randint(-2, 2) for _ in range(b)] for _ in range(c)]
+            # the target's relations hold g's image of the middle relations, so g is well defined
+            forced = [mat_vec(gm, rel) for rel in middle.relations] if c else []
+            extra = [[rng.randint(-4, 4) for _ in range(c)] for _ in range(rng.randint(0, 2))]
+            g = zmap(gm, middle, FpAbelianGroup(c, tuple(map(tuple, forced + extra))))
+            kernel = [vec[:b] for vec in smith_kernel(reference_stack(g), b + len(g.target.relations))]
+            kind = "composite zero" if rng.random() < 0.6 else "random"
+            if kind == "composite zero":
+                cols = [[rng.choice((1, 1, 2)) * x for x in vec] for vec in kernel if rng.random() < 0.8]
+            else:
+                cols = [[rng.randint(-2, 2) for _ in range(b)] for _ in range(a)]
+            relations = []
+            if cols and rng.random() < 0.5:  # a repeated column, and the relation that kills the difference
+                cols.append(cols[0])
+                relations.append([1] + [0] * (len(cols) - 2) + [-1])
+            if middle.relations and rng.random() < 0.5:  # a middle relation as a column, of order 3 in the source
+                cols.append(list(middle.relations[0]))
+                relations = [row + [0] for row in relations] + [[0] * (len(cols) - 1) + [3]]
+            source = FpAbelianGroup(len(cols), tuple(map(tuple, relations)))
+            f = zmap(transpose(cols) or [[] for _ in range(b)], source, middle)
+            verdict = is_exact_at_middle(f, g)
+            assert verdict == reference_exact(f, g)
+            seen[kind].add(verdict)
         assert all(answers == {True, False} for answers in seen.values()), seen
 
     @pytest.mark.parametrize("mutant, message", [
@@ -1023,14 +1062,14 @@ class TestHermiteStep:
         assert abgroup._hnf(matrix, t) == full_sweep_hnf(matrix, t)
 
 
-# each mutant of the kernel's Hermite form and the check that rejects it
+# each mutant of the Hermite form of g's graph that could change an answer, and the check that rejects it
 KERNEL_MUTANTS = [
     ("tampered-row", "Hermite transform does not reproduce the basis"),
-    ("doubled-kernel-row", "kernel transform is not unimodular"),
     ("dropped-kernel-row", "Hermite transform has the wrong shape"),
-    ("zeroed-kernel-row", "kernel transform is not unimodular"),
     ("swapped", "Hermite pivots are not positive and in increasing columns"),
 ]
+# mutants of the rows of W at zero rows of H, which no answer reads
+ZERO_ROW_MUTANTS = ["doubled-kernel-row", "zeroed-kernel-row"]
 
 
 class TestHermiteKernel:
@@ -1048,15 +1087,19 @@ class TestHermiteKernel:
         matrices.append([[rng.randint(-9, 9) for _ in range(24)] for _ in range(12)])
         for matrix in matrices:
             m, n = len(matrix), len(matrix[0]) if matrix else rng.randint(0, 3)
-            kernel = abgroup._kernel(matrix, n)
+            kernel = kernel_of(matrix, n)
             assert all(mul(matrix, [[x] for x in vec]) == [[0]] * m for vec in kernel)
             assert len(kernel) == n - (rational_rank(matrix) if matrix and n else 0)
             assert Lattice(kernel, n) == Lattice(smith_kernel(matrix, n), n)
+            assert kernel == Lattice(kernel, n).basis  # already the kernel's reduced Hermite basis
 
     @staticmethod
     def mutated_hnf(monkeypatch, mutant, rows=None):
-        """Patch ``abgroup._hnf`` to return the ``mutant`` form, for inputs of ``rows`` rows only when given."""
-        real = abgroup._hnf
+        """Patch ``abgroup._hnf`` to return the ``mutant`` form, for inputs of ``rows`` rows only when given.
+
+        Returns a list that gets one entry each time the mutant changes a form.
+        """
+        real, changed = abgroup._hnf, []
 
         def mutated(a, t):
             h, w = real(a, t)
@@ -1064,32 +1107,33 @@ class TestHermiteKernel:
                 return h, w
             if mutant == "tampered-row":
                 w[-1][0] += 1
-            elif mutant == "doubled-kernel-row":  # still in the kernel, so only the determinant sees it
-                if h and not any(h[-1]):
-                    w[-1] = [2 * x for x in w[-1]]
             elif mutant == "dropped-kernel-row":  # the product still holds, so only the shape check sees it
                 h.pop(), w.pop()
-            elif mutant == "zeroed-kernel-row":
-                w[-1] = [0] * len(w[-1])
-            else:  # the first two rows swapped: the same product, no longer an echelon
+            elif mutant == "swapped":  # the first two rows swapped: the same product, no longer an echelon
                 h[0], h[1], w[0], w[1] = h[1], h[0], w[1], w[0]
+            elif h and not any(h[-1]):  # a row of W at a zero row of H, doubled or zeroed: still W * A == H
+                w[-1] = [2 * x for x in w[-1]] if mutant == "doubled-kernel-row" else [0] * len(w[-1])
+            else:
+                return h, w
+            changed.append(mutant)
             return h, w
 
         monkeypatch.setattr(abgroup, "_hnf", mutated)
+        return changed
 
     @pytest.mark.parametrize("mutant, message", KERNEL_MUTANTS)
     def test_mutants_are_rejected(self, monkeypatch, mutant, message):
         matrix = [[1, 2, 3, 4], [2, 0, 1, 5]]
-        assert len(abgroup._kernel(matrix, 4)) == 2
+        assert len(kernel_of(matrix, 4)) == 2
         self.mutated_hnf(monkeypatch, mutant)
         with pytest.raises(VerificationError, match=message):
-            abgroup._kernel(matrix, 4)
+            kernel_of(matrix, 4)
 
     @pytest.mark.parametrize("mutant, message", KERNEL_MUTANTS, ids=[mutant for mutant, _ in KERNEL_MUTANTS])
     def test_mutants_fail_the_exact_command_self_check(self, monkeypatch, mutant, message):
         from pervchow import cli
 
-        # g: Z^4 -> Z^2 and f onto its kernel; only the kernel's Hermite form (of Mᵀ, 4 rows) is mutated
+        # g: Z^4 -> Z^2 and f onto its kernel; only the Hermite form of g's graph (4 rows) is mutated
         g = {"source": {"rank": 4}, "target": {"rank": 2}, "matrix": [[1, 2, 3, 4], [2, 0, 1, 5]]}
         f = {"source": {"rank": 2}, "target": {"rank": 4}, "matrix": [[-2, -1], [-5, 3], [4, -3], [0, 1]]}
         argv = ["exact", "--f", json.dumps(f), "--g", json.dumps(g)]
@@ -1100,21 +1144,38 @@ class TestHermiteKernel:
         assert [(v.check, v.ok, v.explanation) for v in report.verdicts] == [("self-check", False, message)]
 
     def test_lattice_checks_the_transform_rows_at_zero_rows(self, monkeypatch):
-        # these generators have rank 1, so the tampered last transform row is a syzygy
-        assert Lattice([[1, 2], [2, 4], [3, 6]], 2).syzygies == ((-2, 1, 0), (-3, 0, 1))
+        # these generators have rank 1, so the tampered last transform row lies at a zero row of H
+        assert abgroup._hnf([[1, 2], [2, 4], [3, 6]], abgroup.identity(3))[1][1:] == [[-2, 1, 0], [-3, 0, 1]]
         self.mutated_hnf(monkeypatch, "tampered-row")
         with pytest.raises(VerificationError, match="Hermite transform does not reproduce the basis"):
             Lattice([[1, 2], [2, 4], [3, 6]], 2)
 
-    def test_exactness_accepts_the_kernel_only_after_its_certificate(self, monkeypatch):
-        # a Lattice checks its syzygies against the generators, but a doubled one still
-        # sends them to zero, so only the kernel's determinant sees this mutant
-        f = zmap([[2]], Z, Z)
-        g = zmap([[1]], Z, FpAbelianGroup.cyclic(4))
-        assert not is_exact_at_middle(f, g)
-        self.mutated_hnf(monkeypatch, "doubled-kernel-row")
-        with pytest.raises(VerificationError, match="kernel transform is not unimodular"):
-            is_exact_at_middle(f, g)
+    @pytest.mark.parametrize("mutant", ZERO_ROW_MUTANTS)
+    def test_mutants_at_zero_rows_change_no_answer(self, monkeypatch, mutant):
+        from pervchow import cli
+
+        # dependent generators leave zero rows in H: in the image's lattice (f's columns 4, 8 or
+        # 2, 8) and in g's graph (the relations 4 and 8 of Z/4); the rows of W there are neither
+        # reached by a witness nor by the kernel, so every answer stays as it was
+        g = {"source": {"rank": 1}, "target": {"rank": 1, "relations": [[4], [8]]}, "matrix": [[1]]}
+        argvs = [
+            ["exact", "--f", json.dumps({"source": {"rank": 2}, "target": {"rank": 1}, "matrix": [c]}),
+             "--g", json.dumps(g)]
+            for c in ([4, 8], [2, 8])
+        ]
+        before = [(cli.run(argv).exit_code, lattice_solve([[2], [4]], [6])) for argv in argvs]
+        assert before == [(0, [3, 0]), (1, [3, 0])]
+        changed = self.mutated_hnf(monkeypatch, mutant)
+        assert [(cli.run(argv).exit_code, lattice_solve([[2], [4]], [6])) for argv in argvs] == before
+        assert changed
+
+    def test_exactness_builds_one_lattice_per_subgroup(self, monkeypatch):
+        # the image's Lattice and that of g's graph, whose basis holds the kernel's
+        f, g = zmap([[4]], Z, Z), zmap([[1]], Z, FpAbelianGroup.cyclic(4))
+        real, built = abgroup.Lattice, []
+        monkeypatch.setattr(abgroup, "Lattice", lambda *args: built.append(args) or real(*args))
+        assert is_exact_at_middle(f, g)
+        assert [width for _, width in built] == [1, 2]
 
 
 def test_lattice_answers_run_no_smith_form(monkeypatch):

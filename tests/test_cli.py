@@ -784,8 +784,8 @@ class TestHostileInput:
         assert report.values["group"]["name"] == "Z/2"
 
     def test_exact_answers_at_the_group_limit_in_time(self):
-        # rank-64 maps into a group with 64 random relation rows in [-9, 9]: the
-        # kernel's certificate is the costliest part; about 1.3-2 s on a 2-vCPU VM
+        # rank-64 maps into a group with 64 random relation rows in [-9, 9]: the Hermite
+        # form of g's graph (128 rows) is the costliest part; about 1.4-1.8 s on a 2-vCPU VM
         rng = random.Random(64)
 
         def square():

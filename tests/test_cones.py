@@ -4,7 +4,7 @@ import random
 import pytest
 
 from pervchow import chow
-from pervchow.abgroup import _kernel, describe, invariant_factors, lattice_solve
+from pervchow.abgroup import FpAbelianGroup, GroupMap, _kernel, describe, invariant_factors, lattice_solve
 from pervchow.chow import projective_space, quadric_surface
 from pervchow.cones import (
     ConeClass,
@@ -356,7 +356,7 @@ def torsion_ring_document(rng):
     ]
 
     def killed_by(rows):
-        basis = _kernel(rows, w2)
+        basis = _kernel(GroupMap(FpAbelianGroup(w2), FpAbelianGroup(len(rows)), rows))
         coeffs = [rng.randint(-2, 2) for _ in basis]
         return [sum(c * v[j] for c, v in zip(coeffs, basis)) for j in range(w2)]
 

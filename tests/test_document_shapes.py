@@ -357,6 +357,52 @@ INT_FLAGS = {
 }
 
 
+BIG = int("9" * 4300)  # the longest integer literal a document may hold
+SYMBOL = "s" * 5000
+P2_RING = {"dim": 2, "basis": [["1"], ["h"], ["p"]], "hyperplane": [1], "degree": [1]}
+WIDE_RING = {  # 65 codimension-1 symbols, every ordered pair of them listed: 4225 structure constants
+    "dim": 2, "basis": [["1"], [f"a{i}" for i in range(65)], ["p"]], "hyperplane": [1] * 65, "degree": [1],
+    "products": [{"a": f"a{i}", "b": f"a{j}", "value": {"p": 1}} for i in range(65) for j in range(65)],
+}
+
+
+def cone_over(ring):
+    return ["groups", "--cone", _text({"base": ring}), "--r", "0", "--p", "0"]
+
+
+# A command whose error message quotes a long input value, by the layer that raises it.
+LONG_VALUES = {
+    "cones-cycle-dimension": INT_FLAGS["--r"](str(BIG)),
+    "cones-bounds-relax": ["compare", "--cone", "P2", "--r", "0", "--p-from", str(BIG), "--p-to", "0"],
+    "cocycles-hyperplane-count": ["slice", "--cocycle", _text(COCYCLE), "--count", str(BIG), "--strata", STRATA],
+    "cocycles-slice-dimension": ["slice", "--cocycle", _text(with_(COCYCLE, t=BIG, targetDim=BIG)),
+                                 "--count", str(BIG), "--strata", STRATA],
+    "cocycles-codimension": COMMANDS["cocycle"](_text(with_(COCYCLE, t=BIG))),
+    "cocycles-excess": COMMANDS["cocycle"](_text(with_(COCYCLE, targetDim=BIG, excess={"1": BIG, "2": 0, "3": 0}))),
+    "cocycles-cap": ["cap", "--cocycle", _text(with_(COCYCLE, t=BIG, targetDim=BIG)), "--pattern", _text(PATTERN),
+                     "--strata", STRATA],
+    "cycles-incidence": COMMANDS["pattern"](_text(with_(PATTERN, incidence={"1": BIG, "2": 0, "3": 0}))),
+    "cycles-dimension": COMMANDS["pattern"](_text(with_(PATTERN, dim=BIG, incidence={"1": -1, "2": 0, "3": 0}))),
+    "cycles-indices": COMMANDS["pattern"](_text(with_(PATTERN, incidence={str(i): 0 for i in range(1, 2000)}))),
+    "cycles-joint": COMMANDS["joint"](_text(with_(JOINT, joint={"1": BIG, "2": 0, "3": 0}))),
+    "perversity-bound": COMMANDS["bound"](_text([5] + [0] * 20000)),
+    "perversity-steps": COMMANDS["perversity"](_text([0] * 20000 + [5])),
+    "strata-index": COMMANDS["strata"](_text(with_(STRATIFICATION, strata=[{"i": BIG, "codim": 1}]))),
+    "strata-codimension": COMMANDS["strata"](_text(with_(STRATIFICATION, strata=[{"i": 1, "codim": -BIG}]))),
+    "strata-fiber-dim": COMMANDS["strata"](_text(with_(STRATIFICATION, model={"kind": "product", "fiber_dim": -BIG}))),
+    "chow-dimension": cone_over(with_(P2_RING, dim=BIG)),
+    "chow-basis-symbol": cone_over(with_(P2_RING, basis=[["1"], [SYMBOL, SYMBOL], ["p"]], hyperplane=[1, 1])),
+    "chow-product-symbol": cone_over(with_(P2_RING, products=[{"a": SYMBOL, "b": "h", "value": {"p": 1}}])),
+    "chow-relation-codimension": cone_over(with_(P2_RING, relations={str(BIG): [[1]]})),
+    "chow-relation": cone_over(with_(P2_RING, relations={"1": [[1] * 20000]})),
+    "serialize-ring-name": cone_over(with_(WIDE_RING, name=SYMBOL)),
+    "abgroup-relation": COMMANDS["map"](_text(with_(F, target={"rank": 1, "relations": [[1] * 60]}))),
+    "abgroup-map-row": COMMANDS["map"](_text(with_(F, matrix=[[1] * 60]))),
+    "abgroup-map-relation": COMMANDS["map"](_text(with_(F, source={"rank": 2, "relations": [[2 ** 4000, 0]]}))),
+    "abgroup-ncols": INT_FLAGS["--ncols"](str(-BIG)),
+    "cli-file-path": COMMANDS["matrix"]("/nonexistent/" + "d/" * 2000 + "matrix.json"),
+}
+
 class TestLongValuesInMessages:
     """An integer flag is measured as an integer field is, and a message quotes at
     most a fixed prefix of an input value; short values are quoted whole, as before."""
@@ -405,3 +451,17 @@ class TestLongValuesInMessages:
         assert self.error(COMMANDS["strata"]("vertex" + self.NINES)) == (
             f"vertex<d> takes d up to 1024, got {'9' * 64!r}... (5000 characters)")
         assert self.error(COMMANDS["strata"]("vertex2000")) == "vertex<d> takes d up to 1024, got 2000"
+
+    @pytest.mark.parametrize("layer", LONG_VALUES)
+    def test_a_layer_message_quotes_a_long_value_cut(self, layer):
+        report = run(LONG_VALUES[layer])
+        assert report.exit_code == 2
+        assert len(report.error) < 300 and "characters)" in report.error, report.error[:400]
+
+    def test_an_over_long_non_integer_string_field_is_cut(self):
+        error = self.error(COMMANDS["pattern"](_text(with_(PATTERN, dim="d" * 5000))))
+        assert error == f"bad cycle pattern: invalid literal for int() with base 10: {'d' * 64!r}... (5000 characters)"
+
+    def test_a_short_non_integer_string_field_reads_as_before(self):
+        error = self.error(COMMANDS["pattern"](_text(with_(PATTERN, dim="abc"))))
+        assert error == "bad cycle pattern: invalid literal for int() with base 10: 'abc'"

@@ -161,12 +161,21 @@ def names_by_function(path):
     return found
 
 
-def test_hermite_form_runs_only_in_lattice_and_smith_form():
-    # the kernel is read from a Lattice's syzygies; no other code runs or certifies a Hermite form
-    callers = {
+def callers_of(target):
+    """``<module>.<enclosing function or class>`` for every read of the name ``target`` in ``src/``."""
+    return {
         f"{path.stem}.{where}"
         for path in (SRC / "pervchow").glob("*.py")
         for where, name in names_by_function(path)
-        if name == "_hnf"
+        if name == target
     }
-    assert callers == {"abgroup.Lattice.__init__", "abgroup.smith_normal_form"}
+
+
+def test_hermite_form_runs_only_in_lattice_and_smith_form():
+    # a kernel is read off the basis of the Lattice of a map's graph; no other code runs or certifies a Hermite form
+    assert callers_of("_hnf") == {"abgroup.Lattice.__init__", "abgroup.smith_normal_form"}
+
+
+def test_only_the_smith_form_check_takes_a_determinant():
+    # a kernel is covered by its Lattice's certificate, so no determinant runs outside _verify_smith
+    assert callers_of("det") == {"abgroup._verify_smith"}
