@@ -350,9 +350,13 @@ class Lattice(Value, uncompared=("transform", "terms")):
                 raise VerificationError("Hermite basis has an unreduced entry above a pivot")
             pivots.append(c)
             terms.append(nonzero)
-        self._init(width, tuple(map(tuple, basis)), tuple(map(tuple, w[:rank])), tuple(terms))
-        if any(self._coordinates(g) is None for g in gens):
+            for g in gens:  # a remainder at the pivot stays, as no later row has an entry in column c
+                if k := g[c] // row[c]:
+                    for j, x in nonzero:
+                        g[j] -= k * x
+        if any(map(any, gens)):
             raise VerificationError("a generator lies outside its Hermite basis")
+        self._init(width, tuple(map(tuple, basis)), tuple(map(tuple, w[:rank])), tuple(terms))
 
     def _coordinates(self, vector: Sequence[int]) -> list[int] | None:
         """``q`` with ``q * basis == vector``, or ``None`` when ``vector`` is outside the lattice.

@@ -13,8 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, NoReturn
+from typing import Any, Callable, Iterator, NoReturn
 
 # Each handler imports the layer modules it calls, and ``serialize`` imports a
 # layer only in the parsers and renderers that build its values, so a command
@@ -23,6 +24,17 @@ from typing import Any, Callable, NoReturn
 from . import serialize
 from ._value import Value, echo
 from .serialize import SCHEMA_VERSION, InputError
+
+
+@contextmanager
+def _whole_integers() -> Iterator[None]:
+    """Lift the interpreter's int-to-str limit, then restore it: inputs meet only the readers' fixed limits."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class Verdict(Value, mutable=True):
@@ -77,17 +89,8 @@ class Report(Value, mutable=True):
             doc["values"] = self.values
         return doc
 
+    @_whole_integers()
     def render(self, pretty: bool) -> str:
-        # results are exact integers and print in full, past Python's int-to-str
-        # digit limit; input is parsed earlier, in ``_load``, under the limit
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return self._render(pretty)
-        finally:
-            sys.set_int_max_str_digits(limit)
-
-    def _render(self, pretty: bool) -> str:
         if not pretty:
             return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
         lines = [f"command: {self.command}"]
@@ -591,6 +594,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
+@_whole_integers()
 def run(argv: list[str]) -> Report:
     """Parse arguments, read the documents, dispatch, and return the report (no printing)."""
     try:

@@ -36,12 +36,16 @@ MAX_VERTEX_DIM = 1024
 # Largest row or column count of a matrix document, ``ncols`` included, and
 # largest rank or relation count of a group and relation count of a ring
 # codimension; and the largest total bit length of the entries of a matrix, of a
-# group's relations and of a group map's matrix.  Both are checked before any
-# Smith form, whose n³ steps grow with the entries: on a 2-vCPU VM 64×64 in
-# [-9, 9] (about 16,000 bits) takes 0.4 s, no shape up to 64×64 at 32,768 bits
-# took over 0.7 s, and 16×16 with 1000-bit entries 3.2 s.
+# group's relations, of a group map's matrix and of a ring codimension's relations.
+# Both are checked before any Smith or Hermite form, whose n³ steps grow with the
+# entries: on a 2-vCPU VM 64×64 in [-9, 9] (about 16,000 bits) takes 0.4 s, no
+# shape up to 64×64 at 32,768 bits took over 0.7 s, and 16×16 with 1000-bit entries 3.2 s.
 MAX_MATRIX_DIM = 64
 MAX_MATRIX_BITS = 32768
+
+# Most digits of an integer field or literal, checked before ``int`` reads it: the
+# interpreter's default int-to-str limit, fixed so that no interpreter setting moves it.
+MAX_INT_DIGITS = sys.int_info.default_max_str_digits
 
 # Most nonzero structure constants a ring document may list, counted before the
 # ring is built, once per distinct listed pair: a pair listed again in the same
@@ -95,10 +99,8 @@ def _int(x: Any, what: str = "integer") -> int:
     """An integer field ``what``: a JSON integer or a digit string within the digit limit, never a bool or float."""
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise InputError(f"expected an integer, got {echo(x)}")
-    if isinstance(x, str):
-        limit = sys.get_int_max_str_digits()
-        if limit and len(x) > limit and (digits := sum(map(str.isdigit, x))) > limit:
-            raise InputError(f"{what} has {digits} digits; the limit is {limit}")
+    if isinstance(x, str) and len(x) > MAX_INT_DIGITS and (digits := sum(map(str.isdigit, x))) > MAX_INT_DIGITS:
+        raise InputError(f"{what} has {digits} digits; the limit is {MAX_INT_DIGITS}")
     try:
         return int(x)
     except ValueError:  # int() would quote at most 200 characters of x, and not say how many there were
@@ -120,15 +122,12 @@ def _int_list(data: Any, what: str) -> list[int]:
         raise InputError(f"{what}: {exc}") from None
 
 
-def _int_rows(
-    data: Any, what: str, owner: str, unit: str, row: Callable[[int], str] | None = None, bits: bool = True
-) -> list[list[int]]:
+def _int_rows(data: Any, what: str, owner: str, unit: str, row: Callable[[int], str] | None = None) -> list[list[int]]:
     """Every list of integer rows: ``owner``'s ``unit``, counted before any row ``row(n)`` is read, then its bits."""
     _shape(data, (list, tuple), what, "a list of integer rows")
     _check_dim(len(data), owner, unit)
     rows = [_int_list(r, row(n) if row else f"{what} row {n}") for n, r in enumerate(data)]
-    if bits:
-        _check_dim(sum(x.bit_length() for r in rows for x in r), owner, "bits of entries", MAX_MATRIX_BITS)
+    _check_dim(sum(x.bit_length() for r in rows for x in r), owner, "bits of entries", MAX_MATRIX_BITS)
     return rows
 
 
@@ -339,16 +338,16 @@ def _check_basis(basis: Any, name: str) -> None:
     for k, level in enumerate(basis):
         for sym in level:
             if not isinstance(sym, str):
-                raise InputError(f"basis symbol {sym!r} in codim {k} must be a string")
+                raise InputError(f"basis symbol {echo(sym)} in codim {k} must be a string")
 
 
 def _relations(data: Any) -> dict[int, list[list[int]]]:
-    """A document's ``relations``: integer rows keyed by codimension, each level checked against the limit."""
+    """A document's ``relations``: integer rows keyed by codimension, each level checked against the limits."""
     _shape(data, Mapping, "relations", "an object keyed by codimension")
     return {
         _int(k, "relations key"): _int_rows(
             rows, f"relations in codim {k}", f"ring codimension {k}", "relations",
-            lambda n: f"relation row {n} in codim {k}", bits=False,
+            lambda n: f"relation row {n} in codim {k}",
         )
         for k, rows in data.items()
     }
@@ -372,14 +371,14 @@ def _products(entries: Any) -> tuple[dict[tuple[str, str], dict[str, int]], int]
         if type(a) is not str or type(b) is not str:  # exact types first, to skip two calls per entry
             for factor in (a, b):
                 if not isinstance(factor, str):
-                    raise InputError(f"factor {factor!r} of products entry {n} must be a string")
+                    raise InputError(f"factor {echo(factor)} of products entry {n} must be a string")
         value = entry["value"]
         if not isinstance(value, (dict, Mapping)):
-            raise InputError(f"value of product ({a!r}, {b!r}) must be an object, got {type(value).__name__}")
+            raise InputError(f"value of product ({echo(a)}, {echo(b)}) must be an object, got {type(value).__name__}")
         combo: dict[str, int] = {}
         for sym, c in value.items():
             if type(c) is not int:
-                c = _int(c, f"coefficient of {sym!r} in product ({a!r}, {b!r})")
+                c = _int(c, f"coefficient of {echo(sym)} in product ({echo(a)}, {echo(b)})")
             if c:
                 combo[str(sym)] = c
         pair = (a, b)
@@ -388,7 +387,7 @@ def _products(entries: Any) -> tuple[dict[tuple[str, str], dict[str, int]], int]
             products[pair] = combo
             constants += len(combo)
         elif old != combo:
-            raise InputError(f"inconsistent products for pair {pair if a <= b else (b, a)}")
+            raise InputError(f"inconsistent products for pair ({echo(min(pair))}, {echo(max(pair))})")
     return products, constants
 
 
@@ -474,7 +473,7 @@ def parse_cone_class(data: Any, cone: ConeVariety) -> ConeClass:
         with _reading("cone class"):
             payload = data["payload"]
             if isinstance(payload, Mapping):
-                payload = {s: _int(c, f"payload entry {s!r}") for s, c in payload.items()}
+                payload = {s: _int(c, f"payload entry {echo(s)}") for s, c in payload.items()}
             else:
                 payload = _int_list(payload, "payload")
             cls = cone.cls(_int(data["r"], "r"), _int(data["p"], "p"), payload)

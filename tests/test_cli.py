@@ -258,6 +258,37 @@ class TestGroupsCompareSnfExact:
             finally:
                 sys.set_int_max_str_digits(limit)
 
+    @pytest.mark.parametrize("limit", [640, 0])
+    @pytest.mark.parametrize("outcome", ["ok", "input-error", "self-check"])
+    def test_the_interpreter_limit_is_the_same_after_each_command(self, monkeypatch, capsys, limit, outcome):
+        from pervchow import abgroup
+
+        digits = {"ok": 1000, "input-error": 5000, "self-check": 1}[outcome]
+        argv = ["snf", "--matrix", f"[[{'7' * digits}, 0], [0, 2]]"]
+        if outcome == "self-check":
+            real = abgroup._hnf
+
+            def corrupted(a, t):
+                h, w = real(a, t)
+                w[0][0] += 1
+                return h, w
+
+            monkeypatch.setattr(abgroup, "_hnf", corrupted)
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            report = run(argv)
+            assert sys.get_int_max_str_digits() == limit
+            assert report.exit_code == {"ok": 0, "input-error": 2, "self-check": 1}[outcome]
+            for pretty in (False, True):
+                report.render(pretty)
+                assert sys.get_int_max_str_digits() == limit
+            assert main(argv) == report.exit_code
+            assert sys.get_int_max_str_digits() == limit
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert capsys.readouterr().out == report.render(False)
+
     def test_snf_input_keeps_the_digit_limit(self):
         report = run(["snf", "--matrix", f"[[{'7' * 5000}]]"])
         assert report.exit_code == 2
@@ -755,24 +786,38 @@ class TestHostileInput:
     @pytest.mark.parametrize(
         "relation_bits, needle",
         [(3000, "a group takes at most 32768 bits of entries, got "),
-         (4, "a group map takes at most 32768 bits of entries, got ")],
-        ids=["3000-bit-relations", "3000-bit-map"],
+         (4, "a group map takes at most 32768 bits of entries, got "),
+         (4000, "ring codimension 1 takes at most 32768 bits of entries, got ")],
+        ids=["3000-bit-relations", "3000-bit-map", "4000-bit-ring-relations"],
     )
     def test_oversized_group_entries_exit_2_before_any_lattice(self, relation_bits, needle):
         # a rank-8 map of 3000-bit entries into 8 relation rows: before the bit
-        # limit `exact` took 4-7 s to answer
+        # limit `exact` took 4-7 s to answer; 16 relations on 16 ring symbols
+        # with 4000-bit entries took 7.8 s to validate and longer to answer `groups`
         rng = random.Random(8)
 
-        def entries(bits):
-            return [[rng.choice((-1, 1)) * rng.getrandbits(bits) for _ in range(8)] for _ in range(8)]
+        def entries(bits, n=8):
+            return [[rng.choice((-1, 1)) * rng.getrandbits(bits) for _ in range(n)] for _ in range(n)]
 
-        target = {"rank": 8, "relations": entries(relation_bits)}
-        g = json.dumps({"source": {"rank": 8}, "target": target, "matrix": entries(3000)})
-        start = time.perf_counter()
-        report = run(["exact", "--f", self.identity_map(8), "--g", g])
-        assert time.perf_counter() - start < 1.0
-        assert report.exit_code == 2
-        assert needle in report.error
+        if needle.startswith("ring"):
+            ring = {"dim": 1, "basis": [["1"], [f"a{i}" for i in range(16)]], "hyperplane": [1] * 16,
+                    "degree": [0] * 16, "relations": {"1": entries(relation_bits, 16)}}
+            runs = [["groups", "--cone", json.dumps({"base": ring}), "--r", "1", "--p", "1"],
+                    ["validate", "--ring", json.dumps(ring)]]
+        else:
+            target = {"rank": 8, "relations": entries(relation_bits)}
+            g = json.dumps({"source": {"rank": 8}, "target": target, "matrix": entries(3000)})
+            runs = [["exact", "--f", self.identity_map(8), "--g", g]]
+        for argv in runs:
+            start = time.perf_counter()
+            report = run(argv)
+            assert time.perf_counter() - start < 1.0
+            if argv[0] == "validate":
+                [verdict] = report.verdicts
+                assert verdict.check == "valid-ring" and not verdict.ok and needle in verdict.explanation
+            else:
+                assert report.exit_code == 2
+                assert needle in report.error
 
     def test_group_limit_admits_64(self):
         # doubling on Z^64, then the quotient onto (Z/2)^64: exact, with 64 generators and 64 relations

@@ -9,7 +9,12 @@ field, and ``validate`` fails the verdict for the kinds it reads.
 """
 
 import json
+import os
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -303,8 +308,9 @@ class TestNestedDocuments:
 
 
 class TestLongIntegers:
-    """Integers past the interpreter's 4300-digit conversion limit are measured
-    before ``int`` reads them, and the message names the limit and the field."""
+    """Integers past ``serialize.MAX_INT_DIGITS`` (4300) are measured before ``int``
+    reads them, and the message names the limit and the field.  No interpreter
+    setting moves that limit, and results print whole."""
 
     NINES = "9" * 5000
 
@@ -341,6 +347,66 @@ class TestLongIntegers:
         assert report.exit_code == 0
         report = run(COMMANDS["matrix"](_text([[at_limit]])))
         assert report.exit_code == 0
+
+    @pytest.mark.parametrize("setting", ["0", "640"])
+    @pytest.mark.parametrize("field", ["literal", "string"])
+    def test_no_interpreter_setting_moves_the_limit(self, setting, field):
+        assert serialize.MAX_INT_DIGITS == 4300
+        env = {**os.environ, "PYTHONINTMAXSTRDIGITS": setting, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(Path(serialize.__file__).parent.parent), os.environ.get("PYTHONPATH")]))}
+
+        def child(digits):
+            argv = ["snf", "--matrix", "[[%s]]" % (f'"{"7" * digits}"' if field == "string" else "7" * digits)]
+            proc = subprocess.run([sys.executable, "-m", "pervchow.cli", *argv], env=env, capture_output=True,
+                                  text=True, timeout=60)
+            return proc.returncode, json.loads(proc.stdout)
+
+        code, doc = child(5000)
+        assert code == 2
+        assert doc["error"]["message"].endswith("has 5000 digits; the limit is 4300")
+        code, doc = child(1000)
+        assert code == 0
+        assert doc["values"]["snf"]["diagonal"] == [int("7" * 1000)]
+
+
+BIG_PATTERN_DIM = int("9" * 4300)
+# a dim-1 ring with two codimension-1 symbols and 2×2 relations of 8000-bit
+# entries (32,000 bits, inside the bit limit): its codimension-1 group is cyclic
+# of order the determinant, which has over 4300 digits
+TORSION_RELATIONS = [[(1 << 7999) + 3, 1 << 7998], [1 << 7997, (1 << 7999) + 5]]
+TORSION = abs(TORSION_RELATIONS[0][0] * TORSION_RELATIONS[1][1] - TORSION_RELATIONS[0][1] * TORSION_RELATIONS[1][0])
+TORSION_RING = {"dim": 1, "basis": [["1"], ["a", "b"]], "hyperplane": [1, 0], "degree": [0, 0],
+                "relations": {"1": TORSION_RELATIONS}}
+
+# Results past 4300 digits, each from a valid document: every number prints whole.
+LONG_RESULTS = {
+    "check-cycle": ["check-cycle", "--pattern", _text({"dim": BIG_PATTERN_DIM, "incidence": {"1": 0}}),
+                    "--perversity", _text([BIG_PATTERN_DIM]), "--strata", "vertex1"],
+    "check-star": ["check-star", "--joint", _text(
+        {"a": {"dim": BIG_PATTERN_DIM, "incidence": {"1": 0}}, "b": {"dim": BIG_PATTERN_DIM, "incidence": {"1": 0}},
+         "joint": {"1": 0}, "total": 0}), "--c", "[0]", "--strata", "vertex1"],
+    "groups": ["groups", "--cone", _text({"base": TORSION_RING}), "--r", "1", "--p", "1"],
+    "compare": ["compare", "--cone", _text({"base": TORSION_RING}), "--r", "1", "--p-from", "0", "--p-to", "1"],
+}
+
+
+@pytest.mark.parametrize("command", LONG_RESULTS)
+def test_results_past_the_digit_limit_print_whole(command):
+    limit = sys.get_int_max_str_digits()
+    report = run(LONG_RESULTS[command])
+    assert report.exit_code == 0, report.error
+    text = report.render(False)
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        doc = json.loads(text)
+        assert doc["ok"] is True and re.search(r"\d{4301}", text)
+        if command in ("groups", "compare"):
+            values = doc["values"]
+            group = values["group"] if command == "groups" else values["map"]["target"]
+            assert group["name"] == f"Z/{TORSION}"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 COCYCLE_T0 = with_(COCYCLE, t=0, targetDim=0, excess={"1": 0, "2": 0, "3": 0})  # sliced by --count 0
@@ -396,6 +462,14 @@ LONG_VALUES = {
     "chow-relation-codimension": cone_over(with_(P2_RING, relations={str(BIG): [[1]]})),
     "chow-relation": cone_over(with_(P2_RING, relations={"1": [[1] * 20000]})),
     "serialize-ring-name": cone_over(with_(WIDE_RING, name=SYMBOL)),
+    "serialize-basis-symbol": cone_over(with_(P2_RING, basis=[["1"], [[0] * 3000], ["p"]])),
+    "serialize-product-factor": cone_over(with_(P2_RING, products=[{"a": [0] * 3000, "b": "h", "value": {"p": 1}}])),
+    "serialize-product-value": cone_over(with_(P2_RING, products=[{"a": SYMBOL, "b": SYMBOL, "value": 1}])),
+    "serialize-product-coefficient": cone_over(
+        with_(P2_RING, products=[{"a": SYMBOL, "b": "h", "value": {SYMBOL: "9" * 5000}}])),
+    "serialize-product-conflict": cone_over(with_(P2_RING, products=[
+        {"a": SYMBOL, "b": "h", "value": {"p": 1}}, {"a": SYMBOL, "b": "h", "value": {"p": 2}}])),
+    "serialize-payload-entry": COMMANDS["class"](_text({"r": 2, "p": 1, "payload": {SYMBOL: "9" * 5000}})),
     "abgroup-relation": COMMANDS["map"](_text(with_(F, target={"rank": 1, "relations": [[1] * 60]}))),
     "abgroup-map-row": COMMANDS["map"](_text(with_(F, matrix=[[1] * 60]))),
     "abgroup-map-relation": COMMANDS["map"](_text(with_(F, source={"rank": 2, "relations": [[2 ** 4000, 0]]}))),

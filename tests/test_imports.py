@@ -179,3 +179,23 @@ def test_hermite_form_runs_only_in_lattice_and_smith_form():
 def test_only_the_smith_form_check_takes_a_determinant():
     # a kernel is covered by its Lattice's certificate, so no determinant runs outside _verify_smith
     assert callers_of("det") == {"abgroup._verify_smith"}
+
+
+def test_no_message_quotes_a_value_with_repr():
+    # a message, and a field name that a reader puts in one, quotes an input value through ``_value.echo``,
+    # which cuts it at a fixed length; ``!r`` would quote it whole.  Only a ``__repr__`` may use ``!r``;
+    # ``_value`` defines echo, and ``__init__`` quotes only an attribute name.
+    found = []
+    for path in (SRC / "pervchow").glob("*.py"):
+        if path.name in ("_value.py", "__init__.py"):
+            continue
+        tree = ast.parse(path.read_text())
+        reprs = {
+            id(node) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "__repr__"
+            for node in ast.walk(f)
+        }
+        found += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.FormattedValue) and node.conversion == ord("r") and id(node) not in reprs
+        ]
+    assert found == []
