@@ -74,7 +74,8 @@ class ChowRingPresentation:
     combination in the row index, the ring's only store of structure
     constants, and remembers a pair listed as zero only to reject a nonzero
     listing of its other order or of a unit product.  :meth:`products` is the
-    canonical listing of the index, which equality and the JSON document read.
+    canonical listing of the index, which equality and the JSON document read;
+    it hands out the stored combinations themselves, which callers only read.
 
     ``hyperplane`` is the coefficient vector (over ``basis[1]``) of the
     hyperplane section of the chosen projective embedding, and
@@ -384,25 +385,28 @@ class ChowRingPresentation:
 
     # -- equality --------------------------------------------------------
 
-    def products(self) -> tuple[tuple[str, str, tuple[tuple[str, int], ...]], ...]:
+    def products(self) -> tuple[tuple[str, str, Combo], ...]:
         """The canonical listing, which equality and the JSON document read: each nonzero
         product of two non-unit symbols once (unit products are fixed by the basis), as
-        ``(a, b, terms)`` with ``a <= b``, in sorted order and with sorted terms."""
+        ``(a, b, combo)`` with ``a <= b``, sorted by the pair.  ``combo`` is the combination
+        the row index stores, handed out read-only and with its terms in stored order, so
+        building the listing copies and sorts no terms; dict equality ignores their order."""
         unit = self.unit
+        # the pairs are distinct, so sorting the triples never compares two combinations
         return tuple(sorted(
-            (a, b, tuple(combo.items()) if len(combo) == 1 else tuple(sorted(combo.items())))
+            (a, b, combo)
             for a, row in self._rows.items() if a != unit
             for b, combo in row.items() if a <= b and b != unit
         ))
 
     def _key(self):
-        rel = tuple(sorted((k, rows) for k, rows in self.relations.items()))
-        return (self.dim, self.basis, self.products(), self.hyperplane, self.degree_functional, rel)
+        """The compared fields other than the structure constants; the hash reads only these."""
+        return (self.dim, self.basis, self.hyperplane, self.degree_functional, tuple(sorted(self.relations.items())))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChowRingPresentation):
             return NotImplemented
-        return self._key() == other._key()
+        return self._key() == other._key() and self.products() == other.products()
 
     def __hash__(self) -> int:
         return hash(self._key())

@@ -112,6 +112,11 @@ def json_int(literal: str) -> int:
     return _int(literal, "JSON integer")
 
 
+def _shown(text: str) -> str:
+    """A number or key as a message shows it: whole when short, through :func:`echo` when over ``ECHO_CHARS``."""
+    return text if len(text) <= ECHO_CHARS else echo(text)
+
+
 def _int_list(data: Any, what: str) -> list[int]:
     """Every integer array of a document: a list, each entry read by :func:`_int`; ``"11"`` is not ``[1, 1]``."""
     if not isinstance(data, (list, tuple)):  # not _shape: this runs once per matrix row
@@ -194,8 +199,7 @@ def parse_stratification(data: Any) -> Stratification:
         if m:
             digits = m.group(1)
             if len(digits) > len(str(MAX_VERTEX_DIM)) or int(digits) > MAX_VERTEX_DIM:
-                shown = digits if len(digits) <= ECHO_CHARS else echo(digits)  # a short d is shown unquoted
-                raise InputError(f"vertex<d> takes d up to {MAX_VERTEX_DIM}, got {shown}")
+                raise InputError(f"vertex<d> takes d up to {MAX_VERTEX_DIM}, got {_shown(digits)}")
             return isolated_vertex(int(digits))
         raise InputError(f"unknown stratification shorthand {echo(data)} (expected vertex<d>)")
     if not isinstance(data, Mapping):
@@ -312,7 +316,10 @@ def ring_to_json(ring: ChowRingPresentation) -> dict:
         "name": ring.name,
         "dim": ring.dim,
         "basis": [list(level) for level in ring.basis],
-        "products": [{"a": a, "b": b, "value": dict(terms)} for a, b, terms in ring.products()],
+        "products": [  # a copy of each stored combination, its terms sorted
+            {"a": a, "b": b, "value": dict(sorted(combo.items())) if len(combo) > 1 else dict(combo)}
+            for a, b, combo in ring.products()
+        ],
         "hyperplane": list(ring.hyperplane),
         "degree": list(ring.degree_functional),
     }
@@ -344,13 +351,14 @@ def _check_basis(basis: Any, name: str) -> None:
 def _relations(data: Any) -> dict[int, list[list[int]]]:
     """A document's ``relations``: integer rows keyed by codimension, each level checked against the limits."""
     _shape(data, Mapping, "relations", "an object keyed by codimension")
-    return {
-        _int(k, "relations key"): _int_rows(
-            rows, f"relations in codim {k}", f"ring codimension {k}", "relations",
-            lambda n: f"relation row {n} in codim {k}",
+    levels = {}
+    for key, rows in data.items():
+        k, shown = _int(key, "relations key"), _shown(str(key))
+        levels[k] = _int_rows(
+            rows, f"relations in codim {shown}", f"ring codimension {shown}", "relations",
+            lambda n: f"relation row {n} in codim {shown}",
         )
-        for k, rows in data.items()
-    }
+    return levels
 
 
 def _products(entries: Any) -> tuple[dict[tuple[str, str], dict[str, int]], int]:

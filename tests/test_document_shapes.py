@@ -526,6 +526,15 @@ class TestLongValuesInMessages:
             f"vertex<d> takes d up to 1024, got {'9' * 64!r}... (5000 characters)")
         assert self.error(COMMANDS["strata"]("vertex2000")) == "vertex<d> takes d up to 1024, got 2000"
 
+    @pytest.mark.parametrize("key", ["9" * 4300, "0" * 4000 + "1"])
+    def test_relation_codimension_key(self, key):
+        too_many = [[1]] * 65
+        error = self.error(cone_over(with_(P2_RING, relations={key: too_many})))
+        assert error == (f"bad ring presentation: ring codimension {key[:64]!r}... ({len(key)} characters) "
+                         "takes at most 64 relations, got 65")
+        assert self.error(cone_over(with_(P2_RING, relations={"1": too_many}))) == (
+            "bad ring presentation: ring codimension 1 takes at most 64 relations, got 65")
+
     @pytest.mark.parametrize("layer", LONG_VALUES)
     def test_a_layer_message_quotes_a_long_value_cut(self, layer):
         report = run(LONG_VALUES[layer])

@@ -181,6 +181,18 @@ def test_only_the_smith_form_check_takes_a_determinant():
     assert callers_of("det") == {"abgroup._verify_smith"}
 
 
+def test_the_row_index_is_read_only_in_chow():
+    # outside chow, a ring's structure constants are read through its one canonical listing
+    assert {where.split(".")[0] for where in callers_of("_rows")} == {"chow"}
+    tree = ast.parse((SRC / "pervchow" / "serialize.py").read_text())
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    reads = [
+        (node.attr, id(node) in called) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("_rows", "pair_product", "products")
+    ]
+    assert reads == [("products", True)]
+
+
 def test_no_message_quotes_a_value_with_repr():
     # a message, and a field name that a reader puts in one, quotes an input value through ``_value.echo``,
     # which cuts it at a fixed length; ``!r`` would quote it whole.  Only a ``__repr__`` may use ``!r``;

@@ -366,6 +366,7 @@ def test_ring_build_names_round_trip_to_identical_json(monkeypatch):
         assert json.dumps(ring_to_json(again)) == text, name
         reference = reference_parse_ring(doc)
         assert again == reference and in_fill_order(again) == in_fill_order(reference), name
+        assert again == ring and hash(again) == hash(ring), name
 
 
 def test_combinations_of_several_terms_are_emitted_sorted():
@@ -538,8 +539,7 @@ class TestEquality:
         ring, builtin_ring = parse_ring(P3_RELISTED), builtin("P3")
         assert ring.name != builtin_ring.name
         assert ring == builtin_ring and hash(ring) == hash(builtin_ring)
-        assert ring.products() == builtin_ring.products() == (
-            ("h", "h", (("h^2", 1),)), ("h", "h^2", (("h^3", 1),)))
+        assert ring.products() == builtin_ring.products() == (("h", "h", {"h^2": 1}), ("h", "h^2", {"h^3": 1}))
         assert parse_ring(dict(TORSION, relations={"1": [["2"]]}, name="other")) == parse_ring(TORSION)
 
     @pytest.mark.parametrize(
@@ -547,16 +547,28 @@ class TestEquality:
         [
             (P3_RELISTED, dict(products=[{"a": "h", "b": "h", "value": {"h^2": 1}},
                                          {"a": "h", "b": "h^2", "value": {"h^3": 2}}])),
+            (TWO_TERMS, dict(products=[{"a": "b", "b": "a", "value": {"q": 1, "p": 2}},
+                                       {"a": "a", "b": "a", "value": {"q": -1, "p": 2}}])),
             (P3_RELISTED, dict(hyperplane=[2])),
             (P3_RELISTED, dict(degree=[2])),
             (TORSION, dict(relations={"1": [[3]]})),
             (TORSION, dict(relations={})),
         ],
-        ids=["constant", "hyperplane", "degree", "relation", "no-relation"],
+        ids=["constant", "multi-term-coefficient", "hyperplane", "degree", "relation", "no-relation"],
     )
     def test_a_changed_ring_is_unequal(self, base, change):
         assert parse_ring(dict(base, **change)) != parse_ring(base)
 
     def test_several_terms_are_listed_sorted(self):
-        assert parse_ring(TWO_TERMS).products() == (
-            ("a", "a", (("p", 1), ("q", -1))), ("a", "b", (("p", 2), ("q", 1))))
+        ring = parse_ring(TWO_TERMS)
+        listing = ring.products()
+        assert listing == (("a", "a", {"p": 1, "q": -1}), ("a", "b", {"p": 2, "q": 1}))
+        # the listing hands out the stored combinations, not copies
+        assert all(combo is ring._rows[a][b] for a, b, combo in listing)
+
+    def test_the_order_of_terms_is_not_compared(self):
+        reordered = dict(TWO_TERMS, products=[{"a": "b", "b": "a", "value": {"p": 2, "q": 1}},
+                                              {"a": "a", "b": "a", "value": {"p": 1, "q": -1}}])
+        ring, again = parse_ring(TWO_TERMS), parse_ring(reordered)
+        assert list(ring.pair_product("a", "a")) == ["q", "p"] and list(again.pair_product("a", "a")) == ["p", "q"]
+        assert ring == again and hash(ring) == hash(again)
