@@ -1,4 +1,4 @@
-"""The base of the package's value classes, and how a message quotes an input value.
+"""The base of the package's value classes, its self-check error, and how a message quotes an input value.
 
 A value class lists its fields in ``__slots__`` and sets them in its own
 ``__init__``; this base gives it equality, hashing and a field-by-field repr.
@@ -65,6 +65,10 @@ class Value:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class VerificationError(RuntimeError):
+    """A computed result failed its own exact check: a defect, never a property of the input."""
 
 
 ECHO_CHARS = 64  # the most characters of an input value that an error message quotes

@@ -12,13 +12,9 @@ from collections.abc import Sequence
 from itertools import chain
 from operator import mul
 
-from ._value import Value, echo
+from ._value import Value, VerificationError, echo
 
 Matrix = list[list[int]]
-
-
-class VerificationError(RuntimeError):
-    """A computed result failed its own exact check: a defect, never a property of the input."""
 
 
 def identity(n: int) -> Matrix:
@@ -89,10 +85,6 @@ class SmithForm(Value):
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.S[i][i] for i in range(min(len(self.S), len(self.V))))
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal() if d != 0)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -49,7 +49,7 @@ class ChowRingPresentation:
       ``t``.  So the ring is associative once every generator ``g`` of it is in
       ``T``, and by commutativity and linearity that asks ``(gx)y = (gy)x``
       for basis symbols ``x, y``.  Integer tables are associative exactly
-      when they are over Q, so :meth:`_generators` need only generate over Q;
+      when they are over Q, so :meth:`_level_generators` need only generate over Q;
     * the unit is skipped as ``x`` or ``y``, since ``1 * x = x`` makes both
       sides agree, and so are triples beyond ``dim``, where both sides are
       zero because the constructor rejects any product landing past ``dim``;
@@ -66,8 +66,8 @@ class ChowRingPresentation:
       factor of a bracketing is one symbol ``t`` with coefficient 1, as every
       product of every built-in ring is, the bracketing is a lookup in ``t``'s
       row; an empty factor gives the empty side, and only other combinations
-      are expanded, through the rows.  The generator search and the relation
-      check read the same index.
+      are expanded, through the rows.  The generator search, the relation
+      check and :func:`mul` read the same index.
 
     Construction reads each structure constant once, in listed order, so an
     error in a product names its first bad term; it files each cleaned
@@ -193,9 +193,6 @@ class ChowRingPresentation:
     def codim_of(self, sym: str) -> int:
         return self._codim[sym]
 
-    def pair_product(self, a: str, b: str) -> Combo:
-        return dict(self._rows[a].get(b, _NO_TERMS))
-
     def group(self, k: int) -> FpAbelianGroup:
         """The abelian group underlying codimension ``k``."""
         return FpAbelianGroup(len(self.basis_at(k)), self.relations.get(k, ()))
@@ -213,9 +210,6 @@ class ChowRingPresentation:
             vector = tuple(int(c) for c in coeffs)
         return ChowClass(self, k, vector)
 
-    def zero(self, k: int) -> "ChowClass":
-        return self.make(k, [0] * len(self.basis_at(k)))
-
     def basis_class(self, sym: str) -> "ChowClass":
         k = self.codim_of(sym)
         return self.make(k, {sym: 1})
@@ -227,10 +221,6 @@ class ChowRingPresentation:
         return self.make(1, self.hyperplane)
 
     # -- validation ------------------------------------------------------
-
-    def _generators(self) -> list[str]:
-        """Basis symbols that generate the ring over Q, in basis order."""
-        return [sym for k in range(1, self.dim + 1) for sym in self._level_generators(k)]
 
     def _level_generators(self, k: int) -> list[str]:
         """The generators in codimension ``k >= 1``, in basis order.
@@ -454,17 +444,16 @@ def mul(x: ChowClass, y: ChowClass) -> ChowClass:
     ring = x.ring
     k = x.codim + y.codim
     if k > ring.dim:
-        return ring.zero(k)
-    acc = {sym: 0 for sym in ring.basis_at(k)}
-    for ca, a in zip(x.coeffs, ring.basis_at(x.codim)):
-        if ca == 0:
-            continue
-        for cb, b in zip(y.coeffs, ring.basis_at(y.codim)):
-            if cb == 0:
-                continue
-            for sym, c in ring.pair_product(a, b).items():
-                acc[sym] += ca * cb * c
-    return ring.make(k, acc)
+        return ChowClass(ring, k, ())
+    acc = dict.fromkeys(ring.basis[k], 0)  # in basis order, so its values are the coefficient vector
+    right = [(cb, b) for cb, b in zip(y.coeffs, ring.basis[y.codim]) if cb]
+    for ca, a in zip(x.coeffs, ring.basis[x.codim]):
+        if ca:
+            row_a = ring._rows[a]
+            for cb, b in right:
+                for sym, c in row_a.get(b, _NO_TERMS).items():
+                    acc[sym] += ca * cb * c
+    return ChowClass(ring, k, tuple(acc.values()))
 
 
 def degree(x: ChowClass) -> int:

@@ -22,7 +22,7 @@ from typing import Any, Callable, Iterator, NoReturn
 # compiles and loads only those: ``snf`` never loads the cone model, ``schema``
 # no layer.
 from . import serialize
-from ._value import Value, echo
+from ._value import Value, VerificationError, echo
 from .serialize import SCHEMA_VERSION, InputError
 
 
@@ -607,19 +607,11 @@ def run(argv: list[str]) -> Report:
         _HANDLERS[args.command](args, report)
     except ValueError as exc:  # covers InputError and precondition violations
         report.error = str(exc)
-    except _verification_error() as exc:  # a result failed its own exact check
+    except VerificationError as exc:  # a result failed its own exact check
         report.verdicts.append(Verdict("self-check", False, str(exc)))
     except Exception as exc:  # anything else is still a report: no input ends in a traceback
         report.error = f"unexpected {type(exc).__name__}: {exc}"
     return report
-
-
-def _verification_error() -> type[Exception]:
-    # An except clause's class is looked up only once an exception reaches it,
-    # so commands that never load ``abgroup`` do not load it here either.
-    from .abgroup import VerificationError
-
-    return VerificationError
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -73,9 +73,9 @@ class CyclePattern(Value, uncompared=("label",)):
         self._init(strata, r, table, label)
 
 
-def empty_pattern(strata: Stratification, r: int, label: str | None = None) -> CyclePattern:
+def empty_pattern(strata: Stratification, r: int) -> CyclePattern:
     """Pattern of a cycle missing every stratum."""
-    return CyclePattern(strata, r, {i: EMPTY for i in strata.indices()}, label)
+    return CyclePattern(strata, r, {i: EMPTY for i in strata.indices()})
 
 
 def _require_depth(strata: Stratification, bound: GeneralizedBound) -> None:

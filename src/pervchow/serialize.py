@@ -117,6 +117,16 @@ def _shown(text: str) -> str:
     return text if len(text) <= ECHO_CHARS else echo(text)
 
 
+def _one_key_each(table: dict[int, Any], data: Mapping, what: str, noun: str) -> dict[int, Any]:
+    """``table``, read from the object ``data`` by integer keys, unless two keys of ``data`` name one integer."""
+    if len(table) < len(data):  # keys were read by _int, so int() reads each again
+        first: dict[int, Any] = {}
+        for key in data:
+            if (other := first.setdefault(int(key), key)) is not key:
+                raise InputError(f"{what} keys {echo(other)} and {echo(key)} name one {noun}")
+    return table
+
+
 def _int_list(data: Any, what: str) -> list[int]:
     """Every integer array of a document: a list, each entry read by :func:`_int`; ``"11"`` is not ``[1, 1]``."""
     if not isinstance(data, (list, tuple)):  # not _shape: this runs once per matrix row
@@ -237,7 +247,7 @@ def _incidence_from_json(data: Any, what: str) -> dict[int, int | None]:
                 table[i] = _int(value)
             except (TypeError, ValueError) as exc:
                 raise InputError(f"{what} value {echo(value)} is not an integer or 'empty'") from exc
-    return table
+    return _one_key_each(table, data, what, "stratum index")
 
 
 def pattern_to_json(p: CyclePattern) -> dict:
@@ -303,8 +313,9 @@ def parse_cocycle(data: Any, strata: Stratification) -> CocyclePattern:
     if not isinstance(data, Mapping):
         raise InputError("a cocycle pattern must be an object")
     with _reading("cocycle pattern"):
-        excess = _shape(data["excess"], Mapping, "excess", "an object keyed by stratum index")
-        excess = {_int(k, "excess key"): _int(v, "excess value") for k, v in excess.items()}
+        given = _shape(data["excess"], Mapping, "excess", "an object keyed by stratum index")
+        excess = _one_key_each({_int(k, "excess key"): _int(v, "excess value") for k, v in given.items()},
+                               given, "excess", "stratum index")
         return CocyclePattern(strata, _int(data["t"], "t"), _int(data["targetDim"], "targetDim"), excess)
 
 
@@ -358,7 +369,7 @@ def _relations(data: Any) -> dict[int, list[list[int]]]:
             rows, f"relations in codim {shown}", f"ring codimension {shown}", "relations",
             lambda n: f"relation row {n} in codim {shown}",
         )
-    return levels
+    return _one_key_each(levels, data, "relations", "codimension")
 
 
 def _products(entries: Any) -> tuple[dict[tuple[str, str], dict[str, int]], int]:

@@ -548,3 +548,56 @@ class TestLongValuesInMessages:
     def test_a_short_non_integer_string_field_reads_as_before(self):
         error = self.error(COMMANDS["pattern"](_text(with_(PATTERN, dim="abc"))))
         assert error == "bad cycle pattern: invalid literal for int() with base 10: 'abc'"
+
+
+ONE_DIM_RING = {"dim": 1, "basis": [["1"], ["a"]], "hyperplane": [1], "degree": [0]}
+PATTERN_1 = {"dim": 1, "incidence": {"1": 0}}  # on vertex1, whose one stratum is 1
+# each integer-keyed table, as a command given that table; the message prefix; what its keys name
+KEYED_TABLES = {
+    "incidence": (
+        lambda keys: ["check-cycle", "--pattern", _text(with_(PATTERN_1, incidence=keys)), "--perversity", "[0]",
+                      "--strata", "vertex1"],
+        "bad cycle pattern: incidence", "stratum index",
+    ),
+    "joint": (
+        lambda keys: ["check-star", "--joint", _text({"a": PATTERN_1, "b": PATTERN_1, "joint": keys, "total": 0}),
+                      "--c", "[0]", "--strata", "vertex1"],
+        "bad joint pattern: joint", "stratum index",
+    ),
+    "excess": (
+        lambda keys: ["check-cocycle", "--cocycle", _text({"t": 1, "targetDim": 1, "excess": keys}),
+                      "--perversity", "[0]", "--strata", "vertex1"],
+        "bad cocycle pattern: excess", "stratum index",
+    ),
+    "relations": (lambda keys: cone_over(with_(ONE_DIM_RING, relations=keys)), "bad ring presentation: relations",
+                  "codimension"),
+}
+
+
+class TestDuplicateIntegerKeys:
+    """Two keys of an integer-keyed object that name one integer exit 2 naming both, in either order.
+    A reader that kept the last of the two would check ``{"1": 1, "01": "empty"}`` with exit 0 and the
+    other order with exit 1, and read ``relations`` ``{"1": [[2]], "01": [[3]]}`` as Z/3."""
+
+    VALUES = {"incidence": (1, "empty"), "joint": (0, 1), "excess": (1, 0), "relations": ([[2]], [[3]])}
+
+    @pytest.mark.parametrize("table", KEYED_TABLES)
+    def test_both_keys_are_named_in_either_order(self, table):
+        command, prefix, noun = KEYED_TABLES[table]
+        first, second = self.VALUES[table]
+        for keys, named in (({"1": first, "01": second}, "'1' and '01'"), ({"01": second, "1": first}, "'01' and '1'")):
+            report = run(command(keys))
+            assert report.exit_code == 2
+            assert report.error == f"{prefix} keys {named} name one {noun}"
+            assert len(report.error) < 200
+        assert run(command({"1": first})).exit_code in (0, 1)
+
+    @pytest.mark.parametrize("table", KEYED_TABLES)
+    def test_long_keys_are_quoted_cut(self, table):
+        command, prefix, noun = KEYED_TABLES[table]
+        value = self.VALUES[table][0]
+        long_key = "0" * 4000 + "1"
+        report = run(command({"1": value, long_key: value}))
+        assert report.error == f"{prefix} keys '1' and {long_key[:64]!r}... (4001 characters) name one {noun}"
+        report = run(command({"0" * 3000 + "1": value, long_key: value}))
+        assert report.exit_code == 2 and len(report.error) < 300
