@@ -14,29 +14,25 @@ from typing import Any
 
 
 class Value:
-    """A record over the fields named in ``__slots__``, frozen unless made with ``mutable=True``.
+    """A frozen record over the fields named in ``__slots__``.
 
     ``==`` compares one tuple of the compared fields (every field but those the
     class keyword ``uncompared`` names), so a field that holds the same object
     on both sides is not compared by its own ``__eq__``; instances of different
-    classes are never equal.  A frozen record sets its fields once, through
+    classes are never equal.  A record sets its fields once, through
     :meth:`_init`, and hashes that tuple, with each dict field taken as the set
-    of its items, which is what dict equality compares; a mutable one is
-    unhashable.  The repr is ``Name(field=value, ...)`` over every field.
+    of its items, which is what dict equality compares.  The repr is
+    ``Name(field=value, ...)`` over every field.
     """
 
     __slots__ = ()
 
-    def __init_subclass__(cls, *, mutable: bool = False, uncompared: tuple[str, ...] = (), **kwargs: Any) -> None:
+    def __init_subclass__(cls, *, uncompared: tuple[str, ...] = (), **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         compared = [name for name in cls.__slots__ if name not in uncompared]
         getter = attrgetter(*compared)
         # attrgetter of one name returns the value itself, not a 1-tuple
         cls._key = getter if len(compared) > 1 else staticmethod(lambda value: (getter(value),))
-        if mutable:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def _init(self, *values: Any) -> None:
         """Set the fields, in ``__slots__`` order."""

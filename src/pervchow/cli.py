@@ -37,18 +37,16 @@ def _whole_integers() -> Iterator[None]:
         sys.set_int_max_str_digits(limit)
 
 
-class Verdict(Value, mutable=True):
+class Verdict(Value):
     """One named check of a report, whether it passed, and why."""
 
     __slots__ = ("check", "ok", "explanation")
 
     def __init__(self, check: str, ok: bool, explanation: str) -> None:
-        self.check = check
-        self.ok = ok
-        self.explanation = explanation
+        self._init(check, ok, explanation)
 
 
-class Report(Value, mutable=True):
+class Report(Value):
     """What a command produced: its verdicts and values, or the error that stopped it."""
 
     __slots__ = ("command", "verdicts", "values", "error", "pretty")
@@ -61,11 +59,7 @@ class Report(Value, mutable=True):
         error: str | None = None,
         pretty: bool = False,
     ) -> None:
-        self.command = command
-        self.verdicts = [] if verdicts is None else verdicts
-        self.values = {} if values is None else values
-        self.error = error
-        self.pretty = pretty
+        self._init(command, [] if verdicts is None else verdicts, {} if values is None else values, error, pretty)
 
     @property
     def ok(self) -> bool:
@@ -606,11 +600,11 @@ def run(argv: list[str]) -> Report:
         _read_inputs(args, COMMANDS[args.command].inputs)
         _HANDLERS[args.command](args, report)
     except ValueError as exc:  # covers InputError and precondition violations
-        report.error = str(exc)
+        return Report(args.command, error=str(exc), pretty=args.pretty)
     except VerificationError as exc:  # a result failed its own exact check
         report.verdicts.append(Verdict("self-check", False, str(exc)))
     except Exception as exc:  # anything else is still a report: no input ends in a traceback
-        report.error = f"unexpected {type(exc).__name__}: {exc}"
+        return Report(args.command, error=f"unexpected {type(exc).__name__}: {exc}", pretty=args.pretty)
     return report
 
 

@@ -115,9 +115,6 @@ class ConeClass(Value):
             raise ValueError("classes live in different groups")
         return ConeClass(self.cone, self.r, self.p, self.payload + other.payload)
 
-    def __rmul__(self, scalar: int) -> "ConeClass":
-        return ConeClass(self.cone, self.r, self.p, scalar * self.payload)
-
 
 def chow_group(cone: ConeVariety, r: int, p: int) -> FpAbelianGroup:
     """The cycle class group in dimension ``r`` at vertex bound ``p``."""

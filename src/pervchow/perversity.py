@@ -4,17 +4,16 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from ._value import echo
+from ._value import Value, echo
 
 
-class GeneralizedBound:
+class GeneralizedBound(Value):
     """A nondecreasing sequence of nonnegative excess bounds, one per stratum.
 
     Entries are addressed 1-based: entry ``i`` bounds the allowed excess of
     incidence with the ``i``-th stratum.  Sums of perversities and pushforward
-    transforms live here; unlike a :class:`Perversity`, steps larger than one
-    are allowed.  An empty bound is permitted (it matches a smooth variety with
-    no declared strata).
+    transforms live here, and steps larger than one are allowed.  An empty
+    bound is permitted (it matches a smooth variety with no declared strata).
     """
 
     __slots__ = ("entries",)
@@ -25,7 +24,7 @@ class GeneralizedBound:
             raise ValueError(f"bound entries must be nonnegative: {echo(list(values))}")
         if any(b < a for a, b in zip(values, values[1:])):
             raise ValueError(f"bound entries must be nondecreasing: {echo(list(values))}")
-        self.entries = values
+        self._init(values)
 
     @property
     def depth(self) -> int:
@@ -40,45 +39,28 @@ class GeneralizedBound:
     def __iter__(self) -> Iterator[int]:
         return iter(self.entries)
 
-    def __len__(self) -> int:
-        return len(self.entries)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GeneralizedBound):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({list(self.entries)})"
-
-
-class Perversity(GeneralizedBound):
-    """A bound starting at 0 whose steps are 0 or 1 (hence p_i <= i - 1)."""
-
-    __slots__ = ()
-
-    def __init__(self, entries: Iterable[int]) -> None:
-        super().__init__(entries)
-        if not self.entries:
-            raise ValueError("a perversity needs at least one entry")
-        if self.entries[0] != 0:
-            raise ValueError(f"p_1 must be 0: {echo(list(self.entries))}")
-        for a, b in zip(self.entries, self.entries[1:]):
-            if b - a not in (0, 1):
-                raise ValueError(f"perversity steps must be 0 or 1: {echo(list(self.entries))}")
+def Perversity(entries: Iterable[int]) -> GeneralizedBound:
+    """The bound of a perversity: it starts at 0 and steps by 0 or 1 (hence p_i <= i - 1)."""
+    bound = GeneralizedBound(entries)
+    values = bound.entries
+    if not values:
+        raise ValueError("a perversity needs at least one entry")
+    if values[0] != 0:
+        raise ValueError(f"p_1 must be 0: {echo(list(values))}")
+    if any(b - a not in (0, 1) for a, b in zip(values, values[1:])):
+        raise ValueError(f"perversity steps must be 0 or 1: {echo(list(values))}")
+    return bound
 
 
-def zero(d: int) -> Perversity:
+def zero(d: int) -> GeneralizedBound:
     """The zero perversity of depth ``d``."""
     if d < 1:
         raise ValueError(f"depth must be at least 1, got {d}")
     return Perversity([0] * d)
 
 
-def top(d: int) -> Perversity:
+def top(d: int) -> GeneralizedBound:
     """The top perversity p_i = i - 1 of depth ``d``."""
     if d < 1:
         raise ValueError(f"depth must be at least 1, got {d}")

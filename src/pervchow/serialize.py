@@ -122,8 +122,12 @@ def _one_key_each(table: dict[int, Any], data: Mapping, what: str, noun: str) ->
     if len(table) < len(data):  # keys were read by _int, so int() reads each again
         first: dict[int, Any] = {}
         for key in data:
-            if (other := first.setdefault(int(key), key)) is not key:
-                raise InputError(f"{what} keys {echo(other)} and {echo(key)} name one {noun}")
+            if (other := first.setdefault(number := int(key), key)) is not key:
+                named = (  # two cut quotes would pass 200 characters, so two long keys go by their lengths
+                    f"{echo(other)} and {echo(key)} name one {noun}" if min(len(other), len(key)) <= ECHO_CHARS
+                    else f"of {len(other)} and {len(key)} characters both name {noun} {_shown(str(number))}"
+                )
+                raise InputError(f"{what} keys {named}")
     return table
 
 

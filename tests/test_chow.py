@@ -99,6 +99,7 @@ class TestBuiltins:
 
     def test_builtin_names(self):
         assert builtin("point").dim == 0
+        assert builtin("P0") == point()
         assert builtin("P3").dim == 3
         assert builtin("quadric") == quadric_surface()
         assert builtin("product(P1,P1)").dim == 2

@@ -19,7 +19,7 @@ from unittest import mock
 
 import pytest
 
-from pervchow import serialize
+from pervchow import chow, serialize
 from pervchow.cli import run
 from pervchow.serialize import InputError, parse_group, parse_matrix
 
@@ -143,7 +143,7 @@ def group_map(source, target, matrix):
 
 
 class TestProbes:
-    """Documents that got answers while their readers iterated any iterable."""
+    """Documents that got answers while their readers iterated any iterable, and rejections no other test reaches."""
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -171,14 +171,34 @@ class TestProbes:
               "--strata", '{"dim": 3, "strata": "ab"}'], "strata must be a list of stratum objects, got str"),
             (["check-cycle", "--pattern", json.dumps(with_(PATTERN, label=[1, 2])), "--perversity", "[0,0,0]",
               "--strata", STRATA], "label must be a string, got list"),
+            # rejections that no other test reaches
+            (["snf", "--matrix", "[[1,2],[3]]"], "matrix rows have unequal lengths"),
+            (["intersect", "--cone", "P2", "--a", "allowed:1:0:(1)", "--b", "allowed:2:(1)"],
+             "(r=1, p=0) gives a disallowed class, but the string says allowed"),
+            (["intersect", "--cone", "P2", "--a", '{"r": 1, "p": 0, "payload": [1], "mode": "allowed"}',
+              "--b", "allowed:2:(1)"], "declared mode 'allowed' inconsistent with (r=1, p=0)"),
+            (["suspend", "--strata", '{"dim": 1, "strata": [], "model": "cone"}'],
+             "bad stratification document: unknown stratification model 'cone'"),
+            (["groups", "--cone", "product(P1)", "--r", "0", "--p", "0"], "cannot split product arguments in 'P1'"),
+            (["groups", "--cone", "product(P1,\nP1)", "--r", "0", "--p", "0"],
+             "unknown built-in presentation 'product(P1,\\nP1)'"),
+            (["groups", "--cone", "product(" * 3000 + "point" + ",point)" * 3000, "--r", "0", "--p", "0"],
+             "built-in presentation nested too deeply"),
         ],
         ids=["snf-digit-rows", "map-digit-rows", "map-digit-row", "relation-digits", "rank-0-empty-string",
-             "intersect-payload", "pairing-payload", "excess-list", "strata-string", "pattern-label-list"],
+             "intersect-payload", "pairing-payload", "excess-list", "strata-string", "pattern-label-list",
+             "matrix-ragged", "class-string-mode", "class-document-mode", "strata-model", "product-one-argument",
+             "builtin-name-newline", "builtin-name-too-deep"],
     )
     def test_probe_exits_2_and_names_the_field(self, argv, message):
         report = run(argv)
         assert report.exit_code == 2
         assert report.error.endswith(message), report.error
+
+    def test_spaces_around_product_arguments_are_read(self):
+        report = run(["groups", "--cone", "product( P1 , P1 )", "--r", "0", "--p", "0"])
+        assert report.exit_code == 0, report.error
+        assert chow.builtin("product( P1 , P1 )") == chow.builtin("product(P1,P1)")
 
 
 class TestRowsAreCountedFirst:
@@ -600,4 +620,10 @@ class TestDuplicateIntegerKeys:
         report = run(command({"1": value, long_key: value}))
         assert report.error == f"{prefix} keys '1' and {long_key[:64]!r}... (4001 characters) name one {noun}"
         report = run(command({"0" * 3000 + "1": value, long_key: value}))
-        assert report.exit_code == 2 and len(report.error) < 300
+        assert report.exit_code == 2 and len(report.error) < 200
+        assert report.error == f"{prefix} keys of 3001 and 4001 characters both name {noun} 1"
+        number = "9" * 100  # the integer the two keys share is cut too
+        report = run(command({"0" * 3000 + number: value, "0" * 4000 + number: value}))
+        shared = f"{number[:64]!r}... (100 characters)"
+        assert report.error == f"{prefix} keys of 3100 and 4100 characters both name {noun} {shared}"
+        assert len(report.error) < 200

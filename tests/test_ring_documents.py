@@ -369,6 +369,17 @@ def test_ring_build_names_round_trip_to_identical_json(monkeypatch):
         assert again == ring and hash(again) == hash(ring), name
 
 
+def test_a_ring_with_relations_round_trips_to_identical_json():
+    doc = {"dim": 1, "basis": [["1"], ["a", "b"]], "hyperplane": [1, 0], "degree": [1, 1],
+           "relations": {"1": [[2, -2]]}}
+    ring = parse_ring(doc)
+    text = json.dumps(ring_to_json(ring))
+    assert json.loads(text)["relations"] == {"1": [[2, -2]]}
+    again = parse_ring(json.loads(text))
+    assert again == ring and hash(again) == hash(ring)
+    assert json.dumps(ring_to_json(again)) == text
+
+
 def test_combinations_of_several_terms_are_emitted_sorted():
     doc = ring_to_json(parse_ring(TWO_TERMS))
     assert doc["products"] == [

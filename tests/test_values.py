@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from pervchow import abgroup, chow, cli, cocycles, cones, cycles, strata
+from pervchow import abgroup, chow, cli, cocycles, cones, cycles, perversity, strata
 from pervchow._value import Value
 
 
@@ -20,6 +20,7 @@ def instances():
         "Verdict": cli.Verdict("snf-contract", True, "ok"),
         "Report": cli.Report("snf"),
         "Command": cli.Command(print, "Print.", {"name": ("command name", None, {})}),
+        "GeneralizedBound": perversity.GeneralizedBound([0, 2]),
         "StratumSpec": v.strata[0],
         "ModelTag": strata.ModelTag("product", 1, strata.GENERIC),
         "Stratification": v,
@@ -51,6 +52,7 @@ REPRS = {
     "Command": (
         "Command(handler=<built-in function print>, description='Print.', inputs={'name': ('command name', None, {})})"
     ),
+    "GeneralizedBound": "GeneralizedBound(entries=(0, 2))",
     "StratumSpec": SPEC,
     "ModelTag": "ModelTag(kind='product', fiber_dim=1, base=ModelTag(kind='generic', fiber_dim=None, base=None))",
     "Stratification": VERTEX,
@@ -78,7 +80,6 @@ REPRS = {
         "expected_pairings={})"
     ),
 }
-MUTABLE = {"Verdict", "Report"}
 
 
 @pytest.mark.parametrize("name", sorted(REPRS))
@@ -86,7 +87,7 @@ def test_repr_names_every_field(name):
     assert repr(instances()[name]) == REPRS[name]
 
 
-@pytest.mark.parametrize("name", sorted(set(REPRS) - MUTABLE))
+@pytest.mark.parametrize("name", sorted(REPRS))
 def test_frozen_fields_cannot_be_assigned(name):
     value = instances()[name]
     assert isinstance(value, Value) and not hasattr(value, "__dict__")
@@ -97,15 +98,23 @@ def test_frozen_fields_cannot_be_assigned(name):
             delattr(value, field)
 
 
-def test_verdict_and_report_stay_mutable():
+def test_verdict_and_report_fields_cannot_be_assigned():
     report = cli.Report("snf")
     report.verdicts.append(cli.Verdict("check", True, "ok"))
-    report.verdicts[0].ok = False
-    report.error = "stopped"
-    assert not report.ok and report.exit_code == 2
+    with pytest.raises(AttributeError, match="cannot assign to field 'ok'"):
+        report.verdicts[0].ok = False
+    with pytest.raises(AttributeError, match="cannot assign to field 'error'"):
+        report.error = "stopped"
+    assert report.ok and report.exit_code == 0 and report.error is None
     assert cli.Report("snf").verdicts == [] and cli.Report("snf").verdicts is not cli.Report("snf").verdicts
     with pytest.raises(TypeError, match="unhashable"):
         hash(report)
+
+
+def test_a_perversity_is_a_checked_bound():
+    p = perversity.Perversity([0, 1])
+    assert type(p) is perversity.GeneralizedBound
+    assert p == perversity.GeneralizedBound([0, 1]) and hash(p) == hash(perversity.GeneralizedBound([0, 1]))
 
 
 @pytest.mark.parametrize("name", sorted(REPRS))
@@ -155,7 +164,8 @@ def test_zobel_catalog_is_unhashable_on_purpose():
 
 def test_hash_follows_equality():
     values = instances()
-    for name in ("StratumSpec", "ModelTag", "Stratification", "FpAbelianGroup", "GroupMap", "ChowClass", "ConeVariety"):
+    for name in ("GeneralizedBound", "StratumSpec", "ModelTag", "Stratification", "FpAbelianGroup", "GroupMap",
+                 "ChowClass", "ConeVariety"):
         assert hash(values[name]) == hash(instances()[name]), name
     p2 = chow.builtin("P2")
     classes = {p2.make(1, (1,)), chow.builtin("P2").make(1, (1,)), p2.make(1, (2,))}
