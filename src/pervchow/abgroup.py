@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from itertools import chain
-from operator import mul
+from operator import index, mul
 
 from ._value import Value, VerificationError, echo
 
@@ -52,7 +52,7 @@ def det(m: Sequence[Sequence[int]]) -> int:
         return 1
     if any(len(row) != n for row in m):
         raise ValueError("determinant needs a square matrix")
-    a = [[int(x) for x in row] for row in m]
+    a = [list(map(index, row)) for row in m]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -177,9 +177,9 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], ncols: int | None = None)
     with no size cut-off or sampling; a form that fails it raises
     ``VerificationError``.
     """
-    a = [[int(x) for x in row] for row in matrix]
+    a = [list(map(index, row)) for row in matrix]
     m = len(a)
-    n = int(ncols) if ncols is not None else (len(a[0]) if a else 0)
+    n = index(ncols) if ncols is not None else (len(a[0]) if a else 0)
     if n < 0:
         raise ValueError(f"ncols must be nonnegative, got {echo(n)}")
     if any(len(row) != n for row in a):
@@ -213,7 +213,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], ncols: int | None = None)
         S=tuple(tuple(row) for row in h),
         V=tuple(zip(*vt)),
     )
-    _verify_smith(matrix, n, form)
+    _verify_smith(a, n, form)
     return form
 
 
@@ -258,7 +258,7 @@ def _product_is(
 
 
 def _verify_smith(matrix: Sequence[Sequence[int]], n: int, form: SmithForm) -> None:
-    """Raise ``VerificationError`` unless ``form`` is a Smith form of ``matrix`` (m x n).
+    """Raise ``VerificationError`` unless ``form`` is a Smith form of ``matrix``, the m x n int rows read.
 
     Each fact is checked exactly, on every call:
 
@@ -274,7 +274,6 @@ def _verify_smith(matrix: Sequence[Sequence[int]], n: int, form: SmithForm) -> N
       Otherwise ``det U`` and ``det V`` are computed.
     """
     m = len(matrix)
-    original = [[int(x) for x in row] for row in matrix]
     u, s, v = form.U, form.S, form.V
     if (
         len(u) != m
@@ -287,7 +286,7 @@ def _verify_smith(matrix: Sequence[Sequence[int]], n: int, form: SmithForm) -> N
         raise VerificationError("Smith form has the wrong shape")
     if any(x for i, row in enumerate(s) for j, x in enumerate(row) if i != j):
         raise VerificationError("Smith form is not diagonal")
-    if not _product_is(u, original, v, s):
+    if not _product_is(u, matrix, v, s):
         raise VerificationError("Smith form does not reproduce the input matrix")
     diag = [s[i][i] for i in range(min(m, n))]
     if any(d < 0 for d in diag):
@@ -299,7 +298,7 @@ def _verify_smith(matrix: Sequence[Sequence[int]], n: int, form: SmithForm) -> N
             raise VerificationError("Smith diagonal violates the divisibility chain")
     det_s = math.prod(diag)
     if m == n and det_s:
-        unimodular = abs(det(original)) == det_s
+        unimodular = abs(det(matrix)) == det_s
     else:
         unimodular = abs(det(u)) == 1 and abs(det(v)) == 1
     if not unimodular:
@@ -322,7 +321,7 @@ class Lattice(Value, uncompared=("transform", "terms")):
     __slots__ = ("width", "basis", "transform", "terms")
 
     def __init__(self, generators: Sequence[Sequence[int]], width: int) -> None:
-        gens = [[int(x) for x in g] for g in generators]
+        gens = [list(map(index, g)) for g in generators]
         if any(len(g) != width for g in gens):
             raise ValueError("generator length mismatch")
         n = len(gens)
@@ -355,7 +354,7 @@ class Lattice(Value, uncompared=("transform", "terms")):
 
         Each basis row is subtracted over its nonzero entries only.
         """
-        x = [int(v) for v in vector]
+        x = list(map(index, vector))
         if len(x) != self.width:
             raise ValueError(f"a vector of length {len(x)} is not in Z^{self.width}")
         q = []
@@ -389,7 +388,7 @@ def lattice_solve(generators: Sequence[Sequence[int]], target: Sequence[int]) ->
     if q is None or not generators:
         return q
     coeffs = vec_mat(q, lattice.transform) if q else [0] * len(generators)
-    if vec_mat(coeffs, generators) != [int(x) for x in target]:
+    if vec_mat(coeffs, generators) != list(target):
         raise VerificationError("lattice witness failed verification")
     return coeffs
 
@@ -408,9 +407,9 @@ class FpAbelianGroup(Value):
     __slots__ = ("rank", "relations")
 
     def __init__(self, rank: int, relations: tuple[tuple[int, ...], ...] = ()) -> None:
-        if rank < 0:
+        if (rank := index(rank)) < 0:
             raise ValueError("rank must be nonnegative")
-        rel = tuple(tuple(int(x) for x in row) for row in relations)
+        rel = tuple(tuple(map(index, row)) for row in relations)
         self._init(rank, rel)
         for row in rel:
             if len(row) != rank:
@@ -461,7 +460,7 @@ class GroupMap(Value):
     __slots__ = ("source", "target", "matrix")
 
     def __init__(self, source: FpAbelianGroup, target: FpAbelianGroup, matrix: tuple[tuple[int, ...], ...]) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in matrix)
+        rows = tuple(tuple(map(index, row)) for row in matrix)
         self._init(source, target, rows)
         if len(rows) != self.target.rank:
             raise ValueError(f"matrix has {len(rows)} rows, expected target rank {self.target.rank}")

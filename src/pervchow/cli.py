@@ -3,9 +3,11 @@
 Every subcommand reads inline JSON, @-free file paths or shorthand strings,
 runs one library operation, and emits a deterministic report.  The command
 table names each input's document kind; ``run`` reads every document of the
-command before its handler runs.  Exit code 0 means every verdict passed, 1
-means a check failed, 2 means the input was malformed, a precondition was
-violated, or the command stopped on an error.
+command before its handler runs.  A handler returns the verdicts and values
+it found, and ``run`` builds the one report from them; a result that fails
+its own exact check is reported as that one verdict.  Exit code 0 means every
+verdict passed, 1 means a check failed, 2 means the input was malformed, a
+precondition was violated, or the command stopped on an error.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ class Verdict(Value):
 
     def __init__(self, check: str, ok: bool, explanation: str) -> None:
         self._init(check, ok, explanation)
+
+
+Found = tuple[list[Verdict], dict[str, Any]]  # what a handler returns: its verdicts and its values
 
 
 class Report(Value):
@@ -116,7 +121,7 @@ def _load(text: str) -> Any:
             reason = f"[Errno {exc.errno}] {exc.strerror}: {echo(exc.filename)}"
             raise InputError(f"cannot read {echo(s)}: {reason}") from exc
     try:
-        return json.loads(s, parse_int=serialize.json_int)
+        return json.loads(s, parse_int=serialize.json_int, object_pairs_hook=serialize.json_object)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"invalid JSON{where}: {exc}") from exc
 
@@ -150,7 +155,7 @@ def _read_inputs(args: argparse.Namespace, inputs: dict[str, tuple[str, str | No
 # -- command handlers ----------------------------------------------------
 
 
-def _cmd_validate(args: argparse.Namespace, report: Report) -> None:
+def _cmd_validate(args: argparse.Namespace) -> Found:
     # each document is read here, so that a malformed one is a failing verdict
     texts = {flag[2:]: getattr(args, flag[2:]) for flag in COMMANDS["validate"].inputs}
     provided = {name: text for name, text in texts.items() if text is not None}
@@ -160,155 +165,138 @@ def _cmd_validate(args: argparse.Namespace, report: Report) -> None:
         if args.strata is None:
             raise InputError("--strata is required to validate patterns")
         args.strata = _KINDS["strata"](_load(args.strata), args)
+    verdicts = []
     for name, text in provided.items():
         try:
             _KINDS[name](_load(text), args)
-            report.verdicts.append(Verdict(f"valid-{name}", True, f"{name} document is valid"))
+            verdicts.append(Verdict(f"valid-{name}", True, f"{name} document is valid"))
         except InputError as exc:
-            report.verdicts.append(Verdict(f"valid-{name}", False, str(exc)))
+            verdicts.append(Verdict(f"valid-{name}", False, str(exc)))
+    return verdicts, {}
 
 
-def _check(report: Report, rows: list[tuple], **values: Any) -> None:
-    """One verdict over per-stratum ``(key, ok, text)`` rows: it passes iff every row does."""
-    ok = all(row[1] for row in rows)
-    report.verdicts.append(Verdict(report.command, ok, "; ".join(row[2] for row in rows) or "ok"))
-    report.values.update(values)
+def _check(command: str, rows: list[tuple[bool, str]], **values: Any) -> Found:
+    """One verdict over per-stratum ``(ok, text)`` rows: it passes iff every row does."""
+    return [Verdict(command, all(ok for ok, _ in rows), "; ".join(text for _, text in rows) or "ok")], values
 
 
-def _cmd_check_cycle(args: argparse.Namespace, report: Report) -> None:
+def _cmd_check_cycle(args: argparse.Namespace) -> Found:
     from . import cycles
 
-    pattern, bound = args.pattern, args.perversity
-    rows = cycles.perversity_report(pattern, bound)
-    _check(report, rows, pattern=serialize.pattern_to_json(pattern), perversity=serialize.bound_to_json(bound))
+    rows = cycles.perversity_report(args.pattern, args.perversity)
+    pattern, perversity = serialize.pattern_to_json(args.pattern), serialize.bound_to_json(args.perversity)
+    return _check(args.command, rows, pattern=pattern, perversity=perversity)
 
 
-def _cmd_check_cocycle(args: argparse.Namespace, report: Report) -> None:
+def _cmd_check_cocycle(args: argparse.Namespace) -> Found:
     from . import cocycles
 
-    pattern, bound = args.cocycle, args.perversity
-    rows = cocycles.cocycle_report(pattern, bound)
-    _check(report, rows, cocycle=serialize.cocycle_to_json(pattern), perversity=serialize.bound_to_json(bound))
+    rows = cocycles.cocycle_report(args.cocycle, args.perversity)
+    cocycle, perversity = serialize.cocycle_to_json(args.cocycle), serialize.bound_to_json(args.perversity)
+    return _check(args.command, rows, cocycle=cocycle, perversity=perversity)
 
 
-def _cmd_check_star(args: argparse.Namespace, report: Report) -> None:
+def _cmd_check_star(args: argparse.Namespace) -> Found:
     from . import cycles
 
     rows = cycles.star_report(args.joint, args.c)
-    _check(report, rows, joint=serialize.joint_to_json(args.joint), c=serialize.bound_to_json(args.c))
+    return _check(args.command, rows, joint=serialize.joint_to_json(args.joint), c=serialize.bound_to_json(args.c))
 
 
-def _cmd_push(args: argparse.Namespace, report: Report) -> None:
+def _pattern_values(out: Any) -> Found:
+    """No verdicts; the pattern ``out`` and its stratification."""
+    return [], {"pattern": serialize.pattern_to_json(out), "strata": serialize.stratification_to_json(out.strata)}
+
+
+def _cmd_push(args: argparse.Namespace) -> Found:
     from . import cycles
 
-    out = cycles.proper_pushforward(args.pattern, args.c)
-    report.values["pattern"] = serialize.pattern_to_json(out)
-    report.values["strata"] = serialize.stratification_to_json(out.strata)
+    return _pattern_values(cycles.proper_pushforward(args.pattern, args.c))
 
 
-def _cmd_pull(args: argparse.Namespace, report: Report) -> None:
+def _cmd_pull(args: argparse.Namespace) -> Found:
     from . import cycles
 
-    out = cycles.flat_pullback(args.pattern, args.e)
-    report.values["pattern"] = serialize.pattern_to_json(out)
-    report.values["strata"] = serialize.stratification_to_json(out.strata)
+    return _pattern_values(cycles.flat_pullback(args.pattern, args.e))
 
 
-def _cmd_suspend(args: argparse.Namespace, report: Report) -> None:
-    from . import cycles
-    from .strata import suspend as suspend_strata
+def _cmd_suspend(args: argparse.Namespace) -> Found:
+    from . import cycles, strata
 
     if args.pattern is not None:
-        out = cycles.suspend_pattern(args.pattern)
-        report.values["pattern"] = serialize.pattern_to_json(out)
-        report.values["strata"] = serialize.stratification_to_json(out.strata)
-    else:
-        report.values["strata"] = serialize.stratification_to_json(suspend_strata(args.strata))
+        return _pattern_values(cycles.suspend_pattern(args.pattern))
+    return [], {"strata": serialize.stratification_to_json(strata.suspend(args.strata))}
 
 
-def _cmd_join(args: argparse.Namespace, report: Report) -> None:
+def _cmd_join(args: argparse.Namespace) -> Found:
     from . import cocycles
 
-    out = cocycles.join(args.a, args.b)
-    report.values["cocycle"] = serialize.cocycle_to_json(out)
+    return [], {"cocycle": serialize.cocycle_to_json(cocycles.join(args.a, args.b))}
 
 
-def _cmd_slice(args: argparse.Namespace, report: Report) -> None:
+def _cmd_slice(args: argparse.Namespace) -> Found:
     from . import cocycles
 
     count = args.count if args.count is not None else args.cocycle.t
-    out = cocycles.slice_with_hyperplanes(args.cocycle, count)
-    report.values["pattern"] = serialize.pattern_to_json(out)
+    values = {"pattern": serialize.pattern_to_json(cocycles.slice_with_hyperplanes(args.cocycle, count))}
     if args.against is not None:
-        report.values["joint"] = serialize.joint_to_json(cocycles.slice_against(args.cocycle, args.against))
+        values["joint"] = serialize.joint_to_json(cocycles.slice_against(args.cocycle, args.against))
+    return [], values
 
 
-def _cmd_cap(args: argparse.Namespace, report: Report) -> None:
+def _cmd_cap(args: argparse.Namespace) -> Found:
     from . import cocycles
 
-    out = cocycles.cap_pattern(args.cocycle, args.pattern)
-    report.values["pattern"] = serialize.pattern_to_json(out)
+    return [], {"pattern": serialize.pattern_to_json(cocycles.cap_pattern(args.cocycle, args.pattern))}
 
 
-def _cmd_groups(args: argparse.Namespace, report: Report) -> None:
+def _cmd_groups(args: argparse.Namespace) -> Found:
     from . import cones
 
-    group = cones.chow_group(args.cone, args.r, args.p)
-    report.values["group"] = serialize.group_to_json(group)
+    return [], {"group": serialize.group_to_json(cones.chow_group(args.cone, args.r, args.p))}
 
 
-def _cmd_intersect(args: argparse.Namespace, report: Report) -> None:
+def _cmd_intersect(args: argparse.Namespace) -> Found:
     from . import cones
 
-    report.values["class"] = serialize.cone_class_to_json(cones.intersect(args.a, args.b))
+    return [], {"class": serialize.cone_class_to_json(cones.intersect(args.a, args.b))}
 
 
-def _cmd_pairing(args: argparse.Namespace, report: Report) -> None:
+def _cmd_pairing(args: argparse.Namespace) -> Found:
     from . import chow, cones
 
     result = cones.intersect(args.a, args.b)
-    report.values["class"] = serialize.cone_class_to_json(result)
     if result.r == 0:
-        report.values["value"] = chow.degree(result.payload)
+        value = chow.degree(result.payload)
     else:
         coeffs = list(result.payload.coeffs)
-        report.values["value"] = coeffs[0] if len(coeffs) == 1 else coeffs
+        value = coeffs[0] if len(coeffs) == 1 else coeffs
+    return [], {"class": serialize.cone_class_to_json(result), "value": value}
 
 
-def _cmd_compare(args: argparse.Namespace, report: Report) -> None:
+def _cmd_compare(args: argparse.Namespace) -> Found:
     from . import cones
 
-    m = cones.comparison_map(args.cone, args.r, args.p_from, args.p_to)
-    report.values["map"] = serialize.map_to_json(m)
+    return [], {"map": serialize.map_to_json(cones.comparison_map(args.cone, args.r, args.p_from, args.p_to))}
 
 
-def _cmd_snf(args: argparse.Namespace, report: Report) -> None:
+def _cmd_snf(args: argparse.Namespace) -> Found:
     from . import abgroup
 
     form = abgroup.smith_normal_form(args.matrix, ncols=args.ncols)
-    report.verdicts.append(
-        Verdict("snf-contract", True, "U*M*V = S with unimodular U, V and a divisibility chain")
-    )
-    report.values["snf"] = serialize.smith_to_json(form)
+    verdict = Verdict("snf-contract", True, "U*M*V = S with unimodular U, V and a divisibility chain")
+    return [verdict], {"snf": serialize.smith_to_json(form)}
 
 
-def _cmd_exact(args: argparse.Namespace, report: Report) -> None:
+def _cmd_exact(args: argparse.Namespace) -> Found:
     from . import abgroup
 
-    verdict = abgroup.is_exact_at_middle(args.f, args.g)
-    report.verdicts.append(
-        Verdict(
-            "exact-at-middle",
-            verdict,
-            "image(f) == kernel(g) in the middle group"
-            if verdict
-            else "image(f) != kernel(g) in the middle group",
-        )
-    )
-    report.values["exact"] = verdict
+    exact = abgroup.is_exact_at_middle(args.f, args.g)
+    text = f"image(f) {'==' if exact else '!='} kernel(g) in the middle group"
+    return [Verdict("exact-at-middle", exact, text)], {"exact": exact}
 
 
-def _cmd_catalog(args: argparse.Namespace, report: Report) -> None:
+def _cmd_catalog(args: argparse.Namespace) -> Found:
     from . import cones
 
     if args.name != "zobel":
@@ -352,7 +340,7 @@ def _cmd_catalog(args: argparse.Namespace, report: Report) -> None:
                 text = f"expected {expected['mode']} payload {payload}, got {got['payload']}"
         pairings[key] = got
         verdicts.append(Verdict(f"pairing[{key}]", ok, text))
-    report.values.update(
+    return (verdicts if args.verify else []), dict(
         cone="zobel",
         base=cone.base.name,
         groups=groups,
@@ -360,13 +348,10 @@ def _cmd_catalog(args: argparse.Namespace, report: Report) -> None:
         classes={name: serialize.cone_class_to_json(cls) for name, cls in sorted(catalog.classes.items())},
         pairings=pairings,
     )
-    if args.verify:
-        report.verdicts.extend(verdicts)
 
 
-def _cmd_schema(args: argparse.Namespace, report: Report) -> None:
-    report.values["schema_of"] = args.name
-    report.values.update(emit_schema(args.name))
+def _cmd_schema(args: argparse.Namespace) -> Found:
+    return [], {"schema_of": args.name, **emit_schema(args.name)}
 
 
 # -- the command table -----------------------------------------------------
@@ -375,7 +360,9 @@ def _cmd_schema(args: argparse.Namespace, report: Report) -> None:
 class Command(Value):
     """One subcommand: its handler, what it does, and what it reads.
 
-    ``inputs`` maps each flag or positional name to its schema text, its
+    The handler takes the parsed arguments, with every document already read,
+    and returns ``(verdicts, values)``: a list of :class:`Verdict` and a dict
+    of JSON values.  ``inputs`` maps each flag or positional name to its schema text, its
     document kind (a key of ``_KINDS``; None for a plain argument) and its
     argparse keywords.  The ``schema`` command, the argument parser, the
     reading of documents and dispatch all derive from :data:`COMMANDS`.
@@ -385,7 +372,7 @@ class Command(Value):
 
     def __init__(
         self,
-        handler: Callable[[argparse.Namespace, Report], None],
+        handler: Callable[[argparse.Namespace], Found],
         description: str,
         inputs: dict[str, tuple[str, str | None, dict[str, Any]]],
     ) -> None:
@@ -595,17 +582,16 @@ def run(argv: list[str]) -> Report:
         args = _parse(argv)
     except _UsageError as exc:
         return Report(command=exc.command, error=str(exc))
-    report = Report(command=args.command, pretty=args.pretty)
     try:
         _read_inputs(args, COMMANDS[args.command].inputs)
-        _HANDLERS[args.command](args, report)
+        verdicts, values = _HANDLERS[args.command](args)
     except ValueError as exc:  # covers InputError and precondition violations
         return Report(args.command, error=str(exc), pretty=args.pretty)
-    except VerificationError as exc:  # a result failed its own exact check
-        report.verdicts.append(Verdict("self-check", False, str(exc)))
+    except VerificationError as exc:  # a result failed its own exact check: that verdict alone is reported
+        verdicts, values = [Verdict("self-check", False, str(exc))], {}
     except Exception as exc:  # anything else is still a report: no input ends in a traceback
         return Report(args.command, error=f"unexpected {type(exc).__name__}: {exc}", pretty=args.pretty)
-    return report
+    return Report(args.command, verdicts, values, pretty=args.pretty)
 
 
 def main(argv: list[str] | None = None) -> int:

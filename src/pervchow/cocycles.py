@@ -50,18 +50,15 @@ def _require_projective(pattern: CocyclePattern, op: str) -> None:
         raise ValueError(f"{op} needs a cocycle valued in a projective space of its codimension")
 
 
-def cocycle_report(pattern: CocyclePattern, bound: GeneralizedBound) -> list[tuple[int, bool, str]]:
-    """Per-stratum verdicts for the excess inequality excess_i <= p_i."""
+def cocycle_report(pattern: CocyclePattern, bound: GeneralizedBound) -> list[tuple[bool, str]]:
+    """Per-stratum ``(ok, text)`` rows for the excess inequality excess_i <= p_i."""
     _require_depth(pattern.strata, bound)
-    return [
-        (i, *_verdict(f"i={i}", pattern.excess[i], bound.at(i), "p_i", what="excess"))
-        for i in pattern.strata.indices()
-    ]
+    return [_verdict(f"i={i}", pattern.excess[i], bound.at(i), "p_i", what="excess") for i in pattern.strata.indices()]
 
 
 def check_cocycle(pattern: CocyclePattern, bound: GeneralizedBound) -> bool:
     """True iff the fiber excess over every stratum is within the bound."""
-    return all(ok for _, ok, _ in cocycle_report(pattern, bound))
+    return all(ok for ok, _ in cocycle_report(pattern, bound))
 
 
 def join(a: CocyclePattern, b: CocyclePattern) -> CocyclePattern:

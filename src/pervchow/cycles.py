@@ -109,15 +109,15 @@ def _membership(pattern: CyclePattern, i: int, p_i: int) -> tuple[bool, str]:
     )
 
 
-def perversity_report(pattern: CyclePattern, bound: GeneralizedBound) -> list[tuple[int, bool, str]]:
-    """Per-stratum verdicts for the membership inequality dim <= r - i + p_i."""
+def perversity_report(pattern: CyclePattern, bound: GeneralizedBound) -> list[tuple[bool, str]]:
+    """Per-stratum ``(ok, text)`` rows for the membership inequality dim <= r - i + p_i."""
     _require_depth(pattern.strata, bound)
-    return [(i, *_membership(pattern, i, bound.at(i))) for i in pattern.strata.indices()]
+    return [_membership(pattern, i, bound.at(i)) for i in pattern.strata.indices()]
 
 
 def check_perversity(pattern: CyclePattern, bound: GeneralizedBound) -> bool:
     """True iff incidence(i) <= r - i + p_i for every stratum."""
-    return all(ok for _, ok, _ in perversity_report(pattern, bound))
+    return all(ok for ok, _ in perversity_report(pattern, bound))
 
 
 class JointPattern(Value):
@@ -152,23 +152,23 @@ class JointPattern(Value):
         self._init(a, b, table, total)
 
 
-def star_report(joint: JointPattern, c: GeneralizedBound) -> list[tuple[str, bool, str]]:
-    """Verdicts for the pairwise intersection condition with shift data ``c``."""
+def star_report(joint: JointPattern, c: GeneralizedBound) -> list[tuple[bool, str]]:
+    """``(ok, text)`` rows, the total then each stratum, for the pairwise intersection condition with shifts ``c``."""
     strata = joint.a.strata
     _require_depth(strata, c)
     r, s, d = joint.a.r, joint.b.r, strata.ambient_dim
     expected = r + s - d
-    rows = [("total", *_verdict("total", joint.total, expected, f"r+s-d = {r}+{s}-{d}"))]
+    rows = [_verdict("total", joint.total, expected, f"r+s-d = {r}+{s}-{d}")]
     for i in strata.indices():
         limit = expected - (i - c.at(i))
         formula = f"r+s-d-(i-c_i) = {expected}-({i}-{c.at(i)})"
-        rows.append((f"i={i}", *_verdict(f"i={i}", joint.joint[i], limit, formula)))
+        rows.append(_verdict(f"i={i}", joint.joint[i], limit, formula))
     return rows
 
 
 def check_star(joint: JointPattern, c: GeneralizedBound) -> bool:
     """True iff the pair can be intersected statically with shift data ``c``."""
-    return all(ok for _, ok, _ in star_report(joint, c))
+    return all(ok for ok, _ in star_report(joint, c))
 
 
 def _shifted(pattern: CyclePattern, strata: Stratification, e: int) -> CyclePattern:

@@ -112,6 +112,16 @@ def json_int(literal: str) -> int:
     return _int(literal, "JSON integer")
 
 
+def json_object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object, for ``json.loads(..., object_pairs_hook=json_object)``: a key given twice is malformed."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen: set[str] = set()
+        repeated = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise InputError(f"JSON object repeats the key {echo(repeated)}")
+    return doc
+
+
 def _shown(text: str) -> str:
     """A number or key as a message shows it: whole when short, through :func:`echo` when over ``ECHO_CHARS``."""
     return text if len(text) <= ECHO_CHARS else echo(text)

@@ -1201,3 +1201,37 @@ def test_lattice_answers_run_no_smith_form(monkeypatch):
     abgroup.smith_normal_form([[2, 4], [6, 8]])
     assert invariant_factors(z4) == (0, (4,))
     assert len(calls) == 2
+
+
+class TestIntegersOnly:
+    """The lattice core computes on the integers it was given: a float or a digit string raises
+    ``TypeError`` rather than being truncated or parsed, so no result is that of another matrix."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: abgroup.det([[1.5, 2], [3, 4]]),
+        lambda: smith_normal_form([[1.5, 2], ["3", 4]]),
+        lambda: smith_normal_form([[2, 4]], ncols=2.0),
+        lambda: smith_normal_form([], ncols="2"),
+        lambda: Lattice([[2.0, 0]], 2),
+        lambda: Lattice([[2, 0]], 2)._coordinates([4.0, 0]),
+        lambda: lattice_solve([[2]], ["4"]),
+        lambda: FpAbelianGroup(2.9),
+        lambda: FpAbelianGroup(1, [[2.5]]),
+        lambda: GroupMap(FpAbelianGroup(1), FpAbelianGroup(1), [["1"]]),
+    ])
+    def test_a_float_or_a_string_raises(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+    def test_the_self_check_reads_the_rows_that_were_read(self, monkeypatch):
+        seen = []
+        real = abgroup._verify_smith
+        monkeypatch.setattr(abgroup, "_verify_smith", lambda m, n, form: seen.append(m) or real(m, n, form))
+        matrix = ((1, 2), (3, 4))
+        form = smith_normal_form(matrix)
+        assert form.diagonal() == (1, 2) and seen == [[[1, 2], [3, 4]]]
+        assert all(type(x) is int for row in seen[0] for x in row)
+
+    def test_a_bool_reads_as_the_int_it_is(self):
+        assert type(FpAbelianGroup(True).rank) is int and FpAbelianGroup(True) == FpAbelianGroup(1)
+        assert smith_normal_form([[True, 0], [0, 2]]).diagonal() == (1, 2)

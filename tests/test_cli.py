@@ -481,9 +481,9 @@ class TestCommandContract:
 
         seen = []
 
-        def fake(args, report):
+        def fake(args):
             seen.append(args.matrix)
-            report.values["fake"] = True
+            return [], {"fake": True}
 
         monkeypatch.setitem(cli._HANDLERS, "snf", fake)
         report = run(["snf", "--matrix", "[[2]]"])
@@ -544,11 +544,29 @@ class TestSelfCheckFailure:
             ("self-check", False, "Hermite transform does not reproduce the basis")
         ]
 
+    def test_failed_self_check_reports_that_verdict_alone(self, monkeypatch):
+        # what the handler found before its check failed is not reported
+        from pervchow import cli
+        from pervchow._value import VerificationError
+
+        def failing(args):
+            verdicts, values = cli._cmd_snf(args)
+            assert verdicts and values
+            raise VerificationError("Smith form does not reproduce the input matrix")
+
+        monkeypatch.setitem(cli._HANDLERS, "snf", failing)
+        report = run(["snf", "--matrix", "[[2]]"])
+        assert report.exit_code == 1 and report.error is None and report.values == {}
+        assert [(v.check, v.ok, v.explanation) for v in report.verdicts] == [
+            ("self-check", False, "Smith form does not reproduce the input matrix")
+        ]
+        assert json.loads(machine(report))["values"] == {}
+
     def test_recursion_error_is_not_a_check_failure(self, monkeypatch):
         # RecursionError is a RuntimeError too, but no failed self-check: run reports it with exit 2
         from pervchow import cli
 
-        def deep(args, report):
+        def deep(args):
             raise RecursionError("maximum recursion depth exceeded")
 
         monkeypatch.setitem(cli._HANDLERS, "snf", deep)

@@ -627,3 +627,48 @@ class TestDuplicateIntegerKeys:
         shared = f"{number[:64]!r}... (100 characters)"
         assert report.error == f"{prefix} keys of 3100 and 4100 characters both name {noun} {shared}"
         assert len(report.error) < 200
+
+
+class TestRepeatedLiteralKeys:
+    """A JSON object that gives one key twice exits 2, and fails its ``valid-*`` verdict under ``validate``.
+    ``json`` alone keeps the last value, so ``{"dim": 1, "dim": 0, ...}`` would be checked as a dimension-0 cycle."""
+
+    PATTERN = '{"dim": 1, "dim": 0, "incidence": {"1": 0}}'
+    # a product entry inside the ring that gives its coefficient of p twice, with one value
+    RING = _text(with_(P2_RING, products=[{"a": "h", "b": "h", "value": {"p": 1}}])).replace(
+        '{"p": 1}', '{"p": 1, "p": 1}'
+    )
+
+    def check(self, pattern):
+        return ["check-cycle", "--pattern", pattern, "--perversity", "[0]", "--strata", "vertex1"]
+
+    def test_a_top_level_key(self):
+        report = run(self.check(self.PATTERN))
+        assert report.exit_code == 2 and report.error == "JSON object repeats the key 'dim'"
+        assert run(self.check(_text(PATTERN_1))).exit_code == 0
+
+    def test_a_key_inside_a_ring_document(self):
+        def cone(ring):
+            return ["groups", "--cone", f'{{"base": {ring}}}', "--r", "0", "--p", "0"]
+
+        report = run(cone(self.RING))
+        assert report.exit_code == 2 and report.error == "JSON object repeats the key 'p'"
+        assert run(cone(self.RING.replace(', "p": 1}', "}"))).exit_code == 0
+
+    @pytest.mark.parametrize("kind, argv, key", [
+        ("pattern", ["--pattern", PATTERN, "--strata", "vertex1"], "dim"),
+        ("ring", ["--ring", RING], "p"),
+    ])
+    def test_validate_fails_the_verdict(self, kind, argv, key):
+        report = run(["validate", *argv])
+        assert report.exit_code == 1
+        assert [(v.check, v.ok, v.explanation) for v in report.verdicts if v.check == f"valid-{kind}"] == [
+            (f"valid-{kind}", False, f"JSON object repeats the key {key!r}")
+        ]
+        assert all(v.ok for v in report.verdicts if v.check != f"valid-{kind}")
+
+    def test_a_long_key_is_quoted_cut(self):
+        key = "k" * 5000
+        report = run(self.check(f'{{"dim": 1, "incidence": {{"1": 0}}, "{key}": 1, "{key}": 2}}'))
+        assert report.exit_code == 2 and len(report.error) < 200
+        assert report.error == f"JSON object repeats the key {key[:64]!r}... (5000 characters)"

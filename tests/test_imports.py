@@ -237,3 +237,22 @@ def test_the_self_check_error_is_one_class():
     from pervchow import _value, abgroup, cli
 
     assert abgroup.VerificationError is _value.VerificationError is cli.VerificationError
+
+
+def test_only_run_builds_a_report_and_handlers_take_args_alone():
+    # a handler returns (verdicts, values) from the parsed args, and cli.run builds the one Report from them
+    from pervchow import cli
+
+    tree = ast.parse((SRC / "pervchow" / "cli.py").read_text())
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    builds = {
+        id(node) for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Report"
+    }
+    run = next(f for f in functions if f.name == "run")
+    assert builds and builds <= {id(node) for node in ast.walk(run)}
+    handlers = {f.name: f.args for f in functions if f.name.startswith("_cmd_")}
+    assert len(handlers) == len(cli.COMMANDS)
+    for name, args in handlers.items():
+        assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["args"], name
+        assert args.vararg is None and args.kwarg is None, name
