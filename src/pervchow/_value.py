@@ -20,9 +20,10 @@ class Value:
     class keyword ``uncompared`` names), so a field that holds the same object
     on both sides is not compared by its own ``__eq__``; instances of different
     classes are never equal.  A record sets its fields once, through
-    :meth:`_init`, and hashes that tuple, with each dict field taken as the set
-    of its items, which is what dict equality compares.  The repr is
-    ``Name(field=value, ...)`` over every field.
+    :meth:`_init`, which stores each field through its slot descriptor (the
+    class looks the descriptors up once), and hashes that tuple, with each dict
+    field taken as the set of its items, which is what dict equality compares.
+    The repr is ``Name(field=value, ...)`` over every field.
     """
 
     __slots__ = ()
@@ -33,11 +34,13 @@ class Value:
         getter = attrgetter(*compared)
         # attrgetter of one name returns the value itself, not a 1-tuple
         cls._key = getter if len(compared) > 1 else staticmethod(lambda value: (getter(value),))
+        # the slot descriptors' own setters, which bypass the refusing ``__setattr__``
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
     def _init(self, *values: Any) -> None:
         """Set the fields, in ``__slots__`` order."""
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

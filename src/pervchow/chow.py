@@ -205,10 +205,8 @@ class ChowRingPresentation:
             unknown = set(coeffs) - set(level)
             if unknown:
                 raise ValueError(f"coefficients name unknown symbols {echo(sorted(unknown))}")
-            vector = tuple(int(coeffs.get(sym, 0)) for sym in level)
-        else:
-            vector = tuple(int(c) for c in coeffs)
-        return ChowClass(self, k, vector)
+            coeffs = [coeffs.get(sym, 0) for sym in level]
+        return ChowClass(self, k, coeffs)
 
     def basis_class(self, sym: str) -> "ChowClass":
         k = self.codim_of(sym)
@@ -410,8 +408,8 @@ class ChowClass(Value):
 
     __slots__ = ("ring", "codim", "coeffs")
 
-    def __init__(self, ring: ChowRingPresentation, codim: int, coeffs: tuple[int, ...]) -> None:
-        self._init(ring, codim, tuple(int(c) for c in coeffs))
+    def __init__(self, ring: ChowRingPresentation, codim: int, coeffs: Sequence[int]) -> None:
+        self._init(ring, codim, tuple(map(int, coeffs)))
         expected = len(self.ring.basis_at(self.codim))
         if len(self.coeffs) != expected:
             raise ValueError(

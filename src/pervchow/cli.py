@@ -124,6 +124,10 @@ def _load(text: str) -> Any:
         return json.loads(s, parse_int=serialize.json_int, object_pairs_hook=serialize.json_object)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"invalid JSON{where}: {exc}") from exc
+    except InputError as exc:  # from the hooks: a repeated key or an over-long integer literal
+        if not where:
+            raise
+        raise InputError(f"{exc}{where}") from exc
 
 
 # How each kind of document is read, on what it needs of ``args``: the strata

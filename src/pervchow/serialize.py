@@ -455,10 +455,10 @@ def parse_ring(data: Any) -> ChowRingPresentation:
 
 
 def parse_cone(data: Any) -> ConeVariety:
-    from .cones import ConeVariety, zobel
+    from .cones import ConeVariety
 
     if isinstance(data, str) and data.strip() == "zobel":
-        return zobel().cone
+        data = "quadric"  # the catalog's cone, read without building the catalog
     if isinstance(data, Mapping) and "base" in data:
         return ConeVariety(parse_ring(data["base"]))
     if isinstance(data, str):

@@ -88,6 +88,19 @@ class TestBuiltins:
         assert degree(q.make(2, [3])) == 3
         assert degree(3 * q.make(2, [1])) == 3
 
+    def test_make_reads_a_mapping_as_its_sequence_in_basis_order(self):
+        q = quadric_surface()
+        e, f = q.basis_at(1)
+        by_name, in_order = q.make(1, {f: "3"}), q.make(1, (0, 3))
+        assert by_name == in_order == q.make(1, [0, 3])
+        assert by_name.coeffs == (0, 3) and all(type(c) is int for c in by_name.coeffs + in_order.coeffs)
+        errors = []
+        for coeffs in ({e: "one"}, ["one", 0]):
+            with pytest.raises(ValueError) as info:
+                q.make(1, coeffs)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1] == (ValueError, "invalid literal for int() with base 10: 'one'")
+
     def test_unit_is_identity(self):
         for ring in (projective_space(2), quadric_surface()):
             one = ring.unit_class()

@@ -149,6 +149,21 @@ class TestGroupsCompareSnfExact:
         report = run(["compare", "--cone", "zobel", "--r", "2", "--p-from", "0", "--p-to", "1"])
         assert report.values["map"]["matrix"] == [[1], [1]]
 
+    def test_zobel_names_the_cone_over_the_quadric(self):
+        from pervchow.cones import zobel
+        from pervchow.serialize import parse_cone
+
+        assert parse_cone("zobel") == parse_cone(" quadric ") == zobel().cone
+        for tail in (
+            ["intersect", "--a", "allowed:2:(1,0)", "--b", "allowed:2:(0,1)"],
+            ["pairing", "--a", "allowed:2:(1,0)", "--b", "allowed:2:(0,1)"],
+            ["groups", "--r", "1", "--p", "2"],
+            ["compare", "--r", "2", "--p-from", "0", "--p-to", "1"],
+        ):
+            zobel_report = run([tail[0], "--cone", "zobel", *tail[1:]])
+            assert machine(zobel_report) == machine(run([tail[0], "--cone", "quadric", *tail[1:]]))
+            assert zobel_report.exit_code == 0
+
     def test_cone_over_named_base(self):
         report = run(["groups", "--cone", json.dumps({"base": "P2"}), "--r", "2", "--p", "1"])
         assert report.values["group"]["name"] == "Z"
@@ -586,6 +601,26 @@ class TestHostileInput:
             assert main(["snf", "--matrix", source]) == 2
             doc = json.loads(capsys.readouterr().out)
             assert doc["schema"] == 1 and "JSON" in doc["error"]["message"]
+
+    @pytest.mark.parametrize("long_path", [False, True], ids=["short-path", "long-path"])
+    @pytest.mark.parametrize("argv, text, message", [
+        (["check-cycle", "--perversity", "[0,0,0]", "--strata", "vertex3", "--pattern"],
+         '{"dim": 1, "dim": 2, "incidence": {}}', "JSON object repeats the key 'dim'"),
+        (["snf", "--matrix"], "[[" + "9" * 5000 + "]]", "JSON integer has 5000 digits; the limit is 4300"),
+    ], ids=["repeated-key", "long-integer"])
+    def test_document_errors_name_the_file(self, tmp_path, argv, text, message, long_path):
+        from pervchow._value import echo
+
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        # each "./" is dropped when the path is opened, so the file is read through a 5000-character name
+        source = str(path) if not long_path else f"{tmp_path}/{'./' * 2500}doc.json"
+        report = run(argv + [source])
+        assert report.exit_code == 2 and report.verdicts == []
+        assert report.error == f"{message} in {echo(source)}"
+        assert len(report.error) < 200
+        # inline, the same document's message names no file
+        assert run(argv + [text]).error == message
 
     @pytest.mark.parametrize(
         "argv",

@@ -256,3 +256,14 @@ def test_only_run_builds_a_report_and_handlers_take_args_alone():
     for name, args in handlers.items():
         assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["args"], name
         assert args.vararg is None and args.kwarg is None, name
+
+
+def test_only_value_writes_record_fields():
+    # a record's fields are set once, by Value._init through the slot descriptors; no other module
+    # reaches past the refusing __setattr__, through object.__setattr__ or a descriptor's __set__
+    found = [
+        f"{path.name}:{node.lineno}" for path in (SRC / "pervchow").glob("*.py") if path.name != "_value.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("__setattr__", "__set__")
+    ]
+    assert found == []
