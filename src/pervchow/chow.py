@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import re
 from collections.abc import Callable, Mapping, Sequence
+from operator import index
 
 from ._value import Value, echo
 from .abgroup import FpAbelianGroup, Lattice, _insert
@@ -97,11 +98,13 @@ class ChowRingPresentation:
         degree_functional: Sequence[int],
         relations: Mapping[int, Sequence[Sequence[int]]] | None = None,
     ) -> None:
-        self.name = str(name)
-        self.dim = int(dim)
+        if not isinstance(name, str):
+            raise TypeError(f"ring name must be a string, got {type(name).__name__}")
+        self.name = name
+        self.dim = index(dim)
         if self.dim < 0:
             raise ValueError("dimension must be nonnegative")
-        levels = tuple(tuple(map(str, level)) for level in basis)
+        levels = tuple(map(tuple, basis))
         if len(levels) != self.dim + 1:
             raise ValueError(f"need basis lists for codimensions 0..{echo(self.dim)}")
         if len(levels[0]) != 1:
@@ -112,6 +115,8 @@ class ChowRingPresentation:
             if not level:
                 raise ValueError(f"codimension {k} has no basis symbols")
             for sym in level:
+                if not isinstance(sym, str):
+                    raise TypeError(f"basis symbol {echo(sym)} in codim {k} must be a string")
                 if sym in codim:
                     raise ValueError(f"duplicate basis symbol {echo(sym)}")
                 codim[sym] = k
@@ -130,10 +135,10 @@ class ChowRingPresentation:
             cleaned: Combo = {}
             for sym, c in value.items():
                 if type(c) is not int:
-                    c = int(c)
+                    c = index(c)
                 if c:
-                    if type(sym) is not str:
-                        sym = str(sym)
+                    if not isinstance(sym, str):
+                        raise TypeError(f"symbol {echo(sym)} in product ({echo(a)}, {echo(b)}) must be a string")
                     # no symbol lies past the dimension, so this also rejects a product landing there
                     if codim.get(sym) != total:
                         raise ValueError(f"product ({echo(a)}, {echo(b)}) lands in codim {total}, got {echo(sym)}")
@@ -153,13 +158,13 @@ class ChowRingPresentation:
             unit_row[sym] = row[unit] = expected
         self._rows = rows
 
-        hyper = tuple(map(int, hyperplane))
+        hyper = tuple(map(index, hyperplane))
         width = len(levels[1]) if self.dim >= 1 else 0
         if len(hyper) != width:
             raise ValueError(f"hyperplane vector must have length {width}")
         self.hyperplane = hyper
 
-        deg = tuple(map(int, degree_functional))
+        deg = tuple(map(index, degree_functional))
         if len(deg) != len(levels[self.dim]):
             raise ValueError(
                 f"degree functional must have length {len(levels[self.dim])}"
@@ -168,10 +173,9 @@ class ChowRingPresentation:
 
         rels: dict[int, tuple[tuple[int, ...], ...]] = {}
         for k, rows in (relations or {}).items():
-            k = int(k)
-            if not 0 <= k <= self.dim:
+            if not 0 <= (k := index(k)) <= self.dim:
                 raise ValueError(f"relations declared for impossible codimension {echo(k)}")
-            packed = tuple(tuple(int(x) for x in row) for row in rows)
+            packed = tuple(tuple(map(index, row)) for row in rows)
             for row in packed:
                 if len(row) != len(levels[k]):
                     raise ValueError(f"relation {echo(list(row))} does not match codim {k} basis")
@@ -409,7 +413,7 @@ class ChowClass(Value):
     __slots__ = ("ring", "codim", "coeffs")
 
     def __init__(self, ring: ChowRingPresentation, codim: int, coeffs: Sequence[int]) -> None:
-        self._init(ring, codim, tuple(map(int, coeffs)))
+        self._init(ring, index(codim), tuple(map(index, coeffs)))
         expected = len(self.ring.basis_at(self.codim))
         if len(self.coeffs) != expected:
             raise ValueError(
@@ -432,7 +436,7 @@ class ChowClass(Value):
         return self + (-other)
 
     def __rmul__(self, scalar: int) -> "ChowClass":
-        return ChowClass(self.ring, self.codim, tuple(int(scalar) * c for c in self.coeffs))
+        return ChowClass(self.ring, self.codim, tuple(scalar * c for c in self.coeffs))
 
 
 def mul(x: ChowClass, y: ChowClass) -> ChowClass:

@@ -9,6 +9,7 @@ these excess profiles by exact arithmetic.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from operator import index
 
 from ._value import Value, echo
 from .cycles import CyclePattern, Incidence, JointPattern, _normalize_incidence, _require_depth
@@ -29,6 +30,7 @@ class CocyclePattern(Value):
     __slots__ = ("strata", "t", "target_dim", "excess")
 
     def __init__(self, strata: Stratification, t: int, target_dim: int, excess: Mapping[int, int]) -> None:
+        t, target_dim = index(t), index(target_dim)
         if not 0 <= t <= target_dim:
             raise ValueError(
                 f"codimension t={echo(t)} must lie in 0..target_dim={echo(target_dim)}"
@@ -143,7 +145,7 @@ def cap_pattern(a: CocyclePattern, b: CyclePattern) -> CyclePattern:
 
 
 def morphism_fiber_pattern(
-    strata: Stratification, fiber_dims: Mapping[int | str, int], n: int
+    strata: Stratification, fiber_dims: Mapping[int, int], n: int
 ) -> CocyclePattern:
     """Cocycle pattern of the transposed graph of a dominant morphism.
 
@@ -158,8 +160,7 @@ def morphism_fiber_pattern(
     generic = n - d
     excess = {}
     for key, dim in fiber_dims.items():
-        i = int(key)
-        dim = int(dim)
+        i, dim = index(key), index(dim)
         if dim < generic:
             raise ValueError(
                 f"fiber dimension {echo(dim)} at stratum {i} below the generic value {echo(generic)}"

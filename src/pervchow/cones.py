@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from enum import Enum
+from operator import index
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
@@ -73,16 +74,18 @@ class ConeVariety(Value):
         return n - (r - 1) if self.mode(r, p) is Mode.ALLOWED else n - r
 
     def cls(self, r: int, p: int, coeffs) -> "ConeClass":
-        _check_range(self, r, p)
+        r, p = _check_range(self, r, p)
         payload = self.base.make(self.payload_codim(r, p), coeffs)
         return ConeClass(self, r, p, payload)
 
 
-def _check_range(cone: ConeVariety, r: int, p: int) -> None:
+def _check_range(cone: ConeVariety, r: int, p: int) -> tuple[int, int]:
+    r, p = index(r), index(p)
     if not 0 <= r <= cone.cone_dim:
         raise ValueError(f"cycle dimension {echo(r)} outside 0..{cone.cone_dim}")
     if p < 0:
         raise ValueError("vertex bound must be nonnegative")
+    return r, p
 
 
 class ConeClass(Value):
@@ -91,8 +94,7 @@ class ConeClass(Value):
     __slots__ = ("cone", "r", "p", "payload")
 
     def __init__(self, cone: ConeVariety, r: int, p: int, payload: ChowClass) -> None:
-        self._init(cone, r, p, payload)
-        _check_range(self.cone, self.r, self.p)
+        self._init(cone, *_check_range(cone, r, p), payload)
         if self.payload.ring != self.cone.base:
             raise ValueError("payload lives over a different base presentation")
         expected = self.cone.payload_codim(self.r, self.p)
@@ -118,8 +120,7 @@ class ConeClass(Value):
 
 def chow_group(cone: ConeVariety, r: int, p: int) -> FpAbelianGroup:
     """The cycle class group in dimension ``r`` at vertex bound ``p``."""
-    _check_range(cone, r, p)
-    return cone.base.group(cone.payload_codim(r, p))
+    return cone.base.group(cone.payload_codim(*_check_range(cone, r, p)))
 
 
 def comparison_map(cone: ConeVariety, r: int, p_from: int, p_to: int) -> GroupMap:

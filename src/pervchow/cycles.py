@@ -10,6 +10,7 @@ patterns automatically).
 from __future__ import annotations
 
 from collections.abc import Mapping
+from operator import index
 
 from ._value import Value, echo
 from .perversity import GeneralizedBound, collapse_index
@@ -29,10 +30,10 @@ def _show(value: Incidence) -> str:
 
 
 def _normalize_incidence(
-    strata: Stratification, data: Mapping[int | str, Incidence], what: str
+    strata: Stratification, data: Mapping[int, Incidence], what: str
 ) -> dict[int, Incidence]:
     """Per-stratum data keyed by exactly the indices of ``strata``."""
-    table = {int(key): (None if value is None else int(value)) for key, value in data.items()}
+    table = {index(key): (None if value is None else index(value)) for key, value in data.items()}
     if set(table) != set(strata.indices()):
         raise ValueError(
             f"{what} must declare exactly the stratum indices {echo(list(strata.indices()))}, got {echo(sorted(table))}"
@@ -62,7 +63,7 @@ class CyclePattern(Value, uncompared=("label",)):
     def __init__(
         self, strata: Stratification, r: int, incidence: Mapping[int, Incidence], label: str | None = None
     ) -> None:
-        if r < 0:
+        if (r := index(r)) < 0:
             raise ValueError("cycle dimension must be nonnegative")
         table = _normalize_incidence(strata, incidence, "incidence")
         for i, v in table.items():
@@ -133,7 +134,7 @@ class JointPattern(Value):
     def __init__(self, a: CyclePattern, b: CyclePattern, joint: Mapping[int, Incidence], total: Incidence) -> None:
         _require_shared(a.strata, b.strata, "joint pattern")
         table = _normalize_incidence(a.strata, joint, "joint")
-        total = None if total is None else int(total)
+        total = None if total is None else index(total)
         if total is not None and total < 0:
             raise ValueError("total intersection dimension must be nonnegative or EMPTY")
         for i, v in table.items():
@@ -236,9 +237,11 @@ class FamilyCertificate(Value):
         flat_over_line: bool,
         effective_variant: CyclePattern | None = None,
     ) -> None:
-        fibers = tuple((str(t), pat) for t, pat in special_fibers)
+        fibers = tuple((t, pat) for t, pat in special_fibers)
         self._init(generic_fiber, fibers, endpoints, flat_over_line, effective_variant)
         labels = [t for t, _ in fibers]
+        if not all(isinstance(t, str) for t in labels):
+            raise TypeError("fiber parameter labels must be strings")
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate fiber parameter labels")
         strata, r = self.generic_fiber.strata, self.generic_fiber.r

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from operator import index
 
 from ._value import Value, echo
 
@@ -19,7 +20,7 @@ class GeneralizedBound(Value):
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[int]) -> None:
-        values = tuple(int(v) for v in entries)
+        values = tuple(map(index, entries))
         if any(v < 0 for v in values):
             raise ValueError(f"bound entries must be nonnegative: {echo(list(values))}")
         if any(b < a for a, b in zip(values, values[1:])):

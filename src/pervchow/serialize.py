@@ -435,7 +435,7 @@ def parse_ring(data: Any) -> ChowRingPresentation:
     if not isinstance(data, Mapping):
         raise InputError("a ring must be a built-in name or a presentation object")
     with _reading("ring presentation"):
-        name = str(data.get("name", "user"))
+        name = _shape(data.get("name", "user"), str, "name", "a string")
         _check_basis(data.get("basis", ()), name)
         products, constants = _products(data.get("products", []))
         if constants > MAX_RING_CONSTANTS:

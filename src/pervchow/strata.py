@@ -9,6 +9,8 @@ The geometric content of a computation lives in the incidence patterns
 
 from __future__ import annotations
 
+import operator
+
 from ._value import Value, echo
 
 
@@ -18,7 +20,7 @@ class StratumSpec(Value):
     __slots__ = ("index", "codim_lower_bound", "label")
 
     def __init__(self, index: int, codim_lower_bound: int, label: str = "") -> None:
-        self._init(index, codim_lower_bound, label)
+        self._init(operator.index(index), operator.index(codim_lower_bound), label)
 
 
 class ModelTag(Value):
@@ -34,7 +36,7 @@ class ModelTag(Value):
     __slots__ = ("kind", "fiber_dim", "base")
 
     def __init__(self, kind: str, fiber_dim: int | None = None, base: ModelTag | None = None) -> None:
-        self._init(kind, fiber_dim, base)
+        self._init(kind, None if fiber_dim is None else operator.index(fiber_dim), base)
         if self.kind not in ("generic", "isolated_vertex", "product"):
             raise ValueError(f"unknown model kind {echo(self.kind)}")
         if (self.kind == "product") != (self.fiber_dim is not None):
@@ -55,7 +57,7 @@ class Stratification(Value, uncompared=("model",)):
     __slots__ = ("ambient_dim", "strata", "model")
 
     def __init__(self, ambient_dim: int, strata: tuple[StratumSpec, ...], model: ModelTag = GENERIC) -> None:
-        self._init(ambient_dim, tuple(strata), model)
+        self._init(operator.index(ambient_dim), tuple(strata), model)
         if self.ambient_dim < 0:
             raise ValueError("ambient dimension must be nonnegative")
         if len(self.strata) > self.ambient_dim:

@@ -91,15 +91,18 @@ class TestBuiltins:
     def test_make_reads_a_mapping_as_its_sequence_in_basis_order(self):
         q = quadric_surface()
         e, f = q.basis_at(1)
-        by_name, in_order = q.make(1, {f: "3"}), q.make(1, (0, 3))
+        by_name, in_order = q.make(1, {f: 3}), q.make(1, (0, 3))
         assert by_name == in_order == q.make(1, [0, 3])
         assert by_name.coeffs == (0, 3) and all(type(c) is int for c in by_name.coeffs + in_order.coeffs)
-        errors = []
-        for coeffs in ({e: "one"}, ["one", 0]):
-            with pytest.raises(ValueError) as info:
-                q.make(1, coeffs)
-            errors.append((type(info.value), str(info.value)))
-        assert errors[0] == errors[1] == (ValueError, "invalid literal for int() with base 10: 'one'")
+        # a digit string or a float is no integer, and both forms refuse it with the same error
+        for bad, message in (("3", "'str' object cannot be interpreted as an integer"),
+                             (3.0, "'float' object cannot be interpreted as an integer")):
+            errors = []
+            for coeffs in ({e: bad}, [bad, 0]):
+                with pytest.raises(TypeError) as info:
+                    q.make(1, coeffs)
+                errors.append(str(info.value))
+            assert errors == [message, message]
 
     def test_unit_is_identity(self):
         for ring in (projective_space(2), quadric_surface()):

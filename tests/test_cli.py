@@ -769,6 +769,19 @@ class TestHostileInput:
         assert report.verdicts[0].explanation.startswith("bad ring presentation:")
         assert json.loads(machine(report))["schema"] == 1
 
+    @pytest.mark.parametrize("name", [[1, 2], None, 7], ids=["list", "null", "number"])
+    def test_ring_name_that_is_not_a_string_fails_validation(self, name):
+        # the name was once read with str(): [1, 2] became "[1, 2]", null "None", and the round trip changed it
+        ring = {"name": name, "dim": 0, "basis": [["1"]], "degree": [1]}
+        report = run(["validate", "--ring", json.dumps(ring)])
+        assert report.exit_code == 1
+        assert [(v.check, v.ok) for v in report.verdicts] == [("valid-ring", False)]
+        assert report.verdicts[0].explanation == (
+            f"bad ring presentation: name must be a string, got {type(name).__name__}"
+        )
+        assert run(["groups", "--cone", json.dumps({"base": ring}), "--r", "0", "--p", "0"]).exit_code == 2
+        assert run(["validate", "--ring", json.dumps(dict(ring, name="named"))]).exit_code == 0
+
     def test_oversized_vertex_shorthand_exits_2_before_building(self):
         start = time.perf_counter()
         report = run(["suspend", "--strata", "vertex100000000"])

@@ -4,7 +4,9 @@ import random
 import pytest
 
 from pervchow import chow
-from pervchow.abgroup import FpAbelianGroup, GroupMap, _kernel, describe, invariant_factors, lattice_solve
+from pervchow.abgroup import (
+    FpAbelianGroup, GroupMap, _kernel, describe, invariant_factors, lattice_solve, smith_normal_form,
+)
 from pervchow.chow import projective_space, quadric_surface
 from pervchow.cones import (
     ConeClass,
@@ -417,3 +419,76 @@ class TestTorsionBase:
         assert invariant_factors(chow_group(cone, 1, 1)) == (0, (2,))  # cone side: A_0 with torsion
         assert invariant_factors(chow_group(cone, 1, 0)) == (1, ())   # avoiding side: A_1 free
         assert invariant_factors(chow_group(cone, 0, 0)) == (0, (2,))
+
+
+# -- duality at complementary vertex bounds ---------------------------------------
+
+DUALITY_BASES = ["P1", "P2", "P3", "P4", "quadric", "product(P1,P2)", "product(P2,P2)", "product(P1,product(P1,P1))"]
+
+
+def cone_basis(cone, r, p):
+    """The classes of dimension ``r`` at vertex bound ``p`` whose payloads are the basis symbols, in basis order."""
+    return [ConeClass(cone, r, p, cone.base.basis_class(sym)) for sym in cone.base.basis_at(cone.payload_codim(r, p))]
+
+
+def relaxed(a, p_to):
+    """``a`` carried to the vertex bound ``p_to`` by the comparison map."""
+    matrix = comparison_map(a.cone, a.r, a.p, p_to).matrix
+    return a.cone.cls(a.r, p_to, [sum(m * c for m, c in zip(row, a.payload.coeffs)) for row in matrix])
+
+
+class TestComplementaryDuality:
+    """Goresky-MacPherson duality on a cone of dimension ``d``: the bounds ``p`` and ``q = d - 1 - p`` are
+    complementary, so of two classes at ``(r, p)`` and ``(d - r, q)`` exactly one passes through the vertex,
+    the pairing never slices, and it is the base's own degree pairing."""
+
+    def test_complementary_bounds_pair_perfectly(self):
+        cells = pairs = 0
+        for name in DUALITY_BASES:
+            cone = ConeVariety(chow.builtin(name))
+            d = cone.cone_dim
+            for r, p in itertools.product(range(d + 1), range(d)):
+                q = d - 1 - p
+                left, right = cone_basis(cone, r, p), cone_basis(cone, d - r, q)
+                matrix = []
+                for a in left:
+                    row = []
+                    for b in right:
+                        assert (a.mode is Mode.ALLOWED) != (b.mode is Mode.ALLOWED), (name, r, p)
+                        value = degree_pairing(a, b)
+                        assert value == chow.degree(chow.mul(a.payload, b.payload)), (name, r, p)
+                        row.append(value)
+                    matrix.append(row)
+                assert len(left) == len(right), (name, r, p)
+                assert smith_normal_form(matrix).diagonal() == (1,) * len(left), (name, r, p, matrix)
+                cells += 1
+                pairs += len(left) * len(right)
+        assert (cells, pairs) == (150, 356)
+
+    def test_below_the_complementary_sum_the_conic_pairs_to_two(self):
+        # the cone over a conic: P1 embedded by its degree-2 hyperplane class
+        conic = ConeVariety(chow.ChowRingPresentation("conic", 1, [["1"], ["h"]], {}, [2], [1]))
+
+        def pairing(p, q):
+            return [[degree_pairing(a, b) for b in cone_basis(conic, 1, q)] for a in cone_basis(conic, 1, p)]
+
+        assert pairing(0, 0) == [[2]]  # p + q = d - 2: both avoid the vertex, and the slice is the conic's degree
+        assert pairing(1, 0) == [[1]]  # p + q = d - 1: perfect
+
+    def test_comparison_maps_are_adjoint(self):
+        # <phi_{p -> p'}(a), b> = <a, phi_{q -> q'}(b)> whenever p' + q = p + q' and both sides are defined
+        checked = 0
+        for name in DUALITY_BASES:
+            cone = ConeVariety(chow.builtin(name))
+            d = cone.cone_dim
+            for r, p, q in itertools.product(range(d + 1), range(d), range(d)):
+                for step in range(d - max(p, q)):
+                    for a, b in itertools.product(cone_basis(cone, r, p), cone_basis(cone, d - r, q)):
+                        try:
+                            left = degree_pairing(relaxed(a, p + step), b)
+                            right = degree_pairing(a, relaxed(b, q + step))
+                        except ConeProductError:
+                            continue
+                        assert left == right, (name, r, p, q, step)
+                        checked += 1
+        assert checked == 2422

@@ -267,3 +267,24 @@ def test_only_value_writes_record_fields():
         if isinstance(node, ast.Attribute) and node.attr in ("__setattr__", "__set__")
     ]
     assert found == []
+
+
+def test_no_layer_coerces_an_integer_or_a_string():
+    # below the readers an integer is read through operator.index and a name is taken as a str or refused;
+    # only chow._parse_builtin turns text into an integer, the digits of a P<n> name
+    found = []
+    for name in sorted(LAYERS):
+        tree = ast.parse((SRC / "pervchow" / f"{name}.py").read_text())
+        exempt = {
+            id(node) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "_parse_builtin"
+            for node in ast.walk(f)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in exempt or not isinstance(node.func, ast.Name):
+                continue
+            called = node.func.id
+            if called == "map" and node.args and isinstance(node.args[0], ast.Name):
+                called = node.args[0].id
+            if called in ("int", "str"):
+                found.append(f"{name}.py:{node.lineno}")
+    assert found == []

@@ -214,12 +214,11 @@ def expected_outcome(doc):
 
 def constructor_outcome(cls, doc):
     """A constructor's verdict on the document's products, passed as a mapping
-    with the coefficients as written (digit strings too)."""
+    with the coefficients as ``serialize._int`` reads them (a digit string as its integer)."""
     try:
-        reference_products(doc)
+        products = reference_products(doc)
     except ValueError:
         return None  # a bad coefficient: documents stop before the constructor
-    products = {(str(entry["a"]), str(entry["b"])): dict(entry["value"]) for entry in doc["products"]}
     try:
         ring = cls(doc["name"], doc["dim"], doc["basis"], products, doc["hyperplane"], doc["degree"])
     except ValueError as exc:
@@ -347,6 +346,16 @@ def test_documents_read_as_the_reference_reads_them_seeded_batch():
         for doc in docs
         if same_order_conflict(doc) is None
     )
+
+
+def test_the_constructor_takes_no_digit_string_coefficient():
+    # a document's "1" is read by serialize._int; the constructor itself takes integers only
+    basis, digits = [["1"], ["h"], ["p"]], {("h", "h"): {"p": "1"}}
+    read = parse_ring(p2_with(("h", "h", {"p": "1"})))
+    assert read == ChowRingPresentation("P2", 2, basis, {("h", "h"): {"p": 1}}, [1], [1])
+    with pytest.raises(TypeError, match="^'str' object cannot be interpreted as an integer$"):
+        ChowRingPresentation("P2", 2, basis, digits, [1], [1])
+    assert ReferenceRing("P2", 2, basis, digits, [1], [1])._rows["h"]["h"] == {"p": 1}  # the old constructor parsed it
 
 
 def ring_build_names(monkeypatch):

@@ -170,3 +170,93 @@ def test_hash_follows_equality():
     p2 = chow.builtin("P2")
     classes = {p2.make(1, (1,)), chow.builtin("P2").make(1, (1,)), p2.make(1, (2,))}
     assert len(classes) == 2
+
+
+# -- one integer rule and one text rule -----------------------------------------
+
+V1 = strata.isolated_vertex(1)
+P1, P2 = chow.builtin("P1"), chow.builtin("P2")
+CONE_P2 = cones.ConeVariety(P2)
+LINE_THROUGH = cycles.CyclePattern(V1, 1, {1: 1})
+
+
+def ring(name="r", dim=1, hyperplane=(1,), degree=(1,), relations=None):
+    return chow.ChowRingPresentation(name, dim, [["1"], ["h"]], {}, hyperplane, degree, relations)
+
+
+# every integer a layer stores or indexes with, as a call that is valid when ``x`` is 1
+INTEGER_SITES = {
+    "bound entry": lambda x: perversity.GeneralizedBound([0, x]),
+    "stratum index": lambda x: strata.StratumSpec(x, 2),
+    "stratum codim": lambda x: strata.StratumSpec(1, x),
+    "ambient dim": lambda x: strata.Stratification(x, ()),
+    "fiber dim": lambda x: strata.ModelTag("product", x, strata.GENERIC),
+    "ring dim": lambda x: ring(dim=x),
+    "hyperplane": lambda x: ring(hyperplane=[x]),
+    "degree": lambda x: ring(degree=[x]),
+    "product coefficient": lambda x: chow.ChowRingPresentation(
+        "r", 2, [["1"], ["h"], ["p"]], {("h", "h"): {"p": x}}, [1], [1]),
+    "relation codim": lambda x: ring(degree=[0], relations={x: [[2]]}),
+    "relation entry": lambda x: ring(degree=[0], relations={1: [[x]]}),
+    "class coefficient": lambda x: P1.make(1, [x]),
+    "class coefficient by symbol": lambda x: P1.make(1, {"h": x}),
+    "class codim": lambda x: chow.ChowClass(P1, x, (1,)),
+    "class scalar": lambda x: x * P1.make(1, [1]),
+    "cycle dim": lambda x: cycles.CyclePattern(V1, x, {1: None}),
+    "incidence key": lambda x: cycles.CyclePattern(V1, 1, {x: None}),
+    "incidence value": lambda x: cycles.CyclePattern(V1, 1, {1: x}),
+    "joint key": lambda x: cycles.JointPattern(LINE_THROUGH, LINE_THROUGH, {x: 1}, 1),
+    "joint value": lambda x: cycles.JointPattern(LINE_THROUGH, LINE_THROUGH, {1: x}, 1),
+    "joint total": lambda x: cycles.JointPattern(LINE_THROUGH, LINE_THROUGH, {1: None}, x),
+    "cocycle codim": lambda x: cocycles.CocyclePattern(V1, x, 1, {1: 0}),
+    "cocycle target dim": lambda x: cocycles.CocyclePattern(V1, 1, x, {1: 0}),
+    "excess key": lambda x: cocycles.CocyclePattern(V1, 1, 1, {x: 0}),
+    "excess value": lambda x: cocycles.CocyclePattern(V1, 1, 1, {1: x}),
+    "fiber dimension key": lambda x: cocycles.morphism_fiber_pattern(V1, {x: 1}, 1),
+    "fiber dimension": lambda x: cocycles.morphism_fiber_pattern(V1, {1: x}, 1),
+    "cone class dim": lambda x: CONE_P2.cls(x, 1, [1]),
+    "cone class bound": lambda x: CONE_P2.cls(2, x, [1]),
+    "cone record dim": lambda x: cones.ConeClass(CONE_P2, x, 1, P2.make(1, [1])),
+    "cone record bound": lambda x: cones.ConeClass(CONE_P2, 2, x, P2.make(1, [1])),
+    "group dim": lambda x: cones.chow_group(CONE_P2, x, 0),
+    "group bound": lambda x: cones.chow_group(CONE_P2, 1, x),
+}
+
+# every name, symbol and label a layer stores, as a call that is valid when ``x`` is the string given
+TEXT_SITES = {
+    "ring name": ("r", lambda x: chow.ChowRingPresentation(x, 0, [["1"]], {}, [], [1])),
+    "unit symbol": ("1", lambda x: chow.ChowRingPresentation("r", 0, [[x]], {}, [], [1])),
+    "basis symbol": ("h", lambda x: chow.ChowRingPresentation("r", 1, [["1"], [x]], {}, [1], [1])),
+    "product symbol": ("p", lambda x: chow.ChowRingPresentation(
+        "r", 2, [["1"], ["h"], ["p"]], {("h", "h"): {x: 1}}, [1], [1])),
+    "fiber label": ("0", lambda x: cycles.FamilyCertificate(LINE_THROUGH, ((x, LINE_THROUGH),),
+                                                            (LINE_THROUGH, LINE_THROUGH), True)),
+}
+
+
+class TestIntegersAndTextOnly:
+    """Each layer stores the integers and strings it was given: a float or a digit string where an integer
+    belongs, and anything but a string where a name belongs, raise ``TypeError`` rather than being
+    truncated, parsed or renamed."""
+
+    @pytest.mark.parametrize("bad", [1.0, 1.9, "1"])
+    @pytest.mark.parametrize("site", INTEGER_SITES)
+    def test_a_float_or_a_digit_string_raises(self, site, bad):
+        build = INTEGER_SITES[site]
+        build(1)
+        with pytest.raises(TypeError):
+            build(bad)
+
+    @pytest.mark.parametrize("site", INTEGER_SITES)
+    def test_a_bool_reads_as_the_int_it_is(self, site):
+        # pickle spells True and 1 differently, so equal bytes mean no bool was stored
+        build = INTEGER_SITES[site]
+        assert pickle.dumps(build(True)) == pickle.dumps(build(1))
+
+    @pytest.mark.parametrize("bad", [1, None, b"r", ("r",)])
+    @pytest.mark.parametrize("site", TEXT_SITES)
+    def test_a_name_that_is_not_a_string_raises(self, site, bad):
+        good, build = TEXT_SITES[site]
+        build(good)
+        with pytest.raises(TypeError):
+            build(bad)
