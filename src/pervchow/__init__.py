@@ -19,7 +19,7 @@ _EXPORTS = {
         "GeneralizedBound", "Perversity", "add", "leq", "star_compose", "top", "zero",
     ),
     "strata": (
-        "ModelTag", "Stratification", "StratumSpec", "isolated_vertex", "product_with_fiber", "suspend",
+        "Stratification", "StratumSpec", "isolated_vertex", "product_with_fiber", "suspend",
     ),
     "abgroup": (
         "FpAbelianGroup", "GroupMap", "SmithForm", "describe", "invariant_factors", "is_exact_at_middle",

@@ -415,14 +415,6 @@ class FpAbelianGroup(Value):
             if len(row) != rank:
                 raise ValueError(f"relation {echo(list(row))} has length {len(row)}, expected rank {rank}")
 
-    @classmethod
-    def free(cls, rank: int) -> "FpAbelianGroup":
-        return cls(rank)
-
-    @classmethod
-    def cyclic(cls, n: int) -> "FpAbelianGroup":
-        return cls(1, ((n,),))
-
 
 def invariant_factors(group: FpAbelianGroup) -> tuple[int, tuple[int, ...]]:
     """Free rank and torsion coefficients ``n_1 | n_2 | ...`` (each > 1)."""
@@ -497,9 +489,11 @@ def is_exact_at_middle(f: GroupMap, g: GroupMap) -> bool:
 
     Both are compared as sublattices of ``Z^rank`` containing the middle relations, by their
     reduced Hermite bases (which implies ``g o f = 0``); the kernel holds those relations
-    because ``g`` sends them into the target's.  No Smith form runs.
+    because ``g`` sends them into the target's.  No Smith form runs.  The two presentations
+    of the middle group may list different relation rows if they span one lattice.
     """
-    if f.target != g.source:
+    middle, source = f.target, g.source
+    if middle != source and Lattice(middle.relations, middle.rank) != Lattice(source.relations, source.rank):
         raise ValueError("middle groups do not match")
-    image = Lattice(transpose(f.matrix) + [list(r) for r in f.target.relations], f.target.rank)
+    image = Lattice(transpose(f.matrix) + [list(r) for r in middle.relations], middle.rank)
     return image.basis == _kernel(g)

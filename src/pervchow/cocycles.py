@@ -85,7 +85,7 @@ def slice_with_hyperplanes(pattern: CocyclePattern, count: int) -> CyclePattern:
     capped at the ambient bound ``d - t``).  Genericity of the hyperplanes is
     assumed, never certified.
     """
-    if count != pattern.t:
+    if index(count) != pattern.t:
         raise ValueError(f"need exactly t={echo(pattern.t)} hyperplanes, got {echo(count)}")
     _require_projective(pattern, "slicing")
     d, t = pattern.strata.ambient_dim, pattern.t

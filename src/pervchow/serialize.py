@@ -25,7 +25,7 @@ if TYPE_CHECKING:
     from .cones import ConeClass, ConeVariety
     from .cycles import CyclePattern, JointPattern
     from .perversity import GeneralizedBound
-    from .strata import ModelTag, Stratification
+    from .strata import Stratification
 
 SCHEMA_VERSION = 1
 
@@ -180,27 +180,26 @@ def parse_bound(data: Any, *, perversity: bool = False) -> GeneralizedBound:
 # -- stratifications ---------------------------------------------------
 
 
-def _model_to_json(tag: ModelTag) -> Any:
-    if tag.kind == "generic":
-        return "generic"
-    if tag.kind == "isolated_vertex":
-        return "vertex"
-    return {"kind": "product", "fiber_dim": tag.fiber_dim, "base": _model_to_json(tag.base)}
+def _model_to_json(model: str | tuple) -> Any:
+    if isinstance(model, tuple):
+        fiber_dim, base = model
+        return {"kind": "product", "fiber_dim": fiber_dim, "base": _model_to_json(base)}
+    return model
 
 
-def _model_from_json(data: Any) -> ModelTag:
-    from .strata import GENERIC, ISOLATED_VERTEX, ModelTag
-
+def _model_from_json(data: Any) -> str | tuple:
+    """A stratification's ``model``: ``"generic"`` (also null), ``"vertex"`` (also ``"isolated_vertex"``),
+    or ``(fiber_dim, base)`` from a ``product`` object."""
     if data in (None, "generic"):
-        return GENERIC
+        return "generic"
     if data in ("vertex", "isolated_vertex"):
-        return ISOLATED_VERTEX
+        return "vertex"
     if isinstance(data, Mapping) and data.get("kind") == "product":
-        return ModelTag(
-            "product",
-            fiber_dim=_int(data["fiber_dim"], "fiber_dim"),
-            base=_model_from_json(data.get("base", "generic")),
-        )
+        fiber_dim = _int(data["fiber_dim"], "fiber_dim")
+        base = _model_from_json(data.get("base", "generic"))
+        if fiber_dim < 0:
+            raise InputError(f"fiber_dim must be nonnegative, got {echo(fiber_dim)}")
+        return fiber_dim, base
     raise InputError(f"unknown stratification model {echo(data)}")
 
 
@@ -413,7 +412,7 @@ def _products(entries: Any) -> tuple[dict[tuple[str, str], dict[str, int]], int]
             if type(c) is not int:
                 c = _int(c, f"coefficient of {echo(sym)} in product ({echo(a)}, {echo(b)})")
             if c:
-                combo[str(sym)] = c
+                combo[sym] = c
         pair = (a, b)
         old = products.get(pair)
         if old is None:

@@ -23,40 +23,17 @@ class StratumSpec(Value):
         self._init(operator.index(index), operator.index(codim_lower_bound), label)
 
 
-class ModelTag(Value):
-    """Construction marker for a stratification descriptor.
-
-    ``kind`` is one of ``generic``, ``isolated_vertex`` or ``product``;
-    products remember the base tag and the fiber dimension.  The tag records
-    how the descriptor was built and is carried through transforms unchanged;
-    no computation reads it, so it takes no part in :class:`Stratification`
-    equality.
-    """
-
-    __slots__ = ("kind", "fiber_dim", "base")
-
-    def __init__(self, kind: str, fiber_dim: int | None = None, base: ModelTag | None = None) -> None:
-        self._init(kind, None if fiber_dim is None else operator.index(fiber_dim), base)
-        if self.kind not in ("generic", "isolated_vertex", "product"):
-            raise ValueError(f"unknown model kind {echo(self.kind)}")
-        if (self.kind == "product") != (self.fiber_dim is not None):
-            raise ValueError("product tags carry fiber_dim; other tags must not")
-        if self.fiber_dim is not None and self.fiber_dim < 0:
-            raise ValueError(f"fiber_dim must be nonnegative, got {echo(self.fiber_dim)}")
-        if (self.kind == "product") != (self.base is not None):
-            raise ValueError("product tags carry a base tag; other tags must not")
-
-
-GENERIC = ModelTag("generic")
-ISOLATED_VERTEX = ModelTag("isolated_vertex")
-
-
 class Stratification(Value, uncompared=("model",)):
-    """Depth-``k`` filtration descriptor of a ``d``-dimensional variety."""
+    """Depth-``k`` filtration descriptor of a ``d``-dimensional variety.
+
+    ``model`` records how the descriptor was built: ``"generic"``, ``"vertex"``,
+    or ``(fiber_dim, base)`` for a product with a smooth fiber over a base model.
+    No computation reads it, so it takes no part in equality.
+    """
 
     __slots__ = ("ambient_dim", "strata", "model")
 
-    def __init__(self, ambient_dim: int, strata: tuple[StratumSpec, ...], model: ModelTag = GENERIC) -> None:
+    def __init__(self, ambient_dim: int, strata: tuple[StratumSpec, ...], model: str | tuple = "generic") -> None:
         self._init(operator.index(ambient_dim), tuple(strata), model)
         if self.ambient_dim < 0:
             raise ValueError("ambient dimension must be nonnegative")
@@ -89,7 +66,7 @@ def isolated_vertex(d: int) -> Stratification:
     if d < 1:
         raise ValueError(f"dimension must be at least 1, got {echo(d)}")
     strata = tuple(StratumSpec(i, d, "vertex") for i in range(1, d + 1))
-    return Stratification(d, strata, ISOLATED_VERTEX)
+    return Stratification(d, strata, "vertex")
 
 
 def product_with_fiber(s: Stratification, fiber_dim: int) -> Stratification:
@@ -98,15 +75,13 @@ def product_with_fiber(s: Stratification, fiber_dim: int) -> Stratification:
     Iterated products flatten, so crossing with fibers of dimensions ``m``
     and then ``n`` yields the same descriptor as crossing once with ``m + n``.
     """
-    if fiber_dim < 0:
-        raise ValueError(f"fiber dimension must be nonnegative, got {echo(fiber_dim)}")
-    if fiber_dim == 0:
+    m = operator.index(fiber_dim)
+    if m < 0:
+        raise ValueError(f"fiber dimension must be nonnegative, got {echo(m)}")
+    if m == 0:
         return s
-    if s.model.kind == "product":
-        tag = ModelTag("product", fiber_dim=s.model.fiber_dim + fiber_dim, base=s.model.base)
-    else:
-        tag = ModelTag("product", fiber_dim=fiber_dim, base=s.model)
-    return Stratification(s.ambient_dim + fiber_dim, s.strata, tag)
+    total, base = (s.model[0] + m, s.model[1]) if isinstance(s.model, tuple) else (m, s.model)
+    return Stratification(s.ambient_dim + m, s.strata, (total, base))
 
 
 def suspend(s: Stratification) -> Stratification:

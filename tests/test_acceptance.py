@@ -226,9 +226,9 @@ def test_criterion_7c_abgroup_contracts():
         for x, y in zip(diag, diag[1:]):
             assert (x == 0 and y == 0) or (x != 0 and y % x == 0)
     # exactness checker against brute-force enumeration on ranks <= 3
-    Z = pc.FpAbelianGroup.free(1)
-    ZZ = pc.FpAbelianGroup.free(2)
-    Z2 = pc.FpAbelianGroup.cyclic(2)
+    Z = pc.FpAbelianGroup(1)
+    ZZ = pc.FpAbelianGroup(2)
+    Z2 = pc.FpAbelianGroup(1, ((2,),))
 
     def brute_member(gens, target, bound=6):
         if not gens:

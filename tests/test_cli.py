@@ -325,6 +325,21 @@ class TestGroupsCompareSnfExact:
         report = run(["exact", "--f", f, "--g", f])
         assert report.exit_code == 1
 
+    def test_exact_reads_one_middle_group_in_two_presentations(self):
+        # Z/2 as [[2]] for f and as [[-2]] for g is one group; Z/4 or Z^2 in g's place is not
+        def exact(f_matrix, g_source):
+            f = {"source": {"rank": 1}, "target": {"rank": 1, "relations": [[2]]}, "matrix": f_matrix}
+            g = {"source": g_source, "target": {"rank": 1}, "matrix": [[0] * g_source["rank"]]}
+            return run(["exact", "--f", json.dumps(f), "--g", json.dumps(g)])
+
+        z2 = {"rank": 1, "relations": [[-2]]}
+        for f_matrix, code, verdict in (([[1]], 0, True), ([[0]], 1, False)):
+            report = exact(f_matrix, z2)
+            assert (report.exit_code, report.values) == (code, {"exact": verdict})
+        for other in ({"rank": 1, "relations": [[4]]}, {"rank": 1}, {"rank": 2, "relations": [[2, 0]]}):
+            report = exact([[1]], other)
+            assert (report.exit_code, report.error) == (2, "middle groups do not match")
+
 
 class TestTransformCommands:
     def test_push(self):

@@ -38,7 +38,7 @@ COSTLY = {"dataclasses", "inspect"}
 # the package exports, by the module that defines each
 EXPORTS = {
     "perversity": ["GeneralizedBound", "Perversity", "add", "leq", "star_compose", "top", "zero"],
-    "strata": ["ModelTag", "Stratification", "StratumSpec", "isolated_vertex", "product_with_fiber", "suspend"],
+    "strata": ["Stratification", "StratumSpec", "isolated_vertex", "product_with_fiber", "suspend"],
     "abgroup": [
         "FpAbelianGroup", "GroupMap", "SmithForm", "describe", "invariant_factors", "is_exact_at_middle",
         "smith_normal_form",
@@ -288,3 +288,22 @@ def test_no_layer_coerces_an_integer_or_a_string():
             if called in ("int", "str"):
                 found.append(f"{name}.py:{node.lineno}")
     assert found == []
+
+
+def test_only_serialize_spells_the_model_document():
+    # a stratification's model is a plain value ("generic", "vertex" or a (fiber_dim, base) pair); the
+    # product document's "fiber_dim" key and "product" kind are written and read in serialize alone
+    def spelled_in(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                yield from spelled_in(child, f"{where.split('.')[0]}.{child.name}")
+                continue
+            if isinstance(child, ast.Constant) and child.value in ("fiber_dim", "product"):
+                yield where
+            yield from spelled_in(child, where)
+
+    paths = (SRC / "pervchow").glob("*.py")
+    found = {where for path in paths for where in spelled_in(ast.parse(path.read_text()), path.stem)}
+    assert found == {"serialize._model_to_json", "serialize._model_from_json"}
+    with pytest.raises(AttributeError, match="ModelTag"):
+        pervchow.ModelTag

@@ -389,6 +389,16 @@ def test_a_ring_with_relations_round_trips_to_identical_json():
     assert json.dumps(ring_to_json(again)) == text
 
 
+def test_a_product_symbol_that_is_not_a_string_is_refused_not_renamed():
+    # a JSON key is always a string, but a mapping handed to the reader keeps its keys as they are
+    doc = {"dim": 2, "basis": [["1"], ["h"], ["p"]], "products": [{"a": "h", "b": "h", "value": {2: 1}}],
+           "hyperplane": [1], "degree": [1]}
+    with pytest.raises(InputError, match=r"^bad ring presentation: symbol 2 in product \('h', 'h'\) must be a string$"):
+        parse_ring(doc)
+    doc["products"][0]["value"] = {"p": 1}
+    assert parse_ring(doc).products() == (("h", "h", {"p": 1}),)
+
+
 def test_combinations_of_several_terms_are_emitted_sorted():
     doc = ring_to_json(parse_ring(TWO_TERMS))
     assert doc["products"] == [

@@ -5,8 +5,6 @@ import pytest
 from pervchow.cli import run
 from pervchow.serialize import parse_stratification, stratification_to_json
 from pervchow.strata import (
-    GENERIC,
-    ModelTag,
     Stratification,
     StratumSpec,
     isolated_vertex,
@@ -62,14 +60,14 @@ class TestProductAndSuspend:
         assert s.ambient_dim == 4
         assert s.depth == 3
         assert all(st.codim_lower_bound == 3 for st in s.strata)
-        assert s.model.kind == "product" and s.model.fiber_dim == 1
+        assert s.model == (1, "vertex")
 
     def test_product_with_zero_fiber_is_identity(self):
         s = isolated_vertex(2)
         assert product_with_fiber(s, 0) is s
 
     def test_product_preserves_generic_bounds(self):
-        base = Stratification(3, (StratumSpec(1, 2, "sing"),), GENERIC)
+        base = Stratification(3, (StratumSpec(1, 2, "sing"),), "generic")
         out = product_with_fiber(base, 2)
         assert out.ambient_dim == 5
         assert out.strata == base.strata
@@ -102,7 +100,7 @@ class TestJson:
     def test_round_trip_vertex(self):
         s = isolated_vertex(3)
         parsed = parse_stratification(stratification_to_json(s))
-        # the tag takes no part in equality, so compare it on its own
+        # the model takes no part in equality, so compare it on its own
         assert parsed == s and parsed.model == s.model
 
     def test_round_trip_product(self):
@@ -129,8 +127,6 @@ class TestJson:
 
 
 def test_a_negative_fiber_dimension_is_rejected():
-    with pytest.raises(ValueError, match="fiber_dim must be nonnegative, got -1"):
-        ModelTag("product", fiber_dim=-1, base=GENERIC)
     doc = {"dim": 1, "strata": [{"i": 1, "codim": 1}], "model": {"kind": "product", "fiber_dim": -5}}
     report = run(["suspend", "--strata", json.dumps(doc)])
     assert report.exit_code == 2
@@ -138,3 +134,70 @@ def test_a_negative_fiber_dimension_is_rejected():
     # a nonnegative fiber is still read, a zero one included
     doc["model"]["fiber_dim"] = 0
     assert run(["suspend", "--strata", json.dumps(doc)]).exit_code == 0
+
+
+# -- the model: a plain value that serialize alone spells as a document -----------------------------
+
+VERTEX_ON_VERTEX = {"kind": "product", "fiber_dim": 1, "base": "vertex"}
+PRODUCT_OF_PRODUCT = {"kind": "product", "fiber_dim": 3, "base": {"kind": "product", "fiber_dim": 0, "base": "generic"}}
+
+
+@pytest.mark.parametrize(
+    "given, printed",
+    [
+        (None, "generic"),
+        ("generic", "generic"),
+        ("vertex", "vertex"),
+        ("isolated_vertex", "vertex"),
+        ({"kind": "product", "fiber_dim": 1}, {"kind": "product", "fiber_dim": 1, "base": "generic"}),
+        ({"kind": "product", "fiber_dim": "1", "base": "isolated_vertex"}, VERTEX_ON_VERTEX),
+        (PRODUCT_OF_PRODUCT, PRODUCT_OF_PRODUCT),
+        ({**PRODUCT_OF_PRODUCT, "base": {**PRODUCT_OF_PRODUCT["base"], "base": None}}, PRODUCT_OF_PRODUCT),
+    ],
+    ids=["null", "generic", "vertex", "isolated_vertex", "product", "product-spelled", "nested", "nested-null"],
+)
+def test_every_model_spelling_reads_and_prints_back(given, printed):
+    doc = {"dim": 2, "strata": [{"i": 1, "codim": 1}], "model": given}
+    report = run(["suspend", "--strata", json.dumps(doc)])
+    assert report.exit_code == 0
+    assert report.values["strata"]["model"] == printed
+    # a read nested product stays nested; only product_with_fiber flattens
+    assert run(["suspend", "--strata", json.dumps(report.values["strata"])]).values["strata"]["model"] == printed
+
+
+def test_pull_of_a_pull_and_suspend_of_a_product_print_one_flat_product():
+    first = run(["pull", "--pattern", '{"dim":1,"incidence":{"1":0,"2":0}}', "--e", "1", "--strata", "vertex2"])
+    assert first.values["strata"]["model"] == VERTEX_ON_VERTEX
+    pattern, strata = (json.dumps(first.values[key]) for key in ("pattern", "strata"))
+    second = run(["pull", "--pattern", pattern, "--e", "2", "--strata", strata])
+    flat = {"kind": "product", "fiber_dim": 3, "base": "vertex"}
+    assert second.values["strata"]["model"] == flat and second.values["strata"]["dim"] == 5
+    suspended = run(["suspend", "--strata", json.dumps(second.values["strata"])])
+    assert suspended.values["strata"]["model"] == flat and suspended.values["strata"]["dim"] == 6
+    assert product_with_fiber(product_with_fiber(isolated_vertex(2), 1), 2).model == (3, "vertex")
+
+
+def test_a_bool_fiber_dimension_prints_as_an_int():
+    doc = stratification_to_json(product_with_fiber(isolated_vertex(1), True))
+    assert json.dumps(doc["model"]) == '{"kind": "product", "fiber_dim": 1, "base": "vertex"}'
+
+
+@pytest.mark.parametrize(
+    "model, error",
+    [
+        ({"kind": "product", "fiber_dim": -5, "base": "cone"}, "unknown stratification model 'cone'"),
+        ({"kind": "product", "fiber_dim": -5, "base": {"kind": "product", "fiber_dim": -1}},
+         "fiber_dim must be nonnegative, got -1"),
+        ({"kind": "product", "fiber_dim": "x", "base": "cone"}, "invalid literal for int() with base 10: 'x'"),
+        ({"kind": "product", "fiber_dim": True}, "expected an integer, got True"),
+        ({"kind": "product", "base": "cone"}, "'fiber_dim'"),
+        ({"kind": "cone"}, "unknown stratification model {'kind': 'cone'}"),
+    ],
+    ids=["negative-bad-base", "negative-negative-base", "text-bad-base", "bool", "missing", "unknown-kind"],
+)
+def test_a_model_with_several_faults_reports_the_first_read(model, error):
+    # the fiber dimension is read, then the base, then the fiber dimension's sign is checked
+    doc = {"dim": 1, "strata": [{"i": 1, "codim": 1}], "model": model}
+    report = run(["suspend", "--strata", json.dumps(doc)])
+    assert report.exit_code == 2
+    assert report.error == f"bad stratification document: {error}"

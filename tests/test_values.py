@@ -22,7 +22,6 @@ def instances():
         "Command": cli.Command(print, "Print.", {"name": ("command name", None, {})}),
         "GeneralizedBound": perversity.GeneralizedBound([0, 2]),
         "StratumSpec": v.strata[0],
-        "ModelTag": strata.ModelTag("product", 1, strata.GENERIC),
         "Stratification": v,
         "SmithForm": abgroup.SmithForm(((1,),), ((2,),), ((1,),)),
         "FpAbelianGroup": z2,
@@ -40,10 +39,7 @@ def instances():
 
 # the repr each instance had when the classes were generated dataclasses
 SPEC = "StratumSpec(index=1, codim_lower_bound=1, label='vertex')"
-VERTEX = (
-    f"Stratification(ambient_dim=1, strata=({SPEC},), "
-    "model=ModelTag(kind='isolated_vertex', fiber_dim=None, base=None))"
-)
+VERTEX = f"Stratification(ambient_dim=1, strata=({SPEC},), model='vertex')"
 LINE = f"CyclePattern(strata={VERTEX}, r=1, incidence={{1: None}}, label='L')"
 CONE = "ConeVariety(base=ChowRingPresentation('P1', dim=1))"
 REPRS = {
@@ -54,7 +50,6 @@ REPRS = {
     ),
     "GeneralizedBound": "GeneralizedBound(entries=(0, 2))",
     "StratumSpec": SPEC,
-    "ModelTag": "ModelTag(kind='product', fiber_dim=1, base=ModelTag(kind='generic', fiber_dim=None, base=None))",
     "Stratification": VERTEX,
     "SmithForm": "SmithForm(U=((1,),), S=((2,),), V=((1,),))",
     "FpAbelianGroup": "FpAbelianGroup(rank=1, relations=((2,),))",
@@ -164,7 +159,7 @@ def test_zobel_catalog_is_unhashable_on_purpose():
 
 def test_hash_follows_equality():
     values = instances()
-    for name in ("GeneralizedBound", "StratumSpec", "ModelTag", "Stratification", "FpAbelianGroup", "GroupMap",
+    for name in ("GeneralizedBound", "StratumSpec", "Stratification", "FpAbelianGroup", "GroupMap",
                  "ChowClass", "ConeVariety"):
         assert hash(values[name]) == hash(instances()[name]), name
     p2 = chow.builtin("P2")
@@ -190,7 +185,7 @@ INTEGER_SITES = {
     "stratum index": lambda x: strata.StratumSpec(x, 2),
     "stratum codim": lambda x: strata.StratumSpec(1, x),
     "ambient dim": lambda x: strata.Stratification(x, ()),
-    "fiber dim": lambda x: strata.ModelTag("product", x, strata.GENERIC),
+    "fiber dim": lambda x: strata.product_with_fiber(V1, x),
     "ring dim": lambda x: ring(dim=x),
     "hyperplane": lambda x: ring(hyperplane=[x]),
     "degree": lambda x: ring(degree=[x]),
@@ -214,6 +209,7 @@ INTEGER_SITES = {
     "excess value": lambda x: cocycles.CocyclePattern(V1, 1, 1, {1: x}),
     "fiber dimension key": lambda x: cocycles.morphism_fiber_pattern(V1, {x: 1}, 1),
     "fiber dimension": lambda x: cocycles.morphism_fiber_pattern(V1, {1: x}, 1),
+    "hyperplane count": lambda x: cocycles.slice_with_hyperplanes(cocycles.CocyclePattern(V1, 1, 1, {1: 0}), x),
     "cone class dim": lambda x: CONE_P2.cls(x, 1, [1]),
     "cone class bound": lambda x: CONE_P2.cls(2, x, [1]),
     "cone record dim": lambda x: cones.ConeClass(CONE_P2, x, 1, P2.make(1, [1])),
