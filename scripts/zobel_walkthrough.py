@@ -55,7 +55,7 @@ def main() -> None:
     print(f"  sliced once more: degree {chow.degree(hh)}")
 
     print("\nthe pair with no product (both at the top bound, r+s-d = 0):")
-    a, b = cat.expected_pairings["top(r=2)*top(r=1)"]["operands"]
+    a, b, _ = cat.expected_pairings["top(r=2)*top(r=1)"]
     try:
         pc.intersect(a, b)
     except pc.ConeProductError as exc:

@@ -475,7 +475,7 @@ def point() -> ChowRingPresentation:
 
 
 def projective_space(n: int) -> ChowRingPresentation:
-    if n < 0:
+    if (n := index(n)) < 0:
         raise ValueError("projective space needs nonnegative dimension")
     if n == 0:
         return ChowRingPresentation("P0", 0, [["1"]], {}, [], [1])

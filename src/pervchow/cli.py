@@ -301,7 +301,7 @@ def _cmd_exact(args: argparse.Namespace) -> Found:
 
 
 def _cmd_catalog(args: argparse.Namespace) -> Found:
-    from . import cones
+    from . import chow, cones
 
     if args.name != "zobel":
         raise InputError(f"unknown catalog {echo(args.name)}; available: zobel")
@@ -321,27 +321,24 @@ def _cmd_catalog(args: argparse.Namespace) -> Found:
         expected = [list(row) for row in matrix]
         verdicts.append(Verdict(f"comparison[{name}]", expected == got, f"expected {expected}, got {got}"))
     pairings: dict[str, Any] = {}
-    for key, expected in sorted(catalog.expected_pairings.items()):
+    for key, (a, b, expected) in sorted(catalog.expected_pairings.items()):
+        try:
+            product = cones.intersect(a, b)
+        except cones.ConeProductError as exc:
+            got = {"kind": "rejected", "message": str(exc)}
+        else:  # a point pairs to its degree, as in ``pairing``
+            got = ({"kind": "degree", "value": chow.degree(product.payload)} if product.r == 0
+                   else {**serialize.cone_class_to_json(product), "kind": "class"})
         if expected["kind"] == "rejected":
-            try:
-                cones.intersect(*expected["operands"])
-                got = {"kind": "unexpected-success"}
-            except cones.ConeProductError as exc:
-                got = {"kind": "rejected", "message": str(exc)}
             ok = got["kind"] == "rejected"
             text = "undefined pairing rejected" if ok else f"expected rejection, got {got}"
+        elif expected["kind"] == "degree":
+            ok = got == expected
+            text = f"expected degree {expected['value']}, got {got.get('value')}"
         else:
-            left, right = key.split("*")
-            a, b = catalog.classes[left], catalog.classes[right]
-            if expected["kind"] == "degree":
-                got = {"kind": "degree", "value": cones.degree_pairing(a, b)}
-                ok = got["value"] == expected["value"]
-                text = f"expected degree {expected['value']}, got {got['value']}"
-            else:
-                got = {**serialize.cone_class_to_json(cones.intersect(a, b)), "kind": "class"}
-                payload = list(expected["payload"])
-                ok = all(got[k] == expected[k] for k in ("mode", "r", "p")) and got["payload"] == payload
-                text = f"expected {expected['mode']} payload {payload}, got {got['payload']}"
+            payload = list(expected["payload"])
+            ok = got == {**expected, "payload": payload}
+            text = f"expected {expected['mode']} payload {payload}, got {got.get('payload')}"
         pairings[key] = got
         verdicts.append(Verdict(f"pairing[{key}]", ok, text))
     return (verdicts if args.verify else []), dict(

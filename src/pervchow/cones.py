@@ -245,9 +245,9 @@ class ZobelCatalog(Value):
     (the same class as ``Ce``).  ``expected_*`` freeze the known group,
     comparison and pairing tables for verification: groups are keyed by
     ``(r, p)``, comparison maps by ``(r, p_from, p_to)``, and pairings by
-    ``"<left>*<right>"`` class names; the rejected pair carries its two
-    operands under ``"operands"``.  The catalog is unhashable on purpose:
-    its pairing table nests dicts, and nothing keys on a catalog.
+    ``"<left>*<right>"`` names, each as its two operands and the expected
+    product.  The catalog is unhashable on purpose: its pairing table nests
+    dicts, and nothing keys on a catalog.
     """
 
     __slots__ = ("cone", "classes", "expected_groups", "expected_comparisons", "expected_pairings")
@@ -296,16 +296,18 @@ def zobel() -> ZobelCatalog:
     }
     top2, top1 = cone.cls(2, 2, [1, 0]), cone.cls(1, 2, [1])  # both at the top bound
     expected_pairings = {
-        "Ce*Cf": {"kind": "class", "mode": "allowed", "r": 1, "p": 2, "payload": (1,)},
-        "Ce*Ce": {"kind": "class", "mode": "allowed", "r": 1, "p": 2, "payload": (0,)},
-        "D*L": {"kind": "degree", "value": 0},
-        "D*M": {"kind": "degree", "value": 1},
-        "H*L": {"kind": "degree", "value": 1},
-        "H*M": {"kind": "degree", "value": 1},
-        "H*N": {"kind": "degree", "value": 1},
-        "H*H": {"kind": "class", "mode": "disallowed", "r": 1, "p": 0, "payload": (1, 1)},
-        "H*Ce": {"kind": "class", "mode": "disallowed", "r": 1, "p": 1, "payload": (1, 0)},
-        "top(r=2)*top(r=1)": {"kind": "rejected", "operands": (top2, top1)},
+        "Ce*Cf": (classes["Ce"], classes["Cf"], {"kind": "class", "mode": "allowed", "r": 1, "p": 2, "payload": (1,)}),
+        "Ce*Ce": (classes["Ce"], classes["Ce"], {"kind": "class", "mode": "allowed", "r": 1, "p": 2, "payload": (0,)}),
+        "D*L": (classes["D"], classes["L"], {"kind": "degree", "value": 0}),
+        "D*M": (classes["D"], classes["M"], {"kind": "degree", "value": 1}),
+        "H*L": (classes["H"], classes["L"], {"kind": "degree", "value": 1}),
+        "H*M": (classes["H"], classes["M"], {"kind": "degree", "value": 1}),
+        "H*N": (classes["H"], classes["N"], {"kind": "degree", "value": 1}),
+        "H*H": (classes["H"], classes["H"], {"kind": "class", "mode": "disallowed", "r": 1, "p": 0, "payload": (1, 1)}),
+        "H*Ce": (
+            classes["H"], classes["Ce"], {"kind": "class", "mode": "disallowed", "r": 1, "p": 1, "payload": (1, 0)}
+        ),
+        "top(r=2)*top(r=1)": (top2, top1, {"kind": "rejected"}),
     }
     return ZobelCatalog(
         cone,

@@ -65,6 +65,8 @@ class CyclePattern(Value, uncompared=("label",)):
     ) -> None:
         if (r := index(r)) < 0:
             raise ValueError("cycle dimension must be nonnegative")
+        if not isinstance(label, (str, type(None))):
+            raise TypeError(f"label must be a string, got {type(label).__name__}")
         table = _normalize_incidence(strata, incidence, "incidence")
         for i, v in table.items():
             if v is not None and not 0 <= v <= r:

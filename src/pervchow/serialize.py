@@ -206,16 +206,13 @@ def _model_from_json(data: Any) -> str | tuple:
 def stratification_to_json(s: Stratification) -> dict:
     return {
         "dim": s.ambient_dim,
-        "strata": [
-            {"i": st.index, "codim": st.codim_lower_bound, "label": st.label}
-            for st in s.strata
-        ],
+        "strata": [{"i": i, "codim": codim, "label": label} for i, (codim, label) in enumerate(s.strata, start=1)],
         "model": _model_to_json(s.model),
     }
 
 
 def parse_stratification(data: Any) -> Stratification:
-    from .strata import Stratification, StratumSpec, isolated_vertex
+    from .strata import Stratification, isolated_vertex
 
     if isinstance(data, str):
         m = re.fullmatch(r"vertex0*(\d+)", data.strip())
@@ -232,10 +229,12 @@ def parse_stratification(data: Any) -> Stratification:
         for n, st in enumerate(specs):
             _shape(st, Mapping, f"stratum {n}", "an object")
             _shape(st.get("label", ""), str, f"label of stratum {n}", "a string")
-        strata = tuple(
-            StratumSpec(_int(st["i"], "i"), _int(st["codim"], "codim"), st.get("label", "")) for st in specs
-        )
-        return Stratification(_int(data["dim"], "dim"), strata, _model_from_json(data.get("model")))
+        stated = [(_int(st["i"], "i"), _int(st["codim"], "codim"), st.get("label", "")) for st in specs]
+        dim, model = _int(data["dim"], "dim"), _model_from_json(data.get("model"))
+        for pos, (i, _, _) in enumerate(stated, start=1):  # a stated index must be its position
+            if i != pos:
+                raise InputError(f"stratum indices must run 1..depth, got {echo(i)} at position {pos}")
+        return Stratification(dim, [(codim, label) for _, codim, label in stated], model)
 
 
 # -- cycle/joint patterns ----------------------------------------------

@@ -38,7 +38,7 @@ COSTLY = {"dataclasses", "inspect"}
 # the package exports, by the module that defines each
 EXPORTS = {
     "perversity": ["GeneralizedBound", "Perversity", "add", "leq", "star_compose", "top", "zero"],
-    "strata": ["Stratification", "StratumSpec", "isolated_vertex", "product_with_fiber", "suspend"],
+    "strata": ["Stratification", "isolated_vertex", "product_with_fiber", "suspend"],
     "abgroup": [
         "FpAbelianGroup", "GroupMap", "SmithForm", "describe", "invariant_factors", "is_exact_at_middle",
         "smith_normal_form",
@@ -290,20 +290,28 @@ def test_no_layer_coerces_an_integer_or_a_string():
     assert found == []
 
 
-def test_only_serialize_spells_the_model_document():
-    # a stratification's model is a plain value ("generic", "vertex" or a (fiber_dim, base) pair); the
-    # product document's "fiber_dim" key and "product" kind are written and read in serialize alone
+def test_only_serialize_spells_the_model_and_stratum_documents():
+    # a stratification's model is a plain value ("generic", "vertex" or a (fiber_dim, base) pair), and a
+    # stratum is its position and a (codim, label) pair; the product document's "fiber_dim" key and "product"
+    # kind, and a stratum document's "i" and "codim" keys, are written and read in serialize alone
     def spelled_in(node, where):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.FunctionDef):
                 yield from spelled_in(child, f"{where.split('.')[0]}.{child.name}")
                 continue
-            if isinstance(child, ast.Constant) and child.value in ("fiber_dim", "product"):
-                yield where
+            if isinstance(child, ast.Assign) and [getattr(t, "id", None) for t in child.targets] == ["__slots__"]:
+                continue  # slot names are attribute names: ChowClass has a "codim" field
+            if isinstance(child, ast.Constant) and child.value in ("fiber_dim", "product", "i", "codim"):
+                yield child.value, where
             yield from spelled_in(child, where)
 
-    paths = (SRC / "pervchow").glob("*.py")
-    found = {where for path in paths for where in spelled_in(ast.parse(path.read_text()), path.stem)}
-    assert found == {"serialize._model_to_json", "serialize._model_from_json"}
-    with pytest.raises(AttributeError, match="ModelTag"):
-        pervchow.ModelTag
+    found: dict[str, set[str]] = {}
+    for path in (SRC / "pervchow").glob("*.py"):
+        for key, where in spelled_in(ast.parse(path.read_text()), path.stem):
+            found.setdefault(key, set()).add(where)
+    model = {"serialize._model_to_json", "serialize._model_from_json"}
+    stratum = {"serialize.stratification_to_json", "serialize.parse_stratification"}
+    assert found == {"fiber_dim": model, "product": model, "i": stratum, "codim": stratum}
+    for deleted in ("ModelTag", "StratumSpec"):
+        with pytest.raises(AttributeError, match=deleted):
+            getattr(pervchow, deleted)

@@ -21,7 +21,6 @@ def instances():
         "Report": cli.Report("snf"),
         "Command": cli.Command(print, "Print.", {"name": ("command name", None, {})}),
         "GeneralizedBound": perversity.GeneralizedBound([0, 2]),
-        "StratumSpec": v.strata[0],
         "Stratification": v,
         "SmithForm": abgroup.SmithForm(((1,),), ((2,),), ((1,),)),
         "FpAbelianGroup": z2,
@@ -37,9 +36,8 @@ def instances():
     }
 
 
-# the repr each instance had when the classes were generated dataclasses
-SPEC = "StratumSpec(index=1, codim_lower_bound=1, label='vertex')"
-VERTEX = f"Stratification(ambient_dim=1, strata=({SPEC},), model='vertex')"
+# the repr each instance had when the classes were generated dataclasses, with one (codim, label) pair per stratum
+VERTEX = "Stratification(ambient_dim=1, strata=((1, 'vertex'),), model='vertex')"
 LINE = f"CyclePattern(strata={VERTEX}, r=1, incidence={{1: None}}, label='L')"
 CONE = "ConeVariety(base=ChowRingPresentation('P1', dim=1))"
 REPRS = {
@@ -49,7 +47,6 @@ REPRS = {
         "Command(handler=<built-in function print>, description='Print.', inputs={'name': ('command name', None, {})})"
     ),
     "GeneralizedBound": "GeneralizedBound(entries=(0, 2))",
-    "StratumSpec": SPEC,
     "Stratification": VERTEX,
     "SmithForm": "SmithForm(U=((1,),), S=((2,),), V=((1,),))",
     "FpAbelianGroup": "FpAbelianGroup(rank=1, relations=((2,),))",
@@ -123,7 +120,7 @@ def test_equal_by_fields_across_instances_and_copies(name):
 
 
 def test_model_and_label_take_no_part_in_equality_or_hash():
-    generic = strata.Stratification(1, (strata.StratumSpec(1, 1, "vertex"),))
+    generic = strata.Stratification(1, ((1, "vertex"),))
     vertex = strata.isolated_vertex(1)
     assert generic.model != vertex.model
     assert generic == vertex and hash(generic) == hash(vertex)
@@ -159,7 +156,7 @@ def test_zobel_catalog_is_unhashable_on_purpose():
 
 def test_hash_follows_equality():
     values = instances()
-    for name in ("GeneralizedBound", "StratumSpec", "Stratification", "FpAbelianGroup", "GroupMap",
+    for name in ("GeneralizedBound", "Stratification", "FpAbelianGroup", "GroupMap",
                  "ChowClass", "ConeVariety"):
         assert hash(values[name]) == hash(instances()[name]), name
     p2 = chow.builtin("P2")
@@ -182,11 +179,11 @@ def ring(name="r", dim=1, hyperplane=(1,), degree=(1,), relations=None):
 # every integer a layer stores or indexes with, as a call that is valid when ``x`` is 1
 INTEGER_SITES = {
     "bound entry": lambda x: perversity.GeneralizedBound([0, x]),
-    "stratum index": lambda x: strata.StratumSpec(x, 2),
-    "stratum codim": lambda x: strata.StratumSpec(1, x),
+    "stratum codim": lambda x: strata.Stratification(2, ((x, "s"),)),
     "ambient dim": lambda x: strata.Stratification(x, ()),
     "fiber dim": lambda x: strata.product_with_fiber(V1, x),
     "ring dim": lambda x: ring(dim=x),
+    "projective space dim": lambda x: chow.projective_space(x),
     "hyperplane": lambda x: ring(hyperplane=[x]),
     "degree": lambda x: ring(degree=[x]),
     "product coefficient": lambda x: chow.ChowRingPresentation(
@@ -227,7 +224,11 @@ TEXT_SITES = {
         "r", 2, [["1"], ["h"], ["p"]], {("h", "h"): {x: 1}}, [1], [1])),
     "fiber label": ("0", lambda x: cycles.FamilyCertificate(LINE_THROUGH, ((x, LINE_THROUGH),),
                                                             (LINE_THROUGH, LINE_THROUGH), True)),
+    "stratum label": ("s", lambda x: strata.Stratification(1, ((1, x),))),
+    "pattern label": ("L", lambda x: cycles.CyclePattern(V1, 1, {1: 1}, x)),
 }
+# the labels that may be left out, as None
+OPTIONAL_TEXT_SITES = {"pattern label"}
 
 
 class TestIntegersAndTextOnly:
@@ -254,5 +255,11 @@ class TestIntegersAndTextOnly:
     def test_a_name_that_is_not_a_string_raises(self, site, bad):
         good, build = TEXT_SITES[site]
         build(good)
+        if bad is None and site in OPTIONAL_TEXT_SITES:
+            assert build(None).label is None
+            return
         with pytest.raises(TypeError):
             build(bad)
+
+    def test_a_bool_dimension_names_the_projective_space_it_reads_as(self):
+        assert chow.projective_space(True).name == "P1" and chow.projective_space(True) == chow.builtin("P1")
